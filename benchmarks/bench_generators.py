@@ -8,7 +8,7 @@ cost of minting a fresh workload — and validate what comes out.
 
 import pytest
 
-from repro.core.suite import benchmark_ids, get_generator
+from repro.core.registry import benchmark_ids, get_generator
 from repro.core.validation import validate_workload_set
 from repro.core.workload import Workload
 

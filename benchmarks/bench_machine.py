@@ -157,13 +157,13 @@ def test_replay_throughput():
     except ImportError:  # running with the repo root off sys.path
         import _legacy_machine as legacy
 
-    from repro.core.suite import alberta_workloads, get_benchmark, registry
+    from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
     from repro.machine import telemetry
     from repro.machine.cost import CostModel, MachineConfig as Config
     from repro.machine.telemetry import Probe
 
     full = bool(os.environ.get("REPRO_BENCH_FULL"))
-    ids = sorted(registry()) if full else list(_REPLAY_SMOKE_IDS)
+    ids = sorted(benchmark_ids()) if full else list(_REPLAY_SMOKE_IDS)
 
     cells = {}
     total_events = total_new_ns = total_legacy_ns = 0
@@ -260,7 +260,7 @@ def test_sweep_capture_reuse():
     which rewrites that file wholesale.
     """
     from repro.core.run import Session
-    from repro.core.suite import alberta_workloads
+    from repro.core.registry import alberta_workloads
     from repro.core.sweep import MachineGrid, SweepRequest
 
     bid = "502.gcc_r"
@@ -337,7 +337,7 @@ def test_sweep_batched_throughput():
     The >=3x acceptance target is asserted under ``REPRO_BENCH_FULL=1``;
     the CI smoke run gets a looser floor to absorb shared-runner noise.
     """
-    from repro.core.suite import alberta_workloads, get_benchmark
+    from repro.core.registry import alberta_workloads, get_benchmark
     from repro.core.sweep import default_sweep_grid
     from repro.machine.batch import replay_capture_batched
     from repro.machine.capture import capture_execution, replay_capture

@@ -20,7 +20,7 @@ import os
 import time
 
 from repro.core.resources import DEFAULT_HZ, StackSampler
-from repro.core.suite import alberta_workloads, get_benchmark
+from repro.core.registry import alberta_workloads, get_benchmark
 from repro.machine.capture import capture_execution, replay_capture
 
 _MAX_OVERHEAD = 0.05
@@ -28,7 +28,7 @@ _MAX_ATTRIBUTION_GAP = 0.10
 _ROUNDS = 5
 _TRIALS = 3
 
-#: Same smoke subset as bench_sampling / the tier-1 golden tests.
+#: Same smoke subset as the tier-1 golden tests.
 _SMOKE_IDS = ("505.mcf_r", "519.lbm_r", "557.xz_r")
 
 

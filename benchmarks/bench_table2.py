@@ -25,7 +25,7 @@ from repro.analysis.paper_baseline import compare_to_paper
 from repro.analysis.sensitivity import detect_caveats, rank_by_mu_g_m
 from repro.analysis.tables import render_table2
 from repro.core.characterize import characterize_suite
-from repro.core.suite import benchmark_ids
+from repro.core.registry import benchmark_ids
 
 TABLE2_COUNTS = {
     "502.gcc_r": 19,

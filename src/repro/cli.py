@@ -35,6 +35,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 __all__ = ["main", "build_parser", "default_cache_dir"]
 
@@ -47,11 +48,28 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def _positive(kind: type) -> "Callable[[str], Any]":
+    """An argparse ``type=`` parsing ``kind`` and rejecting values <= 0.
+
+    Misuse such as ``--workers 0`` then exits 2 with argparse's one-line
+    error instead of surfacing the engine's ``ValueError`` traceback.
+    """
+
+    def parse(text: str) -> Any:
+        value = kind(text)  # ValueError: argparse reports "invalid int value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that runs characterizations."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="process-pool size for characterization (default: all CPUs)",
@@ -157,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="per-cell wall-clock budget (needs a worker pool to enforce)",
@@ -259,22 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a JSONL run-trace journal (see `repro trace`)",
     )
     p.add_argument(
-        "--sample-intervals",
-        type=int,
-        default=None,
-        metavar="N",
-        help="enable phase-sampled replay: slice each capture into N "
-        "fixed-size intervals and replay only phase representatives",
-    )
-    p.add_argument(
-        "--sample-phases",
-        type=int,
-        default=None,
-        metavar="K",
-        help="phase (cluster) count for --sample-intervals "
-        "(default: the SamplingPlan default)",
-    )
-    p.add_argument(
         "--ledger",
         type=Path,
         default=None,
@@ -340,14 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="N",
         help="replay rounds per benchmark, best-of (default: 3)",
-    )
-    p.add_argument(
-        "--sampling-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also check sampled-replay accuracy/ratio against a "
-        "BENCH_sampling.json baseline (warn-only, never fails the run)",
     )
     p.add_argument(
         "--sweep-baseline",
@@ -687,20 +681,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             except (ValueError, KeyError) as exc:
                 print(f"sweep: {exc}", file=sys.stderr)
                 return 2
-        sampling = None
-        if args.sample_intervals is not None:
-            from .machine.sampling import SamplingPlan
-
-            plan_kwargs = {"intervals": args.sample_intervals}
-            if args.sample_phases is not None:
-                plan_kwargs["phases"] = args.sample_phases
-            sampling = SamplingPlan(**plan_kwargs)
-        elif args.sample_phases is not None:
-            print(
-                "sweep: --sample-phases requires --sample-intervals",
-                file=sys.stderr,
-            )
-            return 2
         session = Session(
             workers=kwargs["workers"], cache=kwargs["cache"], trace=args.trace,
             ledger=args.ledger,
@@ -708,7 +688,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         request = SweepRequest(
             benchmark=args.benchmark,
             grid=grid,
-            sampling=sampling,
             batched=False if args.per_config else None,
         )
         try:
@@ -735,7 +714,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"stages: {summary.captures} captures "
                 f"({summary.capture_hits} reused), {summary.replays} replays "
                 f"({summary.replay_hits} cached, "
-                f"{summary.replays_sampled} sampled, "
                 f"{summary.replays_batched} batched) for {summary.cells} cells "
                 f"in {summary.duration_s:.2f}s",
                 file=sys.stderr,
@@ -844,7 +822,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.benchmarks or None,
                 tolerance=args.tolerance,
                 rounds=args.rounds,
-                sampling_baseline=args.sampling_baseline,
                 sweep_baseline=args.sweep_baseline,
                 ledger=args.ledger_baseline,
                 ledger_window=args.ledger_window,

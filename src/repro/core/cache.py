@@ -161,7 +161,6 @@ def cache_key(
     machine: MachineConfig | None = None,
     *,
     build: str | None = None,
-    sampling: str | None = None,
 ) -> str:
     """Stable key for one (benchmark, workload, machine, version) cell.
 
@@ -170,12 +169,6 @@ def cache_key(
     changes the replay but not the capture.  ``None`` (the baseline
     build) hashes exactly as before, so caches populated prior to this
     field stay warm.
-
-    ``sampling`` is the optional :meth:`repro.machine.sampling.
-    SamplingPlan.cache_token` of a phase-sampled replay.  ``None`` (and
-    an ``exact=True`` plan, whose token *is* ``None``) hashes exactly
-    as before, so sampled estimates and exact results can never share
-    a key.
 
     Registry descriptor versions join the key the same way: only
     non-``None`` :meth:`~repro.core.registry.Descriptor.cache_token`
@@ -196,8 +189,6 @@ def cache_key(
         ident["descriptors"] = tokens
     if build is not None:
         ident["build"] = build
-    if sampling is not None:
-        ident["sampling"] = sampling
     h = hashlib.sha256()
     _update(h, ident)
     return h.hexdigest()
@@ -239,20 +230,14 @@ def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
     The output object is intentionally dropped: summaries only read the
     machine report, and outputs can be arbitrarily large.  A profile
     restored from the cache therefore has ``output=None``.
-
-    A :class:`~repro.machine.sampling.SampledProfile` additionally
-    carries a ``"sampling"`` section so cache hits round-trip the
-    sampling provenance (plan, event ratio, error estimates).
     """
     report = profile.report
     td = report.topdown
-    sampling = getattr(profile, "sampling", None)
     return {
         "format": CACHE_FORMAT,
         "benchmark": profile.benchmark,
         "workload": profile.workload,
         "verified": profile.verified,
-        **({"sampling": sampling.to_dict()} if sampling is not None else {}),
         "report": {
             "topdown": [td.front_end, td.back_end, td.bad_speculation, td.retiring],
             "coverage": dict(report.coverage.fractions),
@@ -288,21 +273,6 @@ def profile_from_dict(data: Mapping[str, Any]) -> ExecutionProfile:
         sampling_stride=rep["sampling_stride"],
         counters=dict(rep["counters"]),
     )
-    if "sampling" in data:
-        from ..machine.sampling import SampledProfile, SamplingInfo
-
-        try:
-            info = SamplingInfo.from_dict(data["sampling"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheCorruption(f"bad sampling section ({exc})") from exc
-        return SampledProfile(
-            benchmark=data["benchmark"],
-            workload=data["workload"],
-            report=report,
-            output=None,
-            verified=data["verified"],
-            sampling=info,
-        )
     return ExecutionProfile(
         benchmark=data["benchmark"],
         workload=data["workload"],

@@ -67,7 +67,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError  # distinct t
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..machine.batch import replay_capture_batched
 from ..machine.capture import TelemetryCapture, capture_execution, replay_capture
@@ -86,11 +86,11 @@ from .registry import (
     get_benchmark,
 )
 from .resources import StageResourceTracker, merge_stacks, sampler_from_env
+from .sweep import ENGINE_MACHINE, ReplayRequest
 from .trace import CellSpan, StageSpan, TraceWriter
 from .workload import Workload, WorkloadSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..machine.sampling import SamplingPlan
     from .characterize import BenchmarkCharacterization
 
 __all__ = [
@@ -102,9 +102,6 @@ __all__ = [
 
 #: Environment variable holding the fault-injection spec.
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
-
-#: Sentinel distinguishing "use the engine's machine" from an explicit None.
-_ENGINE_MACHINE: Any = object()
 
 
 def default_workers() -> int:
@@ -179,8 +176,6 @@ class CellOutcome:
     #: optionally extended with a fourth resource-attribution dict (see
     #: :mod:`repro.core.resources`).
     stages: tuple = ()
-    #: ``replay="run"`` took the phase-sampled path rather than exact.
-    sampled: bool = False
     #: ``replay="run"`` was served by a one-pass multi-config kernel.
     batched: bool = False
 
@@ -205,7 +200,6 @@ class CellOutcome:
             span_id=span_id,
             parent_id=parent_id,
             start_s=start_s,
-            sampled=self.sampled,
             batched=self.batched,
         )
 
@@ -290,6 +284,19 @@ def _maybe_inject_fault(cell: _Cell, attempt: int) -> None:
             time.sleep(arg if arg is not None else 60.0)
 
 
+def _replay_resources(
+    tracker: StageResourceTracker, reg: metrics.MetricsRegistry, benchmark: str
+) -> dict[str, Any]:
+    """A replay stage's resource lap plus its event and kernel-time totals."""
+    res = tracker.lap()
+    for key, family in (
+        ("replay_events", metrics.REPLAY_EVENTS_TOTAL),
+        ("replay_ns", metrics.REPLAY_NS_TOTAL),
+    ):
+        res[key] = int(reg.value(family, benchmark=benchmark) or 0)
+    return res
+
+
 def _run_cell(
     cell: _Cell, attempt: int = 1, mode: str = "replay"
 ) -> tuple[ExecutionProfile | None, TelemetryCapture | None, dict[str, Any]]:
@@ -342,15 +349,7 @@ def _run_cell(
             else:
                 profile = replay_capture(capture, machine=cell.machine)
                 t3 = time.perf_counter()
-                res = tracker.lap()
-                res["replay_events"] = int(
-                    reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=cell.benchmark_id)
-                    or 0
-                )
-                res["replay_ns"] = int(
-                    reg.value(metrics.REPLAY_NS_TOTAL, benchmark=cell.benchmark_id)
-                    or 0
-                )
+                res = _replay_resources(tracker, reg, cell.benchmark_id)
                 stages.append(["replay", t2 - t0, t3 - t2, res])
     finally:
         if sampler is not None:
@@ -546,14 +545,7 @@ class CharacterizationEngine:
                 )
                 continue
             duration = time.perf_counter() - started
-            res = tracker.lap()
-            res["replay_events"] = int(
-                reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=cell.benchmark_id)
-                or 0
-            )
-            res["replay_ns"] = int(
-                reg.value(metrics.REPLAY_NS_TOTAL, benchmark=cell.benchmark_id) or 0
-            )
+            res = _replay_resources(tracker, reg, cell.benchmark_id)
             outcomes[i] = CellOutcome(
                 cell, profile, cache_state, 0, duration, "ok",
                 capture="hit", replay="run",
@@ -899,21 +891,60 @@ class CharacterizationEngine:
         if self.backoff > 0.0:
             time.sleep(self.backoff * (2 ** (attempt - 1)))
 
-    def run_matrix(
-        self, cells: list[_Cell], workloads: list[Workload]
-    ) -> list[ExecutionProfile]:
-        """Profile every cell, returning results in ``cells`` order.
+    # ------------------------------------------------- strict / degraded
 
-        Backward-compatible strict surface over :meth:`run_cells`: the
-        first failed cell raises its :class:`CellFailure` when
-        ``strict`` (failed cells are dropped from the result
-        otherwise).
+    def _raise_first_failure(self, outcomes: "Iterable[CellOutcome]") -> None:
+        """Under ``strict``, raise the first failed cell's :class:`CellFailure`.
+
+        Callers journal every span first, so a strict abort still
+        leaves the whole run on record.
         """
-        outcomes = self.run_cells(cells, workloads)
-        failed = [oc for oc in outcomes if not oc.ok]
-        if failed and self.strict:
-            raise failed[0].failure()
-        return [oc.profile for oc in outcomes if oc.ok]
+        if self.strict:
+            for oc in outcomes:
+                if not oc.ok:
+                    raise oc.failure()
+
+    def _assemble(
+        self,
+        benchmarks: "list[tuple[str, list[Workload], list[list[CellOutcome]]]]",
+        *,
+        keep_profiles: bool = False,
+    ) -> "list[list[BenchmarkCharacterization | None]]":
+        """The shared tail of every characterization: raise, assemble, summarize.
+
+        ``benchmarks`` holds ``(benchmark_id, workloads, rows)``; each row
+        has one outcome per workload (one row per machine config).  Under
+        ``strict`` the first failed cell, in that order, raises before
+        anything is assembled.  Otherwise each row becomes a
+        characterization of its surviving cells (``None`` when none
+        survived), and each benchmark gets one ``summarize`` stage.
+        """
+        # Looked up at call time, not bound at import: perfbench/layers.py
+        # times summarization by wrapping this module attribute.
+        from .characterize import assemble_characterization
+
+        self._raise_first_failure(
+            oc for _, _, rows in benchmarks for row in rows for oc in row
+        )
+        out = []
+        for bid, workloads, rows in benchmarks:
+            start = self.trace.now()
+            chars: "list[BenchmarkCharacterization | None]" = []
+            for row in rows:
+                pairs = [(w, oc.profile) for w, oc in zip(workloads, row) if oc.ok]
+                chars.append(
+                    assemble_characterization(
+                        bid,
+                        [w for w, _ in pairs],
+                        [p for _, p in pairs],
+                        keep_profiles=keep_profiles,
+                    )
+                    if pairs
+                    else None
+                )
+            self._emit_stage("summarize", bid, "-", start, self.trace.now() - start)
+            out.append(chars)
+        return out
 
     # --------------------------------------------------- stage-level APIs
 
@@ -1006,54 +1037,35 @@ class CharacterizationEngine:
                 outcomes.append(replace(run_oc, capture="run"))
         self.trace.quarantine(self._quarantined_total() - quarantined_before)
         self._emit_spans(outcomes)
-        failed = [oc for oc in outcomes if not oc.ok]
-        if failed and self.strict:
-            raise failed[0].failure()
+        self._raise_first_failure(outcomes)
         return outcomes
 
-    def replay_run(
-        self,
-        capture: TelemetryCapture,
-        *,
-        workload: Workload | None = None,
-        build: Any = None,
-        machine: Any = _ENGINE_MACHINE,
-        sampling: "SamplingPlan | None" = None,
-    ) -> CellOutcome:
+    def replay_run(self, capture: TelemetryCapture, request: ReplayRequest) -> CellOutcome:
         """Replay one captured stream under a machine config and build.
 
-        ``machine`` defaults to the engine's config; pass an explicit
-        config (or ``None`` for the default machine) to override.
-        ``build`` is any object exposing ``name``, ``digest()`` and
-        ``cost_model(machine)`` — see
+        ``request.machine`` defaults to the engine's config; an explicit
+        config (or ``None`` for the default machine) overrides it.
+        ``request.build`` is any object exposing ``name``, ``digest()``
+        and ``cost_model(machine)`` — see
         :class:`repro.fdo.optimizer.FdoBuild` — and changes the replay
-        without touching the capture.  ``sampling`` selects
-        phase-sampled replay (:mod:`repro.machine.sampling`); the
-        plan's :meth:`~repro.machine.sampling.SamplingPlan.cache_token`
-        joins the cache key, so sampled and exact profiles never
-        collide (an ``exact=True`` plan tokenizes to ``None`` and
-        shares the exact entry).  When the originating ``workload`` is
-        provided and a store is attached, the finished profile is
-        cached under the machine+build(+sampling) key (the full
+        without touching the capture.  When the originating
+        ``request.workload`` is provided and a store is attached, the
+        finished profile is cached under the machine+build key (the full
         workload content cannot be reconstructed from a capture, so
         profile-level caching requires it).  Under ``strict=True`` a
         failed replay raises its :class:`CellFailure` after the span
         is journaled.
         """
-        m = self.machine if machine is _ENGINE_MACHINE else machine
+        m = self.machine if request.machine is ENGINE_MACHINE else request.machine
+        build = request.build
         build_name = getattr(build, "name", None)
         build_digest = build.digest() if build is not None else None
         if build_name is not None and build_digest is not None:
             self.builds_used[str(build_name)] = str(build_digest)
-        token = sampling.cache_token() if sampling is not None else None
         cell = _Cell(capture.benchmark, capture.workload, 0, m)
         key = None
-        if self.store is not None and workload is not None:
-            key = cache_key(
-                capture.benchmark, workload, m,
-                build=build_digest,
-                sampling=token,
-            )
+        if self.store is not None and request.workload is not None:
+            key = cache_key(capture.benchmark, request.workload, m, build=build_digest)
             cached = self.cache.get(key)
             if cached is not None:
                 oc = CellOutcome(
@@ -1064,7 +1076,6 @@ class CharacterizationEngine:
                 self._emit_spans([oc])
                 return oc
         cache_state = "off" if self.store is None else ("miss" if key else "-")
-        stage_name = "sample" if token is not None else "replay"
         tracker = StageResourceTracker()
         reg = metrics.MetricsRegistry()
         started = time.perf_counter()
@@ -1074,7 +1085,6 @@ class CharacterizationEngine:
                     capture,
                     machine=m,
                     cost_model=build.cost_model(m) if build is not None else None,
-                    sampling=sampling,
                 )
         except Exception as exc:
             oc = CellOutcome(
@@ -1083,30 +1093,20 @@ class CharacterizationEngine:
                 f"{type(exc).__name__}: {exc}",
                 replay="run", build=build_name,
                 start_s=self.trace.rel(started),
-                sampled=token is not None,
             )
         else:
             duration = time.perf_counter() - started
-            res = tracker.lap()
-            res["replay_events"] = int(
-                reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=capture.benchmark)
-                or 0
-            )
-            res["replay_ns"] = int(
-                reg.value(metrics.REPLAY_NS_TOTAL, benchmark=capture.benchmark) or 0
-            )
+            res = _replay_resources(tracker, reg, capture.benchmark)
             oc = CellOutcome(
                 cell, profile, cache_state, 1, duration, "ok",
                 replay="run", build=build_name,
                 start_s=self.trace.rel(started),
-                stages=((stage_name, 0.0, duration, res),),
-                sampled=token is not None,
+                stages=(("replay", 0.0, duration, res),),
             )
             if key is not None:
                 self.cache.put(key, profile, replay_mode="per-config")
         self._emit_spans([oc])
-        if not oc.ok and self.strict:
-            raise oc.failure()
+        self._raise_first_failure([oc])
         return oc
 
     def characterize_sweep_run(
@@ -1117,7 +1117,6 @@ class CharacterizationEngine:
         *,
         base_seed: int = 0,
         keep_profiles: bool = False,
-        sampling: "SamplingPlan | None" = None,
         batched: bool | None = None,
     ) -> "tuple[list[BenchmarkCharacterization | None], list[CellOutcome]]":
         """Characterize one benchmark under N machine configs, capturing once.
@@ -1130,21 +1129,15 @@ class CharacterizationEngine:
         ``capture="hit"``, so ``summary.captures`` equals the number
         of real benchmark executions.
 
-        Exact (unsampled) replays additionally share *one pass* over the
-        capture columns: all pending configs for a workload go through
+        Replays additionally share *one pass* over the capture columns:
+        all pending configs for a workload go through
         :func:`~repro.machine.batch.replay_capture_batched`, which
         carries the config set as an extra kernel dimension and is
         bit-identical to per-config replay.  ``batched=False`` forces
         the per-config loop; ``batched=None``/``True`` batch whenever
-        possible (two or more pending configs, no sampling plan).
-        Batched spans carry ``batched=True`` and cached profiles record
+        two or more configs are pending.  Batched spans carry
+        ``batched=True`` and cached profiles record
         ``replay_mode="batched"`` provenance.
-
-        ``sampling`` applies phase-sampled replay
-        (:mod:`repro.machine.sampling`) to every cell: spans carry
-        ``sampled=True``, the stage span is named ``sample``, and the
-        plan's cache token joins each cell's profile key so sampled
-        sweeps never collide with exact ones.
 
         Returns one characterization per machine config, in ``machines``
         order (``None`` where no cell survived), plus the flat outcome
@@ -1152,8 +1145,6 @@ class CharacterizationEngine:
         failed cell raises its :class:`CellFailure` after spans are
         journaled.
         """
-        from .characterize import assemble_characterization
-
         machines = list(machines)
         if not machines:
             raise WorkloadError("characterize_sweep: need at least one machine config")
@@ -1166,8 +1157,6 @@ class CharacterizationEngine:
         wl = list(workloads)
         quarantined_before = self._quarantined_total()
         cache_state = "off" if self.store is None else "miss"
-        token = sampling.cache_token() if sampling is not None else None
-        stage_name = "sample" if token is not None else "replay"
 
         grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
         keys: list[list[str | None]] = [[None] * len(wl) for _ in machines]
@@ -1183,7 +1172,7 @@ class CharacterizationEngine:
                 )
                 if self.store is not None:
                     looked_up = self.trace.now()
-                    keys[mi][wi] = cache_key(benchmark_id, w, m, sampling=token)
+                    keys[mi][wi] = cache_key(benchmark_id, w, m)
                     cached = self.cache.get(keys[mi][wi])
                     if cached is not None:
                         grid[mi][wi] = CellOutcome(
@@ -1241,10 +1230,7 @@ class CharacterizationEngine:
                     )
                 continue
 
-            use_batched = (
-                sampling is None and len(members) > 1 and batched is not False
-            )
-            if use_batched:
+            if len(members) > 1 and batched is not False:
                 started = time.perf_counter()
                 try:
                     profiles = replay_capture_batched(
@@ -1283,7 +1269,7 @@ class CharacterizationEngine:
                         capture="run" if fresh else "hit", replay="run",
                         start_s=cell_start,
                         stages=cap_stages
-                        + ((stage_name, self.trace.rel(started) - cell_start, per_dur),),
+                        + (("replay", self.trace.rel(started) - cell_start, per_dur),),
                         batched=True,
                     )
                     if keys[mi][wi] is not None:
@@ -1303,9 +1289,7 @@ class CharacterizationEngine:
                     cell_start = self.trace.rel(started)
                 try:
                     with metrics.collector(reg):
-                        profile = replay_capture(
-                            capture, machine=cell.machine, sampling=sampling
-                        )
+                        profile = replay_capture(capture, machine=cell.machine)
                 except Exception as exc:
                     grid[mi][wi] = CellOutcome(
                         cell, None, cache_state, max(1, cap_attempts),
@@ -1313,33 +1297,17 @@ class CharacterizationEngine:
                         f"{type(exc).__name__}: {exc}",
                         capture="run" if fresh else "hit", replay="run",
                         start_s=cell_start, stages=cap_stages,
-                        sampled=token is not None,
                     )
                     continue
                 replay_dur = time.perf_counter() - started
-                res = tracker.lap()
-                res["replay_events"] = int(
-                    reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=benchmark_id)
-                    or 0
-                )
-                res["replay_ns"] = int(
-                    reg.value(metrics.REPLAY_NS_TOTAL, benchmark=benchmark_id) or 0
-                )
+                res = _replay_resources(tracker, reg, benchmark_id)
                 grid[mi][wi] = CellOutcome(
                     cell, profile, cache_state, cap_attempts,
                     cap_duration + replay_dur, "ok",
                     capture="run" if fresh else "hit", replay="run",
                     start_s=cell_start,
                     stages=cap_stages
-                    + (
-                        (
-                            stage_name,
-                            self.trace.rel(started) - cell_start,
-                            replay_dur,
-                            res,
-                        ),
-                    ),
-                    sampled=token is not None,
+                    + (("replay", self.trace.rel(started) - cell_start, replay_dur, res),),
                 )
                 if keys[mi][wi] is not None:
                     self.cache.put(
@@ -1347,108 +1315,12 @@ class CharacterizationEngine:
                     )
 
         self.trace.quarantine(self._quarantined_total() - quarantined_before)
-        flat: list[CellOutcome] = []
-        for mi in range(len(machines)):
-            for wi in range(len(wl)):
-                flat.append(grid[mi][wi])
+        flat = [oc for row in grid for oc in row]
         self._emit_spans(flat)
-        failed = [oc for oc in flat if not oc.ok]
-        if failed and self.strict:
-            raise failed[0].failure()
-
-        sum_start = self.trace.now()
-        chars: list["BenchmarkCharacterization | None"] = []
-        for mi in range(len(machines)):
-            pairs = [(w, oc.profile) for w, oc in zip(wl, grid[mi]) if oc.ok]
-            if pairs:
-                chars.append(
-                    assemble_characterization(
-                        benchmark_id,
-                        [w for w, _ in pairs],
-                        [p for _, p in pairs],
-                        keep_profiles=keep_profiles,
-                    )
-                )
-            else:
-                chars.append(None)
-        self._emit_stage(
-            "summarize", benchmark_id, "-", sum_start, self.trace.now() - sum_start
-        )
+        (chars,) = self._assemble([(benchmark_id, wl, grid)], keep_profiles=keep_profiles)
         return chars, flat
 
     # --------------------------------------------------- characterization
-
-    def characterize_run(
-        self,
-        benchmark_id: str,
-        workloads: WorkloadSet | None = None,
-        *,
-        base_seed: int = 0,
-        keep_profiles: bool = False,
-    ) -> "tuple[BenchmarkCharacterization | None, list[CellOutcome]]":
-        """Characterize one benchmark, reporting per-cell outcomes.
-
-        Under ``strict=True`` a failed cell raises its
-        :class:`CellFailure` (after all spans are journaled).  Under
-        ``strict=False`` the characterization is assembled from the
-        surviving cells (``None`` if nothing survived) and the failures
-        ride along in the outcome list.
-        """
-        from .characterize import assemble_characterization
-
-        alberta = workloads is None
-        if alberta:
-            workloads = alberta_workloads(benchmark_id, base_seed)
-        if len(workloads) == 0:
-            raise WorkloadError(f"characterize: empty workload set for {benchmark_id}")
-        wl = list(workloads)
-        cells = [
-            _Cell(
-                benchmark_id=benchmark_id,
-                workload_name=w.name,
-                base_seed=base_seed,
-                machine=self.machine,
-                workload=None if alberta else w,
-            )
-            for w in wl
-        ]
-        outcomes = self.run_cells(cells, wl)
-        failed = [oc for oc in outcomes if not oc.ok]
-        if failed and self.strict:
-            raise failed[0].failure()
-        pairs = [(w, oc.profile) for w, oc in zip(wl, outcomes) if oc.ok]
-        char = None
-        if pairs:
-            sum_start = self.trace.now()
-            char = assemble_characterization(
-                benchmark_id,
-                [w for w, _ in pairs],
-                [p for _, p in pairs],
-                keep_profiles=keep_profiles,
-            )
-            self._emit_stage(
-                "summarize", benchmark_id, "-",
-                sum_start, self.trace.now() - sum_start,
-            )
-        return char, outcomes
-
-    def characterize(
-        self,
-        benchmark_id: str,
-        workloads: WorkloadSet | None = None,
-        *,
-        base_seed: int = 0,
-        keep_profiles: bool = False,
-    ) -> "BenchmarkCharacterization":
-        """Engine-backed equivalent of :func:`repro.core.characterize.characterize`."""
-        char, outcomes = self.characterize_run(
-            benchmark_id, workloads, base_seed=base_seed, keep_profiles=keep_profiles
-        )
-        if char is None:
-            # strict=False but literally nothing survived: there is no
-            # characterization to degrade to, so surface the first failure.
-            raise next(oc for oc in outcomes if not oc.ok).failure()
-        return char
 
     def characterize_suite_run(
         self,
@@ -1457,27 +1329,35 @@ class CharacterizationEngine:
         table2_only: bool = True,
         base_seed: int = 0,
         ids: "list[str] | None" = None,
+        workloads: WorkloadSet | None = None,
+        keep_profiles: bool = False,
     ) -> "tuple[list[BenchmarkCharacterization], list[CellOutcome]]":
-        """Fan the full benchmark × workload matrix out at once.
+        """Characterize one benchmark or many as one flat cell matrix.
 
         The whole matrix is scheduled as a single flat cell list so the
         pool stays saturated across benchmark boundaries (a per-benchmark
         fan-out would drain to one straggler at each join).
         ``ids`` restricts the run to an explicit benchmark subset
-        (overriding ``suite`` / ``table2_only``).
+        (overriding ``suite`` / ``table2_only``).  ``workloads`` replaces
+        the Alberta set with a custom one and needs exactly one id.
 
         Returns the characterizations (assembled per benchmark from the
         surviving cells; benchmarks with zero survivors are omitted)
         and every cell outcome.  Under ``strict=True`` the first failed
         cell raises its :class:`CellFailure` after spans are journaled.
         """
-        from .characterize import assemble_characterization
-
         ids = sorted(ids if ids is not None else benchmark_ids(suite, table2_only=table2_only))
-        sets = {bid: alberta_workloads(bid, base_seed) for bid in ids}
+        if workloads is not None and len(ids) != 1:
+            raise WorkloadError("characterize: a custom workload set needs exactly one benchmark")
+        sets = {
+            bid: list(alberta_workloads(bid, base_seed) if workloads is None else workloads)
+            for bid in ids
+        }
         cells: list[_Cell] = []
         flat: list[Workload] = []
         for bid in ids:
+            if not sets[bid]:
+                raise WorkloadError(f"characterize: empty workload set for {bid}")
             for w in sets[bid]:
                 cells.append(
                     _Cell(
@@ -1485,46 +1365,16 @@ class CharacterizationEngine:
                         workload_name=w.name,
                         base_seed=base_seed,
                         machine=self.machine,
+                        workload=None if workloads is None else w,
                     )
                 )
                 flat.append(w)
         outcomes = self.run_cells(cells, flat)
-        failed = [oc for oc in outcomes if not oc.ok]
-        if failed and self.strict:
-            raise failed[0].failure()
-
-        out: list[BenchmarkCharacterization] = []
+        per_bench = []
         cursor = 0
         for bid in ids:
-            wl = list(sets[bid])
-            chunk = outcomes[cursor : cursor + len(wl)]
-            cursor += len(wl)
-            pairs = [(w, oc.profile) for w, oc in zip(wl, chunk) if oc.ok]
-            if pairs:
-                sum_start = self.trace.now()
-                out.append(
-                    assemble_characterization(
-                        bid,
-                        [w for w, _ in pairs],
-                        [p for _, p in pairs],
-                        keep_profiles=False,
-                    )
-                )
-                self._emit_stage(
-                    "summarize", bid, "-", sum_start, self.trace.now() - sum_start
-                )
-        return out, outcomes
-
-    def characterize_suite(
-        self,
-        *,
-        suite: str | None = None,
-        table2_only: bool = True,
-        base_seed: int = 0,
-        ids: "list[str] | None" = None,
-    ) -> "list[BenchmarkCharacterization]":
-        """Characterizations only (see :meth:`characterize_suite_run`)."""
-        chars, _ = self.characterize_suite_run(
-            suite=suite, table2_only=table2_only, base_seed=base_seed, ids=ids
-        )
-        return chars
+            n = len(sets[bid])
+            per_bench.append((bid, sets[bid], [outcomes[cursor : cursor + n]]))
+            cursor += n
+        chars = self._assemble(per_bench, keep_profiles=keep_profiles)
+        return [char for (char,) in chars if char is not None], outcomes

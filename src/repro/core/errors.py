@@ -157,10 +157,9 @@ class UnknownScenarioError(ReproError, KeyError):
     """A scenario id (benchmark, workload, machine preset, build) does
     not resolve in the registry.
 
-    Also subclasses ``KeyError`` because the pre-registry lookups
-    (``core.suite.get_benchmark``, ``machine.machine.preset``,
-    ``WorkloadSet[name]``) raised bare ``KeyError``; existing
-    ``except KeyError`` call sites keep working.
+    Also subclasses ``KeyError``, so lookups such as
+    ``registry.get_benchmark``, ``machine.machine.preset`` and
+    ``WorkloadSet[name]`` still satisfy ``except KeyError`` call sites.
 
     Attributes:
         kind: human noun for the id space (``"benchmark"``,

@@ -12,7 +12,7 @@ completion to ``runs.jsonl`` in the ledger directory (opt-in via
   and any FDO build digests replayed;
 * outcome — ``ok`` / ``degraded`` / ``failed`` plus the full stage
   tallies from the run summary (cells, captures, replays, hits,
-  sampled, retries, quarantined);
+  retries, quarantined);
 * measurements — per-benchmark replay throughput derived from the
   replay counters, and the complete lossless
   :meth:`~repro.core.metrics.MetricsRegistry.to_dict` snapshot.
@@ -32,7 +32,7 @@ Diffing (``repro runs diff A B``) compares two records
 metric-by-metric under per-family *tolerance classes*:
 
 * **exact** — deterministic work counters (cells, emitted/replayed
-  events, sampled replays).  Any difference is a finding.  Series are
+  events).  Any difference is a finding.  Series are
   aggregated over the ``cache`` label first, so a warm run and a cold
   run of the same scenario set agree on totals.
 * **timing** — wall-clock and throughput measurements (stage/cell
@@ -96,7 +96,6 @@ EXACT_FAMILIES = frozenset(
         "repro_cells_total",
         "repro_events_emitted_total",
         "repro_replay_events_total",
-        "repro_sampled_replays_total",
     }
 )
 
@@ -573,7 +572,7 @@ def _diff_series(record: Mapping[str, Any]) -> dict[tuple[str, str, str], float]
         if t.get("eps"):
             out[("timing", "throughput.eps", bench)] = float(t["eps"])
     counts = record.get("counts") or {}
-    for key in ("cells", "ok", "failed", "captures", "replays_sampled"):
+    for key in ("cells", "ok", "failed", "captures"):
         if key in counts:
             out[("exact", f"counts.{key}", "-")] = float(counts[key])
     for family, fam in ((record.get("metrics") or {}).get("metrics") or {}).items():
@@ -759,8 +758,7 @@ def render_record(record: Mapping[str, Any]) -> str:
             f"{k}={counts[k]}"
             for k in (
                 "cells", "ok", "failed", "retries", "captures",
-                "capture_hits", "replays", "replay_hits",
-                "replays_sampled", "quarantined",
+                "capture_hits", "replays", "replay_hits", "quarantined",
             )
             if k in counts
         )

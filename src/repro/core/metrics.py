@@ -95,8 +95,6 @@ __all__ = [
     "REPLAY_EVENTS_TOTAL",
     "REPLAY_NS_TOTAL",
     "REPLAY_EPS",
-    "SAMPLED_REPLAYS_TOTAL",
-    "SAMPLED_EVENT_RATIO",
     "SAMPLING_STRIDE_MAX",
     "CACHE_LOOKUP_SECONDS",
     "CACHE_EVENTS_TOTAL",
@@ -131,8 +129,6 @@ def log_buckets(lo_exp: int, hi_exp: int) -> tuple[float, ...]:
 SECONDS_BUCKETS = log_buckets(-6, 1)
 #: Boundaries for replay throughput in events/second (1k .. 500M).
 EPS_BUCKETS = log_buckets(3, 8)
-#: Boundaries for sampled-replay event-reduction ratios (1x .. 5000x).
-RATIO_BUCKETS = log_buckets(0, 3)
 
 
 @dataclass(frozen=True)
@@ -233,19 +229,6 @@ REPLAY_EPS = _spec(
     "Replay-kernel throughput per evaluation, events/second",
     ("benchmark",),
     EPS_BUCKETS,
-)
-SAMPLED_REPLAYS_TOTAL = _spec(
-    "repro_sampled_replays_total",
-    "counter",
-    "Phase-sampled replays through the machine model",
-    ("benchmark",),
-)
-SAMPLED_EVENT_RATIO = _spec(
-    "repro_sampled_event_ratio",
-    "histogram",
-    "Exact-to-replayed event ratio per phase-sampled replay",
-    ("benchmark",),
-    RATIO_BUCKETS,
 )
 SAMPLING_STRIDE_MAX = _spec(
     "repro_sampling_stride_max",

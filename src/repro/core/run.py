@@ -36,13 +36,10 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
-
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
@@ -51,18 +48,17 @@ from ..machine.profiler import ExecutionProfile
 from . import metrics as metrics_mod
 from .artifacts import ArtifactStore
 from .cache import ResultCache, payload_digest
-from .engine import _ENGINE_MACHINE, CharacterizationEngine, CellOutcome, _Cell
+from .engine import CharacterizationEngine, CellOutcome, _Cell
 from .errors import CellFailure
 from .ledger import LEDGER_ENV, RunLedger, build_record
 from .metrics import MetricsRegistry
 from .registry import REGISTRY, alberta_workloads
 from .resources import render_collapsed
-from .sweep import ENGINE_MACHINE, MachineGrid, ReplayRequest, SweepRequest
+from .sweep import MachineGrid, ReplayRequest, SweepRequest
 from .trace import RunSummary, TraceWriter, export_chrome_trace
 from .workload import Workload, WorkloadSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..machine.sampling import SamplingPlan
     from .characterize import BenchmarkCharacterization
 
 __all__ = [
@@ -121,11 +117,10 @@ class SweepResult:
     """What one machine-config sweep produced.
 
     ``characterizations[i]`` belongs to ``machines[i]`` — the grid's
-    stable config ordering, with ``config_names[i]`` naming each slot
-    (auto ``cfg0..cfgN-1`` for legacy bare-list calls) — and is ``None``
-    where no cell survived under ``strict=False``.  The sweep-reuse
-    guarantee shows up in ``summary``: ``captures`` stays at one per
-    workload no matter how many configs were swept, and
+    stable config ordering, with ``config_names[i]`` naming each slot —
+    and is ``None`` where no cell survived under ``strict=False``.  The
+    sweep-reuse guarantee shows up in ``summary``: ``captures`` stays at
+    one per workload no matter how many configs were swept, and
     ``replays_batched`` counts the cells served by the one-pass
     multi-config kernel.
     """
@@ -250,10 +245,13 @@ class Session:
     ) -> RunResult:
         """Characterize one benchmark; failures per the session's ``strict``."""
         with self._collect() as reg:
-            char, outcomes = self.engine.characterize_run(
-                benchmark_id, workloads, base_seed=base_seed, keep_profiles=keep_profiles
+            chars, outcomes = self.engine.characterize_suite_run(
+                ids=[benchmark_id],
+                workloads=workloads,
+                base_seed=base_seed,
+                keep_profiles=keep_profiles,
             )
-        return self._result([char] if char is not None else [], outcomes, reg)
+        return self._result(chars, outcomes, reg)
 
     def characterize_suite(
         self,
@@ -271,90 +269,41 @@ class Session:
         return self._result(chars, outcomes, reg)
 
     def characterize_sweep(
-        self,
-        request: "SweepRequest | str",
-        machines: "list[MachineConfig | None] | None" = None,
-        workloads: WorkloadSet | None = None,
-        *,
-        base_seed: int = 0,
-        keep_profiles: bool = False,
-        sampling: "SamplingPlan | None" = None,
-        batched: bool | None = None,
+        self, request: SweepRequest, workloads: WorkloadSet | None = None
     ) -> SweepResult:
-        """Characterize one benchmark under every config in a grid.
-
-        The declarative form takes a
-        :class:`~repro.core.sweep.SweepRequest`::
+        """Characterize one benchmark under every config in a grid::
 
             grid = MachineGrid.from_presets("default", "i7-6700k")
             result = session.characterize_sweep(SweepRequest("505.mcf_r", grid))
             result.profile_for("i7-6700k")
 
-        The legacy form — positional benchmark id plus a bare machine
-        list — still works through a thin adapter (configs are
-        auto-named ``cfg0..cfgN-1``) but emits a
-        :class:`DeprecationWarning`; build a :class:`SweepRequest`
-        instead.
-
         Each workload's benchmark executes at most once; every machine
-        config replays the captured telemetry stream, and exact replays
+        config replays the captured telemetry stream, and the replays
         share one batched kernel pass per workload (see
         :meth:`~repro.core.engine.CharacterizationEngine.characterize_sweep_run`).
-        ``sampling`` switches every replay to the phase-sampled path
-        (``summary.replays_sampled`` counts them).
+        ``workloads`` replaces the benchmark's Alberta set.
         """
-        if isinstance(request, SweepRequest):
-            if machines is not None:
-                raise TypeError(
-                    "characterize_sweep: pass either a SweepRequest or a "
-                    "machine list, not both"
-                )
-            if base_seed != 0 or keep_profiles or sampling is not None or batched is not None:
-                raise TypeError(
-                    "characterize_sweep: with a SweepRequest, set base_seed/"
-                    "keep_profiles/sampling/batched on the request itself"
-                )
-            req = request
-        else:
-            if machines is None:
-                raise TypeError(
-                    "characterize_sweep: a benchmark-id call needs a machine list "
-                    "(or pass a SweepRequest)"
-                )
-            warnings.warn(
-                "characterize_sweep(benchmark_id, machines, ...) is deprecated; "
-                "pass a SweepRequest whose MachineGrid names each config — "
-                "registry presets resolve via MachineGrid.from_presets() "
-                "(see repro.core.sweep and repro.core.registry)",
-                DeprecationWarning,
-                stacklevel=2,
+        if not isinstance(request, SweepRequest):
+            raise TypeError(
+                f"characterize_sweep: expected a SweepRequest, got {type(request).__name__}"
             )
-            req = SweepRequest(
-                benchmark=request,
-                grid=MachineGrid.from_machines(machines),
-                base_seed=base_seed,
-                keep_profiles=keep_profiles,
-                sampling=sampling,
-                batched=batched,
-            )
-        self._grids.update(req.grid.names)
+        self._grids.update(request.grid.names)
         with self._collect() as reg:
             chars, outcomes = self.engine.characterize_sweep_run(
-                req.benchmark,
-                list(req.grid.machines),
+                request.benchmark,
+                list(request.grid.machines),
                 workloads,
-                base_seed=req.base_seed,
-                keep_profiles=req.keep_profiles,
-                sampling=req.sampling,
-                batched=req.batched,
+                base_seed=request.base_seed,
+                keep_profiles=request.keep_profiles,
+                batched=request.batched,
             )
         return SweepResult(
-            machines=list(req.grid.machines),
+            machines=list(request.grid.machines),
             characterizations=chars,
             failures=[oc.failure() for oc in outcomes if not oc.ok],
             trace_path=self._writer.path,
             metrics=reg,
-            config_names=list(req.grid.names),
+            config_names=list(request.grid.names),
         )
 
     # ------------------------------------------------------ stage access
@@ -412,67 +361,23 @@ class Session:
         return [oc.profile if oc.ok else None for oc in outcomes]
 
     def replay(
-        self,
-        capture: TelemetryCapture,
-        request: ReplayRequest | None = None,
-        *,
-        workload: Workload | None = None,
-        build: Any = None,
-        machine: Any = _ENGINE_MACHINE,
-        sampling: "SamplingPlan | None" = None,
+        self, capture: TelemetryCapture, request: ReplayRequest | None = None, **kwargs: Any
     ) -> ExecutionProfile | None:
-        """Replay a capture under a machine config / FDO build.
+        """Replay a capture under a machine config / FDO build::
 
-        The declarative form takes a
-        :class:`~repro.core.sweep.ReplayRequest`::
+            session.replay(capture, ReplayRequest(machine=cfg, workload=w))
 
-            session.replay(capture, ReplayRequest(machine=cfg, sampling=plan))
-
-        whose ``machine`` defaults to the session's config.  Pass the
+        ``request`` defaults to ``ReplayRequest()``: the session's
+        machine, the baseline build, no profile caching.  Pass the
         originating ``workload`` to enable profile-level caching of the
-        replay result.  ``sampling`` selects phase-sampled replay (a
-        :class:`~repro.machine.sampling.SamplingPlan`; ``exact=True``
-        plans take the exact path, bit-identical to ``sampling=None``).
-        ``None`` only under ``strict=False`` when the replay failed.
-
-        The legacy keyword form (``workload=``/``build=``/``machine=``/
-        ``sampling=`` directly on this call) still works but emits a
-        :class:`DeprecationWarning`; a bare ``replay(capture)`` stays
-        silent — it is already the default request.
+        replay result.  ``None`` only under ``strict=False`` when the
+        replay failed.
         """
-        legacy = (
-            workload is not None
-            or build is not None
-            or machine is not _ENGINE_MACHINE
-            or sampling is not None
-        )
-        if request is not None:
-            if legacy:
-                raise TypeError(
-                    "replay: with a ReplayRequest, set workload/build/"
-                    "machine/sampling on the request itself"
-                )
-            workload = request.workload
-            build = request.build
-            sampling = request.sampling
-            machine = (
-                _ENGINE_MACHINE if request.machine is ENGINE_MACHINE else request.machine
-            )
-        elif legacy:
-            warnings.warn(
-                "replay(capture, workload=..., build=..., machine=..., "
-                "sampling=...) keyword form is deprecated; pass a "
-                "ReplayRequest — machine configs resolve by registered "
-                "preset name via repro.core.registry.machine_preset() "
-                "(see repro.core.sweep)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        if kwargs or not isinstance(request, (ReplayRequest, type(None))):
+            got = ", ".join(f"{k}=" for k in kwargs) or type(request).__name__
+            raise TypeError(f"replay: expected a ReplayRequest, got {got}")
         with self._collect():
-            oc = self.engine.replay_run(
-                capture, workload=workload, build=build, machine=machine,
-                sampling=sampling,
-            )
+            oc = self.engine.replay_run(capture, request or ReplayRequest())
         return oc.profile if oc.ok else None
 
     def _resolve(
@@ -630,25 +535,9 @@ class Run:
         return result
 
     def characterize_sweep(
-        self,
-        request: "SweepRequest | str",
-        machines: "list[MachineConfig | None] | None" = None,
-        workloads: WorkloadSet | None = None,
-        *,
-        base_seed: int = 0,
-        keep_profiles: bool = False,
-        sampling: "SamplingPlan | None" = None,
-        batched: bool | None = None,
+        self, request: SweepRequest, workloads: WorkloadSet | None = None
     ) -> SweepResult:
         with Session(**self._config) as session:  # type: ignore[arg-type]
-            result = session.characterize_sweep(
-                request,
-                machines,
-                workloads,
-                base_seed=base_seed,
-                keep_profiles=keep_profiles,
-                sampling=sampling,
-                batched=batched,
-            )
+            result = session.characterize_sweep(request, workloads)
         result.summary = session.summary
         return result

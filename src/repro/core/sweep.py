@@ -1,33 +1,26 @@
 """Declarative sweep requests: :class:`MachineGrid` and :class:`SweepRequest`.
 
-``Session.characterize_sweep`` grew by keyword accretion — a benchmark
-id, a bare list of machine configs, then ``base_seed``, ``sampling``,
-``keep_profiles`` — with the config *names* living only in whatever
-parallel list the caller kept.  These dataclasses make the request a
-value:
+A sweep request is a value rather than a growing keyword list, and the
+config *names* travel with the configs:
 
 * :class:`MachineGrid` — an ordered, named set of
   :class:`~repro.machine.cost.MachineConfig` values.  Validated on
-  construction (non-empty, names unique and aligned), serializable
+  construction (non-empty, names unique and aligned) and serializable
   (``to_dict``/``from_dict`` — the CLI's ``--grid FILE`` is exactly
-  this JSON), and identified by a stable :meth:`MachineGrid.cache_token`.
+  this JSON).
 * :class:`SweepRequest` — the whole sweep as one validated value:
-  benchmark, grid, seed, sampling plan, and the ``batched`` override
-  for the one-pass multi-config replay
+  benchmark, grid, seed, and the ``batched`` override for the one-pass
+  multi-config replay
   (:func:`~repro.machine.batch.replay_capture_batched`).
 * :class:`ReplayRequest` — the single-replay counterpart for
-  ``Session.replay`` (machine/build/sampling/workload).  Not
-  serializable: ``build`` and ``workload`` are live objects.
+  ``Session.replay`` (machine/build/workload).  Not serializable:
+  ``build`` and ``workload`` are live objects.
 
 Cache identity: each swept *cell* is keyed by its full machine config
 (:func:`~repro.core.cache.cache_key` hashes ``asdict(machine)``,
 geometry included), so grids that contain the same config share cache
-entries — batching never fragments the cache.  The request-level
-:meth:`SweepRequest.cache_token` composes the grid token with the
-sampling plan's :meth:`~repro.machine.sampling.SamplingPlan.cache_token`
-(the part that *does* join every cell key); use it to name artifacts of
-a whole sweep.  ``batched`` is deliberately excluded — batched and
-per-config replay are bit-identical, so they share one identity.
+entries — batching never fragments the cache.  ``batched`` is not part
+of any key: batched and per-config replay are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,11 +30,9 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..machine.cache import CacheGeometry
 from ..machine.cost import MachineConfig
-from .cache import payload_digest
 from .registry import machine_preset, machine_preset_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..machine.sampling import SamplingPlan
     from .workload import Workload
 
 __all__ = ["MachineGrid", "SweepRequest", "ReplayRequest", "default_sweep_grid"]
@@ -156,31 +147,23 @@ class MachineGrid:
             machines.append(_config_from_dict(row))
         return cls(names=tuple(names), machines=tuple(machines))
 
-    def cache_token(self) -> str:
-        """Stable identity of this grid (names + full config contents)."""
-        digest = payload_digest(
-            [(n, asdict(m)) for n, m in zip(self.names, self.machines)]
-        )
-        return f"grid.{len(self)}.{digest[:12]}"
-
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One machine-config sweep as a validated, serializable value.
+    """One machine-config sweep as a validated value.
 
     ``batched=None`` (the default) lets the engine choose: workloads
-    with two or more pending exact replays take the one-pass batched
-    kernel, everything else replays per config.  ``False`` forces the
+    with two or more pending replays take the one-pass batched kernel,
+    everything else replays per config.  ``False`` forces the
     per-config path; ``True`` documents intent but still falls back
-    where batching is impossible (sampled replay, a single config) —
-    results are bit-identical either way.
+    where batching is impossible (a single config) — results are
+    bit-identical either way.
     """
 
     benchmark: str
     grid: MachineGrid
     base_seed: int = 0
     keep_profiles: bool = False
-    sampling: "SamplingPlan | None" = None
     batched: bool | None = None
 
     def __post_init__(self) -> None:
@@ -195,46 +178,6 @@ class SweepRequest:
             raise ValueError("SweepRequest: base_seed must be an int")
         if self.batched not in (None, True, False):
             raise ValueError("SweepRequest: batched must be True, False, or None")
-        if self.sampling is not None and not hasattr(self.sampling, "cache_token"):
-            raise ValueError("SweepRequest: sampling must be a SamplingPlan or None")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "grid": self.grid.to_dict(),
-            "base_seed": self.base_seed,
-            "keep_profiles": self.keep_profiles,
-            "sampling": self.sampling.to_dict() if self.sampling is not None else None,
-            "batched": self.batched,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepRequest":
-        sampling = data.get("sampling")
-        if sampling is not None:
-            from ..machine.sampling import SamplingPlan
-
-            sampling = SamplingPlan.from_dict(sampling)
-        return cls(
-            benchmark=data["benchmark"],
-            grid=MachineGrid.from_dict(data["grid"]),
-            base_seed=int(data.get("base_seed", 0)),
-            keep_profiles=bool(data.get("keep_profiles", False)),
-            sampling=sampling,
-            batched=data.get("batched"),
-        )
-
-    def cache_token(self) -> str:
-        """Stable request identity: benchmark + grid + seed + sampling.
-
-        ``batched`` is excluded on purpose — batched and per-config
-        replay produce bit-identical profiles, so the two execution
-        strategies share one cache identity (the per-cell keys they
-        actually read and write are likewise strategy-blind).
-        """
-        token = f"sweep.{self.benchmark}.s{self.base_seed}.{self.grid.cache_token()}"
-        sampling = self.sampling.cache_token() if self.sampling is not None else None
-        return token if sampling is None else f"{token}.{sampling}"
 
 
 @dataclass(frozen=True)
@@ -249,7 +192,6 @@ class ReplayRequest:
     machine: Any = ENGINE_MACHINE
     workload: "Workload | None" = None
     build: Any = None
-    sampling: "SamplingPlan | None" = None
 
     def __post_init__(self) -> None:
         if (
@@ -260,8 +202,6 @@ class ReplayRequest:
             raise ValueError(
                 "ReplayRequest: machine must be a MachineConfig, None, or omitted"
             )
-        if self.sampling is not None and not hasattr(self.sampling, "cache_token"):
-            raise ValueError("ReplayRequest: sampling must be a SamplingPlan or None")
 
 
 def default_sweep_grid() -> MachineGrid:

@@ -56,7 +56,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -90,9 +90,7 @@ RUN_SPAN_ID = "run"
 _RUN_SERIAL = itertools.count(1)
 
 #: Stage names in pipeline order (``summarize`` parents to the run root).
-#: ``sample`` is the phase-sampled variant of ``replay`` — a cell emits
-#: one or the other, never both.
-STAGE_NAMES = ("generate", "capture", "sample", "replay", "summarize")
+STAGE_NAMES = ("generate", "capture", "replay", "summarize")
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ class CellSpan:
     span_id: str = ""
     parent_id: str = ""
     start_s: float = 0.0  # seconds since run start (0.0 in pre-tree journals)
-    sampled: bool = False  # replay="run" was phase-sampled, not exact
     batched: bool = False  # replay="run" shared a one-pass multi-config kernel
 
     @property
@@ -144,7 +141,6 @@ class CellSpan:
             span_id=data.get("span_id", ""),
             parent_id=data.get("parent_id", ""),
             start_s=float(data.get("start_s", 0.0)),
-            sampled=bool(data.get("sampled", False)),
             batched=bool(data.get("batched", False)),
         )
 
@@ -214,13 +210,22 @@ class RunSummary:
     replays: int = 0
     #: Replays skipped because the finished profile was cached (replay="hit").
     replay_hits: int = 0
-    #: Computed replays that took the phase-sampled path (subset of replays).
-    replays_sampled: int = 0
     #: Computed replays served by a one-pass multi-config kernel (subset).
     replays_batched: int = 0
 
     def to_dict(self) -> dict[str, Any]:
         return {"type": "summary", **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "RunSummary":
+        """Decode a summary record, ignoring keys this version lacks.
+
+        Journals and ledger records outlive the fields they were written
+        with, so a retired counter in an old record is dropped rather
+        than failing the read.
+        """
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in names})
 
     @classmethod
     def from_spans(
@@ -232,8 +237,7 @@ class RunSummary:
     ) -> "RunSummary":
         """Recompute a summary from spans (e.g. a truncated journal)."""
         cells = ok = failed = hits = misses = retries = timeouts = crashes = 0
-        captures = capture_hits = replays = replay_hits = replays_sampled = 0
-        replays_batched = 0
+        captures = capture_hits = replays = replay_hits = replays_batched = 0
         busy = 0.0
         for span in spans:
             cells += 1
@@ -252,8 +256,6 @@ class RunSummary:
                 capture_hits += 1
             if span.replay == "run":
                 replays += 1
-                if span.sampled:
-                    replays_sampled += 1
                 if span.batched:
                     replays_batched += 1
             elif span.replay == "hit":
@@ -278,7 +280,6 @@ class RunSummary:
             capture_hits=capture_hits,
             replays=replays,
             replay_hits=replay_hits,
-            replays_sampled=replays_sampled,
             replays_batched=replays_batched,
         )
 
@@ -364,8 +365,6 @@ class TraceWriter:
                 telemetry.record("engine.run.capture_hits")
             if span.replay == "run":
                 telemetry.record("engine.run.replays")
-                if span.sampled:
-                    telemetry.record("engine.run.replays_sampled")
                 if span.batched:
                     telemetry.record("engine.run.replays_batched")
             elif span.replay == "hit":
@@ -469,8 +468,7 @@ def summarize_trace(path: str | Path) -> RunSummary:
     records = read_trace(path)
     for record in reversed(records):
         if record.get("type") == "summary":
-            data = {k: v for k, v in record.items() if k != "type"}
-            return RunSummary(**data)
+            return RunSummary.from_dict(record)
     spans = [CellSpan.from_dict(r) for r in records if r.get("type") == "span"]
     return RunSummary.from_spans(spans)
 
@@ -485,7 +483,7 @@ def render_trace_summary(path: str | Path) -> str:
         f"{s.quarantined} quarantined",
         f"stages     : {s.captures} captures ({s.capture_hits} reused), "
         f"{s.replays} replays ({s.replay_hits} cached, "
-        f"{s.replays_sampled} sampled, {s.replays_batched} batched)",
+        f"{s.replays_batched} batched)",
         f"resilience : {s.retries} retries, {s.timeouts} timeouts, "
         f"{s.crashes} crashes",
         f"duration   : {s.duration_s:.3f}s",
@@ -500,12 +498,6 @@ def render_trace_summary(path: str | Path) -> str:
                 f"after {sp.attempts} attempt(s){err}"
             )
     return "\n".join(lines)
-
-
-def _stage_label(st: StageSpan) -> str:
-    """Stage display name; ``sample`` keeps a distinct ``*`` suffix so
-    phase-sampled replays never read as exact ones."""
-    return f"{st.name}*" if st.name == "sample" else st.name
 
 
 def _stage_extras(st: StageSpan) -> str:
@@ -532,11 +524,7 @@ def render_trace_spans(path: str | Path) -> str:
     for sp in trace_spans(path):
         flag = "ok " if sp.ok else sp.outcome
         build = f" build={sp.build}" if sp.build else ""
-        mode = ""
-        if sp.sampled:
-            mode += " [sampled]"
-        if sp.batched:
-            mode += " [batched]"
+        mode = " [batched]" if sp.batched else ""
         lines.append(
             f"{flag:<8} {sp.benchmark:<18} {sp.workload:<28} "
             f"cache={sp.cache:<4} cap={sp.capture:<3} rep={sp.replay:<3} "
@@ -544,12 +532,12 @@ def render_trace_spans(path: str | Path) -> str:
         )
         for st in stages_by_parent.get(sp.span_id, []) if sp.span_id else []:
             lines.append(
-                f"         └─ {_stage_label(st):<9} t={st.duration_s:.4f}s "
+                f"         └─ {st.name:<9} t={st.duration_s:.4f}s "
                 f"@{st.start_s:.4f}s{_stage_extras(st)}"
             )
     for st in stages_by_parent.get(RUN_SPAN_ID, []):
         lines.append(
-            f"run      └─ {_stage_label(st):<9} t={st.duration_s:.4f}s "
+            f"run      └─ {st.name:<9} t={st.duration_s:.4f}s "
             f"@{st.start_s:.4f}s{_stage_extras(st)}"
         )
     return "\n".join(lines) if lines else "(no spans)"
@@ -557,14 +545,11 @@ def render_trace_spans(path: str | Path) -> str:
 
 # ------------------------------------------------------------ chrome export
 
-#: Reserved Chrome trace-viewer colors per stage.  ``sample`` gets its
-#: own color (and the ``*`` name suffix) so a phase-sampled replay is
-#: visually distinct from an exact one on the same track.
+#: Reserved Chrome trace-viewer colors per stage.
 _STAGE_CNAME = {
     "generate": "thread_state_runnable",
     "capture": "rail_response",
     "replay": "thread_state_running",
-    "sample": "yellow",
     "summarize": "grey",
 }
 
@@ -611,10 +596,9 @@ def export_chrome_trace(source: str | Path | list[dict[str, Any]]) -> dict[str, 
         tid = lane + 1
         if sp.span_id:
             tid_by_span_id[sp.span_id] = tid
-        suffix = " [sampled]" if sp.sampled else ""
         events.append(
             {
-                "name": f"{sp.benchmark}/{sp.workload}{suffix}",
+                "name": f"{sp.benchmark}/{sp.workload}",
                 "cat": "cell",
                 "ph": "X",
                 "pid": pid,
@@ -627,7 +611,6 @@ def export_chrome_trace(source: str | Path | list[dict[str, Any]]) -> dict[str, 
                     "capture": sp.capture,
                     "replay": sp.replay,
                     "attempts": sp.attempts,
-                    "sampled": sp.sampled,
                     "batched": sp.batched,
                     **({"build": sp.build} if sp.build else {}),
                     **({"error": sp.error} if sp.error else {}),
@@ -637,8 +620,8 @@ def export_chrome_trace(source: str | Path | list[dict[str, Any]]) -> dict[str, 
 
     for st in stages:
         event = {
-            "name": _stage_label(st),
-            "cat": "stage.sample" if st.name == "sample" else "stage",
+            "name": st.name,
+            "cat": "stage",
             "ph": "X",
             "pid": pid,
             "tid": tid_by_span_id.get(st.parent_id, 0),
@@ -717,11 +700,7 @@ def render_top(
     spans = [CellSpan.from_dict(r) for r in records if r.get("type") == "span"]
     stages = [StageSpan.from_dict(r) for r in records if r.get("type") == "stage"]
 
-    s = (
-        RunSummary(**{k: v for k, v in summary.items() if k != "type"})
-        if summary
-        else RunSummary.from_spans(spans)
-    )
+    s = RunSummary.from_dict(summary) if summary else RunSummary.from_spans(spans)
     last_t = max(
         (sp.start_s + sp.duration_s for sp in spans),
         default=max((st.start_s + st.duration_s for st in stages), default=0.0),
@@ -745,7 +724,7 @@ def render_top(
     lines.append(
         f"stages  : {s.captures} captures ({s.capture_hits} reused), "
         f"{s.replays} replays ({s.replay_hits} cached, "
-        f"{s.replays_sampled} sampled, {s.replays_batched} batched)"
+        f"{s.replays_batched} batched)"
     )
     ev = ns = 0
     for st in stages:
@@ -767,7 +746,7 @@ def render_top(
         )
         for sp in recent:
             flag = "ok" if sp.ok else sp.outcome
-            mode = " sampled" if sp.sampled else (" batched" if sp.batched else "")
+            mode = " batched" if sp.batched else ""
             lines.append(
                 f"  {sp.benchmark + '/' + sp.workload:<44} {sp.cache:<5} "
                 f"{sp.capture:<3} {sp.replay:<3} {sp.duration_s:>8.4f}s  "

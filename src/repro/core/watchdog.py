@@ -42,14 +42,11 @@ __all__ = [
     "EXIT_USAGE",
     "WatchdogError",
     "BenchmarkCheck",
-    "SamplingCheck",
     "SweepCheck",
     "WatchdogReport",
     "load_baseline",
-    "load_sampling_baseline",
     "load_sweep_baseline",
     "measure_replay",
-    "measure_sampling",
     "measure_sweep",
     "run_watchdog",
 ]
@@ -87,51 +84,11 @@ class BenchmarkCheck:
 
 
 @dataclass(frozen=True)
-class SamplingCheck:
-    """One benchmark's sampled-replay accuracy vs a BENCH_sampling baseline.
-
-    Warn-only: sampled replay is deterministic given a capture, so a
-    drift in either number means the estimator changed — worth a look,
-    never worth failing a throughput gate over.
-    """
-
-    benchmark: str
-    workload: str
-    baseline_error: float
-    measured_error: float
-    baseline_ratio: float
-    measured_ratio: float
-
-    #: Hard accuracy/speedup bounds from the golden acceptance suite.
-    MAX_ERROR = 0.02
-    MIN_RATIO = 10.0
-
-    @property
-    def warnings(self) -> list[str]:
-        out = []
-        if self.measured_error > self.MAX_ERROR:
-            out.append(f"error {self.measured_error:.4f} > bound {self.MAX_ERROR}")
-        elif self.measured_error > self.baseline_error + 1e-4:
-            out.append(
-                f"error drifted {self.baseline_error:.4f} -> "
-                f"{self.measured_error:.4f}"
-            )
-        if self.measured_ratio < self.MIN_RATIO:
-            out.append(f"event ratio {self.measured_ratio:.1f}x < bound {self.MIN_RATIO:.0f}x")
-        elif self.measured_ratio < self.baseline_ratio * 0.99:
-            out.append(
-                f"event ratio drifted {self.baseline_ratio:.1f}x -> "
-                f"{self.measured_ratio:.1f}x"
-            )
-        return out
-
-
-@dataclass(frozen=True)
 class SweepCheck:
     """Batched-sweep speedup vs the ``sweep_batched`` baseline entry.
 
-    Warn-only, same policy as :class:`SamplingCheck`: the batched and
-    per-config paths are bit-identical, so this only watches whether
+    Warn-only: the batched and per-config paths are bit-identical, so
+    this only watches whether
     the one-pass kernel keeps paying for itself — a slowdown is worth a
     look, never worth failing a throughput gate over.
     """
@@ -172,8 +129,6 @@ class WatchdogReport:
     checks: list[BenchmarkCheck] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     injected_slowdown: float = 1.0
-    sampling_path: Path | None = None
-    sampling_checks: list[SamplingCheck] = field(default_factory=list)
     sweep_path: Path | None = None
     sweep_checks: list[SweepCheck] = field(default_factory=list)
 
@@ -209,9 +164,6 @@ class WatchdogReport:
                 for c in self.checks
             ],
             "skipped": list(self.skipped),
-            "sampling_checks": [
-                {**asdict(c), "warnings": c.warnings} for c in self.sampling_checks
-            ],
             "sweep_checks": [
                 {**asdict(c), "warnings": c.warnings} for c in self.sweep_checks
             ],
@@ -253,31 +205,6 @@ class WatchdogReport:
         else:
             lines.append(
                 f"watchdog: all {len(self.checks)} benchmark(s) within tolerance"
-            )
-        if self.sampling_checks:
-            lines.append(
-                f"sampling: baseline {self.sampling_path} (warn-only)"
-            )
-            lines.append(
-                f"  {'benchmark':<16} {'error (base/now)':>18} "
-                f"{'ratio (base/now)':>18}  verdict"
-            )
-            warned = 0
-            for sc in self.sampling_checks:
-                warns = sc.warnings
-                warned += bool(warns)
-                verdict = "; ".join(warns) if warns else "ok"
-                ratios = f"{sc.baseline_ratio:.1f}x/{sc.measured_ratio:.1f}x"
-                lines.append(
-                    f"  {sc.benchmark:<16} "
-                    f"{sc.baseline_error:>8.4f}/{sc.measured_error:<9.4f} "
-                    f"{ratios:>18}  {verdict}"
-                )
-            lines.append(
-                f"sampling: {warned}/{len(self.sampling_checks)} benchmark(s) "
-                f"drifted (warn-only, does not gate)"
-                if warned
-                else f"sampling: all {len(self.sampling_checks)} benchmark(s) stable"
             )
         if self.sweep_checks:
             lines.append(f"sweep: baseline {self.sweep_path} (warn-only)")
@@ -331,44 +258,6 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
     for bid, row in benches.items():
         if "events_per_sec" not in row:
             raise WatchdogError(f"baseline {path}: {bid} has no events_per_sec")
-    return data
-
-
-def load_sampling_baseline(path: str | Path) -> dict[str, Any]:
-    """Parse a ``BENCH_sampling.json`` baseline; raises :class:`WatchdogError`.
-
-    Same failure policy as :func:`load_baseline`: every unusable-file
-    mode maps to one exception so the CLI exits ``EXIT_USAGE``.  The
-    schema additionally carries the :class:`~repro.machine.sampling.SamplingPlan`
-    dict the numbers were recorded under.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise WatchdogError(f"sampling baseline {path}: {exc.strerror or exc}") from exc
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise WatchdogError(
-            f"sampling baseline {path}: not valid JSON ({exc})"
-        ) from exc
-    if not isinstance(data, dict) or data.get("schema") != 1:
-        raise WatchdogError(
-            f"sampling baseline {path}: unsupported schema "
-            f"{data.get('schema')!r}"
-            if isinstance(data, dict)
-            else f"sampling baseline {path}: expected a JSON object"
-        )
-    if not isinstance(data.get("plan"), dict):
-        raise WatchdogError(f"sampling baseline {path}: no sampling plan")
-    benches = data.get("benchmarks")
-    if not isinstance(benches, dict) or not benches:
-        raise WatchdogError(f"sampling baseline {path}: no per-benchmark rows")
-    for bid, row in benches.items():
-        for key in ("max_topdown_error", "event_ratio"):
-            if key not in row:
-                raise WatchdogError(f"sampling baseline {path}: {bid} has no {key}")
     return data
 
 
@@ -445,46 +334,6 @@ def measure_sweep(
     return workload.name, len(machines), best_single / best_batched
 
 
-def measure_sampling(
-    benchmark_id: str,
-    workload_name: str | None = None,
-    *,
-    plan: "Any | None" = None,
-) -> tuple[str, float, float]:
-    """Capture once, replay exact + sampled, compare top-down fractions.
-
-    Returns ``(workload_name, max_topdown_error, event_ratio)``.  Both
-    replays are deterministic, so no best-of rounds are needed — one
-    pair per benchmark pins the estimator's accuracy exactly.
-    """
-    from ..machine.capture import capture_execution, replay_capture
-    from ..machine.sampling import SamplingPlan
-    from .registry import alberta_workloads, get_benchmark
-    from .topdown import CATEGORIES
-
-    workloads = alberta_workloads(benchmark_id)
-    if workload_name is None:
-        workload = next(
-            (w for w in workloads if w.name.endswith(".refrate")), workloads[0]
-        )
-    else:
-        match = [w for w in workloads if w.name == workload_name]
-        if not match:
-            raise WatchdogError(
-                f"{benchmark_id}: no workload named {workload_name!r}"
-            )
-        workload = match[0]
-
-    capture = capture_execution(get_benchmark(benchmark_id), workload)
-    exact = replay_capture(capture)
-    sampled = replay_capture(capture, sampling=plan or SamplingPlan())
-    error = max(
-        abs(getattr(sampled.report.topdown, c) - getattr(exact.report.topdown, c))
-        for c in CATEGORIES
-    )
-    return workload.name, error, sampled.sampling.event_ratio
-
-
 def measure_replay(
     benchmark_id: str,
     workload_name: str | None = None,
@@ -547,7 +396,6 @@ def run_watchdog(
     *,
     tolerance: float = 0.25,
     rounds: int = 3,
-    sampling_baseline: "str | Path | None" = None,
     sweep_baseline: "str | Path | None" = None,
     ledger: "str | Path | None" = None,
     ledger_window: int = 5,
@@ -557,13 +405,11 @@ def run_watchdog(
     ``benchmarks=None`` checks every benchmark in the baseline.  Named
     benchmarks missing from the baseline are listed as skipped rather
     than failing the gate — a new benchmark has no number to regress
-    against.  ``sampling_baseline`` adds warn-only sampled-replay
-    accuracy checks against a ``BENCH_sampling.json``; sampling drift
-    never flips the exit code (an unusable sampling baseline still
-    raises, mirroring ``--baseline``).  ``sweep_baseline`` adds a
-    warn-only batched-sweep speedup check against the ``sweep_batched``
-    entry of a ``BENCH_machine.json`` (typically the same file as
-    ``--baseline``), same policy.
+    against.  ``sweep_baseline`` adds a warn-only batched-sweep speedup
+    check against the ``sweep_batched`` entry of a
+    ``BENCH_machine.json`` (typically the same file as ``--baseline``);
+    its drift never flips the exit code, but an unusable sweep baseline
+    still raises, mirroring ``--baseline``.
 
     ``ledger`` replaces the file baseline with a rolling-median one
     derived from the last ``ledger_window`` recorded runs in that
@@ -594,7 +440,6 @@ def run_watchdog(
         tolerance=tolerance,
         rounds=rounds,
         injected_slowdown=slowdown,
-        sampling_path=Path(sampling_baseline) if sampling_baseline else None,
         sweep_path=Path(sweep_baseline) if sweep_baseline else None,
     )
     for bid in ids:
@@ -619,28 +464,6 @@ def run_watchdog(
         raise WatchdogError(
             f"baseline {baseline_path}: none of {ids} present in baseline"
         )
-    if sampling_baseline is not None:
-        from ..machine.sampling import SamplingPlan
-
-        sdata = load_sampling_baseline(sampling_baseline)
-        plan = SamplingPlan.from_dict(sdata["plan"])
-        srows: Mapping[str, Any] = sdata["benchmarks"]
-        sids = [bid for bid in ids if bid in srows] or list(srows)
-        for bid in sids:
-            row = srows[bid]
-            workload, error, ratio = measure_sampling(
-                bid, row.get("workload"), plan=plan
-            )
-            report.sampling_checks.append(
-                SamplingCheck(
-                    benchmark=bid,
-                    workload=workload,
-                    baseline_error=float(row["max_topdown_error"]),
-                    measured_error=error,
-                    baseline_ratio=float(row["event_ratio"]),
-                    measured_ratio=ratio,
-                )
-            )
     if sweep_baseline is not None:
         sweep = load_sweep_baseline(sweep_baseline)
         workload, n_configs, speedup = measure_sweep(

@@ -7,7 +7,6 @@ from .capture import TelemetryCapture, capture_execution, replay_capture
 from .cost import CostModel, MachineConfig, MachineReport, MethodCost
 from .machine import ATOM_LIKE, I7_2600, I7_6700K, PRESETS, preset, preset_names
 from .profiler import ExecutionProfile, Profiler, run_benchmark
-from .sampling import SampledProfile, SamplingInfo, SamplingPlan, sampled_replay
 from .telemetry import MethodCounters, Probe
 
 __all__ = [
@@ -37,8 +36,4 @@ __all__ = [
     "run_benchmark",
     "MethodCounters",
     "Probe",
-    "SampledProfile",
-    "SamplingInfo",
-    "SamplingPlan",
-    "sampled_replay",
 ]

@@ -360,9 +360,8 @@ def replay_capture_batched(
 
     Returns one :class:`ExecutionProfile` per entry of ``machines``
     (``None`` entries mean the default config), each bit-identical to
-    ``replay_capture(capture, machine=cfg)``.  Only the exact replay
-    path batches — phase-sampled and FDO-build replays stay per-config
-    (see DESIGN.md §13 for the fallback conditions).
+    ``replay_capture(capture, machine=cfg)``.  FDO-build replays stay
+    per-config (see DESIGN.md §13 for the fallback conditions).
     """
     cfgs = [m if m is not None else MachineConfig() for m in machines]
     n_events = capture.n_events

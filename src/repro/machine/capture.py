@@ -36,14 +36,12 @@ import numpy as np
 
 from ..core import metrics
 from ..core.errors import VerificationError, WorkloadError
-from . import telemetry
 from .cost import CostModel, MachineConfig
 from .profiler import ExecutionProfile
 from .telemetry import MethodCounters, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.workload import Workload
-    from .sampling import SamplingPlan
 
 __all__ = ["TelemetryCapture", "capture_execution", "replay_capture"]
 
@@ -171,7 +169,6 @@ def replay_capture(
     *,
     machine: MachineConfig | None = None,
     cost_model: CostModel | None = None,
-    sampling: "SamplingPlan | None" = None,
 ) -> ExecutionProfile:
     """Replay a capture under a machine model, without re-executing.
 
@@ -180,45 +177,7 @@ def replay_capture(
     :class:`~repro.fdo.optimizer.FdoCostModel`).  The profile carries
     ``output=None`` — same as pool workers and cache hits, the replay
     stage never sees the benchmark output.
-
-    ``sampling`` selects phase-sampled replay
-    (:mod:`repro.machine.sampling`): the result is a
-    :class:`~repro.machine.sampling.SampledProfile` estimated from
-    representative intervals.  ``None`` — or a plan with
-    ``exact=True`` — takes the exact path, bit-identical to the
-    pre-sampling behavior.
     """
-    if sampling is not None and not sampling.exact:
-        from .sampling import SampledProfile, sampled_replay
-
-        t0 = time.perf_counter_ns()
-        report, info = sampled_replay(capture, sampling, cost_model=cost_model or CostModel(machine))
-        elapsed_ns = max(1, time.perf_counter_ns() - t0)
-        telemetry.record("engine.profile.replay_events", info.events_replayed)
-        telemetry.record("engine.profile.replay_ns", elapsed_ns)
-        telemetry.record("engine.profile.evaluations", 1)
-        telemetry.record("engine.profile.sampled_replays", 1)
-        metrics.inc(
-            metrics.REPLAY_EVENTS_TOTAL, info.events_replayed, benchmark=capture.benchmark
-        )
-        metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
-        metrics.observe(
-            metrics.REPLAY_EPS,
-            info.events_replayed / (elapsed_ns / 1e9),
-            benchmark=capture.benchmark,
-        )
-        metrics.inc(metrics.SAMPLED_REPLAYS_TOTAL, benchmark=capture.benchmark)
-        metrics.observe(
-            metrics.SAMPLED_EVENT_RATIO, info.event_ratio, benchmark=capture.benchmark
-        )
-        return SampledProfile(
-            benchmark=capture.benchmark,
-            workload=capture.workload,
-            report=report,
-            output=None,
-            verified=capture.verified,
-            sampling=info,
-        )
     if cost_model is None:
         cost_model = CostModel(machine)
     probe = capture.materialize()

@@ -49,7 +49,7 @@ from .cache import CacheGeometry, CacheHierarchy, HierarchyStats
 from .kernel import lru_filter
 from .telemetry import EV_BRANCH, EV_DATA, MethodCounters, Probe
 
-__all__ = ["MachineConfig", "MethodCost", "CostModel", "MachineReport", "REPLAY_FIELDS"]
+__all__ = ["MachineConfig", "MethodCost", "CostModel", "MachineReport"]
 
 # Cap on synthesized instruction-fetch blocks per sampled call, so one
 # giant method cannot dominate replay cost.
@@ -692,25 +692,6 @@ def _replay_mem_vector(
     tallies.c_mem = np.bincount(llc_attr[~hit3 & ~llc_from_data], minlength=n_methods)
 
 
-#: Replay-tally fields, in the order the accounting step consumes them.
-#: Exact replay fills them with int64 bincounts; sampled replay
-#: (:mod:`repro.machine.sampling`) fills them with float64 estimates —
-#: both flow through the identical :func:`_account` arithmetic.
-REPLAY_FIELDS = (
-    "branches",
-    "mispredicts",
-    "data",
-    "d_l2",
-    "d_llc",
-    "d_mem",
-    "d_tlb",
-    "calls",
-    "c_l2",
-    "c_llc",
-    "c_mem",
-)
-
-
 def _account(
     cfg: MachineConfig,
     methods: tuple[MethodCounters, ...],
@@ -718,8 +699,9 @@ def _account(
 ) -> tuple[dict[str, MethodCost], TopDownVector, CoverageProfile, float, float, float]:
     """Turn per-method replay tallies into the cycle accounting.
 
-    ``rep`` maps every name in :data:`REPLAY_FIELDS` to a per-method
-    array.  Vectorized over methods; every elementwise expression
+    ``rep`` maps each replay tally (``branches``, ``mispredicts``,
+    ``data``, ``d_l2``, ``d_llc``, ``d_mem``, ``d_tlb``, ``calls``,
+    ``c_l2``, ``c_llc``, ``c_mem``) to a per-method array.  Vectorized over methods; every elementwise expression
     mirrors the historical scalar accounting operation-for-operation so
     exact-replay results stay bit-identical (int64 inputs convert to
     float64 at the same points the historical path converted them, and

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.suite import alberta_workloads, get_benchmark
+from repro.core.registry import alberta_workloads, get_benchmark
 from repro.fdo.optimizer import FdoCostModel
 from repro.fdo.profile_data import collect_profile, merge_profiles
 from repro.machine.cost import CostModel

@@ -18,6 +18,29 @@ class TestParser:
         args = build_parser().parse_args(["generate", "505.mcf_r", "--seed", "9"])
         assert args.seed == 9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--workers", "0"],
+            ["suite", "--timeout", "-1"],
+            ["suite", "--timeout", "0"],
+            ["sweep", "505.mcf_r", "--workers", "0"],
+            ["table2", "--workers", "x"],
+        ],
+    )
+    def test_bad_engine_values_exit_2_with_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error: argument {argv[-2]}")
+
+    def test_good_engine_values_parse(self):
+        args = build_parser().parse_args(["suite", "--workers", "2", "--timeout", "1.5"])
+        assert (args.workers, args.timeout) == (2, 1.5)
+
 
 class TestObservability:
     @pytest.fixture(scope="class")

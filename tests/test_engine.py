@@ -18,7 +18,7 @@ from repro.core.cache import (
 )
 from repro.core.characterize import characterize, characterize_suite
 from repro.core.engine import CharacterizationEngine, default_workers
-from repro.core.suite import alberta_workloads, benchmark_ids, get_benchmark
+from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.machine import telemetry
 from repro.machine.profiler import Profiler
 

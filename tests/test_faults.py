@@ -14,7 +14,7 @@ from repro.core.cache import ResultCache, cache_key
 from repro.core.engine import FAULT_INJECT_ENV
 from repro.core.errors import CellFailure
 from repro.core.run import Run
-from repro.core.suite import alberta_workloads
+from repro.core.registry import alberta_workloads
 from repro.core.trace import trace_spans
 from repro.machine import telemetry
 

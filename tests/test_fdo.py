@@ -177,6 +177,60 @@ class TestClustering:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 5)
 
+    def test_same_seed_same_clusters_in_process(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(200, 9))
+        a1, c1 = kmeans(vectors, 12, seed=0)
+        a2, c2 = kmeans(vectors, 12, seed=0)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(c1, c2)
+        a3, _ = kmeans(vectors, 12, seed=1)
+        assert not np.array_equal(a1, a3)  # the seed is actually consulted
+
+    def test_same_seed_same_clusters_across_interpreters(self):
+        """A fresh interpreter derives the same clusters as this one."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import numpy as np
+
+        import repro
+
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from repro.fdo.clustering import kmeans\n"
+            "vectors = np.random.default_rng(11).normal(size=(150, 7))\n"
+            "assignments, centroids = kmeans(vectors, 8, seed=0)\n"
+            "h = hashlib.sha256()\n"
+            "h.update(np.ascontiguousarray(assignments).tobytes())\n"
+            "h.update(np.ascontiguousarray(centroids).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        vectors = np.random.default_rng(11).normal(size=(150, 7))
+        assignments, centroids = kmeans(vectors, 8, seed=0)
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(assignments).tobytes())
+        h.update(np.ascontiguousarray(centroids).tobytes())
+        pkg_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert proc.stdout.strip() == h.hexdigest()
+
     def test_cluster_workloads_end_to_end(self):
         ws = _xz_workloads()
         benchmark = get_benchmark("557.xz_r")

@@ -9,7 +9,7 @@ and a different seed must actually change the payload content.
 import pytest
 
 from repro.core.cache import payload_digest
-from repro.core.suite import benchmark_ids, get_generator
+from repro.core.registry import benchmark_ids, get_generator
 
 ALL_IDS = sorted(benchmark_ids())
 

@@ -17,7 +17,7 @@ try:
     from tests import _legacy_machine as legacy
 except ImportError:  # running with tests/ itself on sys.path
     import _legacy_machine as legacy
-from repro.core.suite import alberta_workloads, get_benchmark, registry
+from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.machine.cost import CostModel, MachineConfig
 from repro.machine.telemetry import Probe
 
@@ -83,13 +83,13 @@ def run_pair(benchmark_id, cap, predictor):
     )
 
 
-@pytest.mark.parametrize("benchmark_id", sorted(registry()))
+@pytest.mark.parametrize("benchmark_id", sorted(benchmark_ids()))
 def test_default_cap_bit_identical(benchmark_id):
     got, want = run_pair(benchmark_id, 262144, "gshare")
     assert_reports_identical(got, want, f"{benchmark_id}/gshare/default-cap")
 
 
-@pytest.mark.parametrize("benchmark_id", sorted(registry()))
+@pytest.mark.parametrize("benchmark_id", sorted(benchmark_ids()))
 def test_small_cap_bit_identical(benchmark_id):
     """A forced-small cap decimates aggressively and drives short
     streams through the scalar dispatch paths."""

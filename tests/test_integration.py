@@ -12,7 +12,6 @@ from repro.core import (
     get_generator,
     validate_workload_set,
 )
-from repro.core.suite import registry
 from repro.machine import MachineConfig, run_benchmark
 
 #: Paper Table II workload counts per benchmark.
@@ -48,9 +47,9 @@ class TestRegistry:
         assert len(benchmark_ids("fp")) == 7
 
     def test_benchmark_names_match_registry(self):
-        for bid, entry in registry().items():
-            assert entry.make_benchmark().name == bid
-            assert entry.make_generator().benchmark == bid
+        for bid in benchmark_ids():
+            assert get_benchmark(bid).name == bid
+            assert get_generator(bid).benchmark == bid
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):

@@ -67,7 +67,6 @@ def make_record(run_id, started=1_000.0, *, ok=2, failed=0, quarantined=0,
         "failed": failed,
         "quarantined": quarantined,
         "captures": ok,
-        "replays_sampled": 0,
     }
     return build_record(
         run_id=run_id,
@@ -354,6 +353,25 @@ class TestDiff:
         assert classify_metric("repro_cells_total") == "exact"
         assert classify_metric("repro_stage_seconds") == "timing"
         assert classify_metric("repro_peak_rss_kb") == "info"
+
+    def test_pre_removal_record_diffs_clean(self, tmp_path, capsys):
+        """A record written before phase-sampled replay was removed still
+        diffs clean against a current one: its retired count and metric
+        family are not compared."""
+        old = make_record("old", started=1_000.0)
+        old["counts"]["replays_sampled"] = 0
+        old["metrics"]["metrics"]["repro_sampled_replays_total"] = {
+            "kind": "counter",
+            "labels": ["benchmark"],
+            "series": [{"labels": ["505.mcf_r"], "value": 0}],
+        }
+        ledger = RunLedger(tmp_path / "led")
+        ledger.append(old)
+        ledger.append(make_record("new", started=1_010.0))
+        root = str(tmp_path / "led")
+        assert main(["runs", "diff", "prev", "latest", "--ledger", root]) == 0
+        assert main(["runs", "show", "prev", "--ledger", root]) == 0
+        assert "cells=2" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- baseline

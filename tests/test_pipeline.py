@@ -24,8 +24,8 @@ from repro.core.artifacts import ArtifactStore, CaptureStore, decode_capture, en
 from repro.core.cache import capture_key, profile_to_dict
 from repro.core.errors import CacheCorruption, MachineMismatch, StudyError
 from repro.core.run import Session
-from repro.core.suite import alberta_workloads, get_benchmark
-from repro.core.sweep import MachineGrid, SweepRequest
+from repro.core.registry import alberta_workloads, get_benchmark
+from repro.core.sweep import MachineGrid, ReplayRequest, SweepRequest
 from repro.core.trace import summarize_trace
 from repro.fdo.evaluation import cross_validate, evaluate_pair, train_profile
 from repro.machine.capture import TelemetryCapture, capture_execution, replay_capture
@@ -258,6 +258,15 @@ class TestSweepReuse:
         assert summary.captures == 0
         assert summary.capture_hits == summary.cells
         assert summary.replays == summary.cells
+
+    def test_warm_replay_is_served_from_the_profile_store(self, tmp_path):
+        wl = _workload("505.mcf_r", ".refrate")
+        with Session(cache=tmp_path / "store") as s:
+            cold = s.replay(s.capture("505.mcf_r", wl), ReplayRequest(workload=wl))
+        with Session(cache=tmp_path / "store") as s:
+            warm = s.replay(s.capture("505.mcf_r", wl), ReplayRequest(workload=wl))
+        assert profile_to_dict(warm) == profile_to_dict(cold)
+        assert (s.summary.captures, s.summary.replays, s.summary.replay_hits) == (0, 0, 1)
 
     def test_artifact_store_wipe_covers_both_stages(self, tmp_path):
         with Session(cache=tmp_path / "store") as s:

@@ -6,8 +6,7 @@ Four layers of guarantees for :mod:`repro.core.registry`:
   (hypothesis), fingerprints are cross-process stable, and malformed
   or colliding registrations are rejected at load time;
 * every built-in benchmark / generator module actually registers
-  (the lint test fails when a new module skips the decorator), and no
-  consumer imports the legacy ``core.suite`` tables (grep gate);
+  (the lint test fails when a new module skips the decorator);
 * a descriptor version bump invalidates exactly its own cache
   artifacts — bumped keys miss, untouched keys stay warm;
 * plugins load through ``importlib.metadata`` entry points, can be
@@ -20,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import pkgutil
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,23 +246,6 @@ class TestBuiltinCoverage:
         )
         in_table2 = REGISTRY.ids("benchmark", capability=CAP_IN_TABLE2)
         assert "505.mcf_r" in in_table2 and "525.x264_r" not in in_table2
-
-    def test_no_consumer_imports_legacy_suite_tables(self) -> None:
-        """Grep gate: ``core/suite.py`` is a shim, nothing imports it."""
-        pattern = re.compile(
-            r"^\s*(?:from\s+(?:repro\.core\.suite|\.suite|\.core\.suite)\s+import"
-            r"|import\s+repro\.core\.suite)\b"
-        )
-        offenders = []
-        for path in sorted((SRC / "repro").rglob("*.py")):
-            if path.relative_to(SRC / "repro").as_posix() == "core/suite.py":
-                continue
-            for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                if pattern.match(line):
-                    offenders.append(f"{path}:{lineno}: {line.strip()}")
-        assert not offenders, "\n".join(offenders)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.core.errors import (
     WorkloadError,
 )
 from repro.core.run import Run, RunResult, Session
-from repro.core.suite import alberta_workloads, get_benchmark
+from repro.core.registry import alberta_workloads, get_benchmark
 from repro.machine.profiler import Profiler
 
 MCF = "505.mcf_r"

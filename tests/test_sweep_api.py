@@ -1,18 +1,15 @@
 """The declarative sweep API and the one-pass batched replay behind it.
 
 Covers the :mod:`repro.core.sweep` request values (validation,
-serialization, cache tokens), the deprecation adapters that keep the
-legacy ``characterize_sweep(benchmark_id, machines)`` / keyword
-``replay`` call forms working, and the golden gate of the batched
-path: a batched sweep must be bit-identical to per-config replay —
-checked on the tier-1 trio here and on all 16 benchmarks under
-``-m slow``.
+serialization), the rejection of any other sweep/replay call form, and
+the golden gate of the batched path: a batched sweep must be
+bit-identical to per-config replay — checked on the tier-1 trio here
+and on all 16 benchmarks under ``-m slow``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -21,8 +18,8 @@ try:
 except ImportError:  # running with tests/ itself on sys.path
     from test_golden_equivalence import assert_reports_identical
 from repro.core.cache import ResultCache
+from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.run import Session
-from repro.core.suite import alberta_workloads, benchmark_ids
 from repro.core.sweep import (
     MachineGrid,
     ReplayRequest,
@@ -33,8 +30,6 @@ from repro.core.trace import summarize_trace
 from repro.machine.cache import CacheGeometry
 from repro.machine.capture import capture_execution
 from repro.machine.cost import MachineConfig
-from repro.machine.sampling import SamplingPlan
-from repro.core.suite import get_benchmark
 
 TIER1_TRIO = ["505.mcf_r", "519.lbm_r", "557.xz_r"]
 
@@ -98,16 +93,6 @@ class TestMachineGrid:
         grid = TEST_GRID
         back = MachineGrid.from_dict(json.loads(json.dumps(grid.to_dict())))
         assert back == grid
-        assert back.cache_token() == grid.cache_token()
-
-    def test_cache_token_is_content_addressed(self):
-        a = MachineGrid.from_presets("default", "i7-6700k")
-        b = MachineGrid.from_presets("default", "i7-6700k")
-        assert a.cache_token() == b.cache_token()
-        assert a.cache_token().startswith("grid.2.")
-        # renaming or reordering changes the identity
-        c = MachineGrid.from_presets("i7-6700k", "default")
-        assert c.cache_token() != a.cache_token()
 
     def test_from_dict_rejects_malformed(self):
         with pytest.raises(ValueError, match="non-empty 'configs'"):
@@ -128,28 +113,6 @@ class TestSweepRequest:
         with pytest.raises(ValueError, match="batched"):
             SweepRequest(benchmark="505.mcf_r", grid=grid, batched="yes")
 
-    def test_dict_roundtrip_with_sampling(self):
-        req = SweepRequest(
-            benchmark="505.mcf_r",
-            grid=TEST_GRID,
-            base_seed=7,
-            sampling=SamplingPlan(),
-            batched=False,
-        )
-        back = SweepRequest.from_dict(json.loads(json.dumps(req.to_dict())))
-        assert back == req
-        assert back.cache_token() == req.cache_token()
-
-    def test_cache_token_shape_and_strategy_blindness(self):
-        batched = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID)
-        forced = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID, batched=False)
-        token = batched.cache_token()
-        assert token.startswith("sweep.505.mcf_r.s0.grid.4.")
-        # batched vs per-config is an execution strategy, not an identity
-        assert forced.cache_token() == token
-        seeded = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID, base_seed=1)
-        assert seeded.cache_token() != token
-
 
 class TestReplayRequest:
     def test_machine_validation(self):
@@ -157,10 +120,6 @@ class TestReplayRequest:
             ReplayRequest(machine="i7-6700k")
         assert ReplayRequest(machine=None).machine is None
         assert ReplayRequest().machine is not None  # the engine sentinel
-
-    def test_sampling_validation(self):
-        with pytest.raises(ValueError, match="sampling"):
-            ReplayRequest(sampling="1/64")
 
 
 class TestDefaultSweepGrid:
@@ -178,52 +137,31 @@ class TestDefaultSweepGrid:
         assert len(geos) > 1
 
 
-class TestDeprecationAdapters:
-    def test_legacy_sweep_call_sites_pass_unmodified(self, tmp_path):
-        """The pre-redesign call form must keep working (and warn)."""
-        machines = [None, MachineConfig(predictor="bimodal")]
-        wl = _refrate("519.lbm_r")
-        with Session(cache=tmp_path / "store") as s:
-            with pytest.warns(DeprecationWarning, match="SweepRequest"):
-                legacy = s.characterize_sweep("519.lbm_r", machines, [wl])
-        with Session(cache=tmp_path / "store2") as s:
-            new = s.characterize_sweep(
-                SweepRequest(
-                    benchmark="519.lbm_r",
-                    grid=MachineGrid.from_machines(machines),
-                ),
-                workloads=[wl],
-            )
-        assert legacy.ok and new.ok
-        assert legacy.config_names == new.config_names == ["cfg0", "cfg1"]
-        for a, b in zip(legacy.characterizations, new.characterizations):
-            assert a.table2_row() == b.table2_row()
+class TestRequestForms:
+    """Sweeps and replays take request values; other call forms fail fast."""
 
-    def test_sweep_rejects_mixed_forms(self):
+    @pytest.fixture(scope="class")
+    def capture(self):
+        return capture_execution(get_benchmark("519.lbm_r"), _refrate("519.lbm_r"))
+
+    def test_bare_id_and_machine_keyword_raise_type_error(self, capture):
+        with Session() as s:
+            with pytest.raises(TypeError, match="SweepRequest") as sweep:
+                s.characterize_sweep("519.lbm_r", [None])
+            with pytest.raises(TypeError, match="ReplayRequest") as replay:
+                s.replay(capture, machine=MachineConfig(width=8))
+        for exc in (sweep.value, replay.value):
+            assert "\n" not in str(exc)
+
+    def test_sweep_rejects_mixed_forms(self, capture):
         req = SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
         with Session() as s:
-            with pytest.raises(TypeError, match="not both"):
-                s.characterize_sweep(req, [None])
-            with pytest.raises(TypeError, match="on the request itself"):
+            with pytest.raises(TypeError, match="base_seed"):
                 s.characterize_sweep(req, base_seed=3)
-            with pytest.raises(TypeError, match="needs a machine list"):
+            with pytest.raises(TypeError, match="SweepRequest"):
                 s.characterize_sweep("519.lbm_r")
-
-    def test_legacy_replay_keywords_warn_bare_stays_silent(self):
-        wl = _refrate("519.lbm_r")
-        cap = capture_execution(get_benchmark("519.lbm_r"), wl)
-        with Session() as s:
-            with pytest.warns(DeprecationWarning, match="ReplayRequest"):
-                legacy = s.replay(cap, machine=MachineConfig(width=8))
-            via_request = s.replay(cap, ReplayRequest(machine=MachineConfig(width=8)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                bare = s.replay(cap)
-        assert legacy is not None and via_request is not None and bare is not None
-        assert_reports_identical(legacy.report, via_request.report, "replay adapter")
-        with Session() as s:
-            with pytest.raises(TypeError, match="on the request itself"):
-                s.replay(cap, ReplayRequest(), machine=None)
+            with pytest.raises(TypeError, match="ReplayRequest"):
+                s.replay(capture, ReplayRequest(), machine=None)
 
 
 def _sweep_pair(bid, tmp_path, grid):

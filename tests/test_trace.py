@@ -264,6 +264,55 @@ class TestSpanTree:
         assert doc["displayTimeUnit"] == "ms"
 
 
+#: A journal as written before phase-sampled replay was removed: a
+#: sampled span, a ``sample`` stage, and the retired summary counter.
+#: The CLI must still read it.
+PRE_REMOVAL_JOURNAL = [
+    {"type": "run_start", "run_id": "1a1-1-1", "started_at": 1.0, "version": "1.0.0",
+     "workers": 2, "cache": False, "strict": True, "timeout": None, "retries": 1},
+    {"type": "span", "benchmark": "505.mcf_r", "workload": "mcf.refrate",
+     "cache": "off", "attempts": 1, "duration_s": 0.39, "outcome": "ok",
+     "error": None, "capture": "run", "replay": "run", "build": None,
+     "span_id": "s1", "parent_id": "run", "start_s": 0.02, "sampled": True,
+     "batched": False},
+    {"type": "stage", "name": "sample", "benchmark": "505.mcf_r",
+     "workload": "mcf.refrate", "start_s": 0.58, "duration_s": 0.19,
+     "span_id": "s2", "parent_id": "s1",
+     "resources": {"cpu_user_s": 0.17, "cpu_sys_s": 0.01, "max_rss_kb": 74872,
+                   "replay_events": 6048, "replay_ns": 189252622}},
+    {"type": "summary", "cells": 1, "ok": 1, "failed": 0, "cache_hits": 0,
+     "cache_misses": 0, "retries": 0, "timeouts": 0, "crashes": 0,
+     "quarantined": 0, "duration_s": 0.6, "captures": 1, "capture_hits": 0,
+     "replays": 1, "replay_hits": 0, "replays_sampled": 1, "replays_batched": 0},
+]
+
+
+class TestPreRemovalJournal:
+    @pytest.fixture
+    def journal(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in PRE_REMOVAL_JOURNAL))
+        return path
+
+    def test_summary_decodes_and_drops_the_retired_counter(self, journal):
+        summary = summarize_trace(journal)
+        assert (summary.cells, summary.replays) == (1, 1)
+        assert RunSummary.from_dict(summary.to_dict()) == summary
+
+    def test_cli_renders_without_traceback(self, journal, capsys):
+        for argv in (
+            ["trace", "summary", str(journal)],
+            ["trace", "summary", "--json", str(journal)],
+            ["trace", "show", str(journal)],
+            ["trace", "chrome", str(journal)],
+            ["top", "--once", str(journal)],
+        ):
+            assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert "└─ sample" in out  # the old stage still renders, by its name
+        assert "1 replays (0 cached, 0 batched)" in out
+
+
 class TestCli:
     @pytest.fixture(scope="class")
     def journal(self, tmp_path_factory):

@@ -11,9 +11,7 @@ from repro.core.watchdog import (
     EXIT_USAGE,
     WatchdogError,
     load_baseline,
-    load_sampling_baseline,
     measure_replay,
-    measure_sampling,
     run_watchdog,
 )
 
@@ -199,93 +197,3 @@ class TestCli:
         rc = main(["watchdog", "--ledger-baseline", str(tmp_path / "led")])
         assert rc == EXIT_USAGE
         assert "watchdog:" in capsys.readouterr().err
-
-
-def _write_sampling_baseline(path, *, error, ratio, workload=None):
-    from repro.machine.sampling import SamplingPlan
-
-    path.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "plan": SamplingPlan().to_dict(),
-                "benchmarks": {
-                    BID: {
-                        "workload": workload,
-                        "max_topdown_error": error,
-                        "event_ratio": ratio,
-                    }
-                },
-            }
-        )
-    )
-    return path
-
-
-class TestSamplingChecks:
-    """--sampling-baseline is warn-only: it never flips the exit code."""
-
-    @pytest.fixture(scope="class")
-    def sampled(self):
-        """One real exact-vs-sampled measurement, shared by the class."""
-        workload, error, ratio = measure_sampling(BID)
-        return {"workload": workload, "error": error, "ratio": ratio}
-
-    def test_stable_numbers_report_ok(self, baseline, sampled, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", raising=False)
-        spath = _write_sampling_baseline(
-            tmp_path / "BENCH_sampling.json",
-            error=sampled["error"],
-            ratio=sampled["ratio"],
-            workload=sampled["workload"],
-        )
-        report = run_watchdog(
-            baseline, tolerance=0.5, rounds=1, sampling_baseline=spath
-        )
-        assert report.exit_code == EXIT_OK
-        rendered = report.render()
-        assert "warn-only" in rendered
-        assert "stable" in rendered
-
-    def test_drift_warns_but_never_gates(self, baseline, sampled, tmp_path, monkeypatch):
-        # a baseline claiming better accuracy and a higher ratio than
-        # measured: both drift warnings fire, the exit code does not
-        monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", raising=False)
-        spath = _write_sampling_baseline(
-            tmp_path / "BENCH_sampling.json",
-            error=sampled["error"] / 4,
-            ratio=sampled["ratio"] * 2,
-            workload=sampled["workload"],
-        )
-        report = run_watchdog(
-            baseline, tolerance=0.5, rounds=1, sampling_baseline=spath
-        )
-        assert report.exit_code == EXIT_OK
-        assert report.sampling_checks[0].warnings
-        assert "drifted" in report.render()
-
-    def test_unusable_sampling_baseline_is_usage_error(self, baseline, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 1, "benchmarks": {}}')
-        with pytest.raises(WatchdogError, match="sampling baseline"):
-            run_watchdog(baseline, rounds=1, sampling_baseline=path)
-
-    def test_missing_plan_is_usage_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"schema": 1, "benchmarks": {BID: {
-                "max_topdown_error": 0.01, "event_ratio": 12.0}}})
-        )
-        with pytest.raises(WatchdogError, match="no sampling plan"):
-            load_sampling_baseline(path)
-
-    def test_missing_row_fields_are_usage_errors(self, tmp_path):
-        from repro.machine.sampling import SamplingPlan
-
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"schema": 1, "plan": SamplingPlan().to_dict(),
-                        "benchmarks": {BID: {"event_ratio": 12.0}}})
-        )
-        with pytest.raises(WatchdogError, match="max_topdown_error"):
-            load_sampling_baseline(path)
