@@ -136,17 +136,15 @@ _REPLAY_SMOKE_IDS = (
 _REPLAY_ROUNDS = 5
 
 
-def _refrate_workload(workloads):
-    return next((w for w in workloads if w.name.endswith(".refrate")), workloads[0])
-
-
 def test_replay_throughput():
     """Best-of-N vectorized replay vs the frozen scalar reference.
 
-    Writes ``BENCH_machine.json`` with per-benchmark cell seconds and
-    events/sec.  Replay timings come from the ``engine.profile.*``
-    counters the cost model records around every ``_replay_stream``
-    call, so the JSON measures exactly what ``repro --verbose`` reports.
+    Writes ``BENCH_machine.json`` with per-benchmark replay seconds and
+    events/sec.  Each round replays the capture under a fresh metrics
+    collector and reads ``repro_replay_ns_total`` back, exactly as
+    :func:`repro.core.watchdog.measure_replay` does, so the baseline
+    measures what the watchdog gates on (one whole cost-model
+    evaluation per replay).
 
     Set ``REPRO_BENCH_FULL=1`` to sweep every registered benchmark
     (the configuration the >=3x aggregate target is asserted on);
@@ -157,10 +155,10 @@ def test_replay_throughput():
     except ImportError:  # running with the repo root off sys.path
         import _legacy_machine as legacy
 
-    from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
-    from repro.machine import telemetry
-    from repro.machine.cost import CostModel, MachineConfig as Config
-    from repro.machine.telemetry import Probe
+    from repro.core import metrics
+    from repro.core.registry import benchmark_ids, get_benchmark, refrate_workload
+    from repro.machine.capture import capture_execution, replay_capture
+    from repro.machine.cost import MachineConfig as Config
 
     full = bool(os.environ.get("REPRO_BENCH_FULL"))
     ids = sorted(benchmark_ids()) if full else list(_REPLAY_SMOKE_IDS)
@@ -168,31 +166,22 @@ def test_replay_throughput():
     cells = {}
     total_events = total_new_ns = total_legacy_ns = 0
     for bid in ids:
-        workload = _refrate_workload(alberta_workloads(bid))
+        workload = refrate_workload(bid)
         bench = get_benchmark(bid)
+        capture = capture_execution(bench, workload)
+        events = capture.n_events
 
-        t0 = time.perf_counter()
-        probe = Probe()
-        bench.run(workload, probe)
-        gen_seconds = time.perf_counter() - t0
-
-        model = CostModel(Config())
         legacy_probe = legacy.LegacyProbe()
         bench.run(workload, legacy_probe)
         # Interleave vectorized and legacy rounds so both best-of
         # samples see the same machine conditions — separate phases let
         # a frequency drift between them land straight in the ratio.
-        best_ns = events = legacy_ns = None
+        best_ns = legacy_ns = None
         for _ in range(_REPLAY_ROUNDS):
-            before = dict(telemetry.counters("engine.profile"))
-            model.evaluate(probe)
-            after = telemetry.counters("engine.profile")
-            ns = after["engine.profile.replay_ns"] - before.get(
-                "engine.profile.replay_ns", 0
-            )
-            events = after["engine.profile.replay_events"] - before.get(
-                "engine.profile.replay_events", 0
-            )
+            reg = metrics.MetricsRegistry()
+            with metrics.collector(reg):
+                replay_capture(capture)
+            ns = reg.value(metrics.REPLAY_NS_TOTAL, benchmark=bid)
             best_ns = ns if best_ns is None else min(best_ns, ns)
             t0 = time.perf_counter_ns()
             legacy.legacy_evaluate(legacy_probe, Config())
@@ -205,7 +194,6 @@ def test_replay_throughput():
         cells[bid] = {
             "workload": workload.name,
             "events": events,
-            "cell_seconds": round(gen_seconds + best_ns / 1e9, 6),
             "replay_seconds": round(best_ns / 1e9, 6),
             "legacy_replay_seconds": round(legacy_ns / 1e9, 6),
             "events_per_sec": round(events / (best_ns / 1e9), 1),
@@ -260,11 +248,11 @@ def test_sweep_capture_reuse():
     which rewrites that file wholesale.
     """
     from repro.core.run import Session
-    from repro.core.registry import alberta_workloads
+    from repro.core.registry import refrate_workload
     from repro.core.sweep import MachineGrid, SweepRequest
 
     bid = "502.gcc_r"
-    workloads = [_refrate_workload(list(alberta_workloads(bid)))]
+    workloads = [refrate_workload(bid)]
     machines = list(_SWEEP_MACHINES)
     request = SweepRequest(benchmark=bid, grid=MachineGrid.from_machines(machines))
 
@@ -331,19 +319,19 @@ def test_sweep_batched_throughput():
     grid (:func:`repro.core.sweep.default_sweep_grid`) both ways,
     best-of-N, asserts bit-identical simulated seconds, and merges a
     ``sweep_batched`` key into ``BENCH_machine.json`` — the entry
-    ``repro watchdog --sweep-baseline`` re-measures.  Run after
+    ``repro watchdog --baseline`` re-measures, warn-only.  Run after
     ``test_replay_throughput``, which rewrites that file wholesale.
 
     The >=3x acceptance target is asserted under ``REPRO_BENCH_FULL=1``;
     the CI smoke run gets a looser floor to absorb shared-runner noise.
     """
-    from repro.core.registry import alberta_workloads, get_benchmark
+    from repro.core.registry import get_benchmark, refrate_workload
     from repro.core.sweep import default_sweep_grid
     from repro.machine.batch import replay_capture_batched
     from repro.machine.capture import capture_execution, replay_capture
 
     bid = "502.gcc_r"
-    workload = _refrate_workload(list(alberta_workloads(bid)))
+    workload = refrate_workload(bid)
     grid = default_sweep_grid()
     machines = list(grid.machines)
     capture = capture_execution(get_benchmark(bid), workload)

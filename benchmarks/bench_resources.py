@@ -20,7 +20,7 @@ import os
 import time
 
 from repro.core.resources import DEFAULT_HZ, StackSampler
-from repro.core.registry import alberta_workloads, get_benchmark
+from repro.core.registry import get_benchmark, refrate_workload
 from repro.machine.capture import capture_execution, replay_capture
 
 _MAX_OVERHEAD = 0.05
@@ -30,10 +30,6 @@ _TRIALS = 3
 
 #: Same smoke subset as the tier-1 golden tests.
 _SMOKE_IDS = ("505.mcf_r", "519.lbm_r", "557.xz_r")
-
-
-def _refrate_workload(workloads):
-    return next((w for w in workloads if w.name.endswith(".refrate")), workloads[0])
 
 
 #: Minimum wall-clock per timing round; single replays finish in a few
@@ -72,7 +68,7 @@ def test_sampler_overhead_and_attribution():
     """Sampled-vs-plain replay walls + CPU/wall gap -> BENCH_resources.json."""
     captures = {}
     for bid in _SMOKE_IDS:
-        workload = _refrate_workload(alberta_workloads(bid))
+        workload = refrate_workload(bid)
         capture = capture_execution(get_benchmark(bid), workload)
         replay_capture(capture)  # warm caches/JIT paths out of the measurement
         captures[bid] = (workload, capture, _calibrate_reps(capture))

@@ -13,8 +13,8 @@ Commands mirror the deliverables:
 * ``metrics show|prom PATH``       — render a ``--metrics`` snapshot as
   a latency table or Prometheus text;
 * ``watchdog [IDS...]``            — replay-throughput regression gate
-  against a ``BENCH_machine.json`` baseline or, with
-  ``--ledger-baseline DIR``, a rolling median of recent recorded runs;
+  against a ``BENCH_machine.json`` baseline or, given a ledger
+  directory, a rolling median of recent recorded runs;
 * ``runs list|show|diff|gc|pin``   — query the persistent run ledger
   (``suite/sweep --ledger DIR`` or ``REPRO_LEDGER_DIR`` record runs);
 * ``flame BENCH``                  — stack-sample one capture+replay and
@@ -89,7 +89,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="print a replay-throughput summary after the run (needs --workers 1)",
+        help="print a replay-throughput summary after the run",
     )
 
 
@@ -324,10 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--baseline",
         type=Path,
-        default=None,
+        default=Path("BENCH_machine.json"),
         metavar="PATH",
-        help="baseline JSON written by benchmarks/bench_machine.py "
-        "(default: ./BENCH_machine.json unless --ledger-baseline is given)",
+        help="baseline JSON written by benchmarks/bench_machine.py, or a "
+        "run-ledger directory to gate on the rolling median of its last 5 "
+        "runs; a sweep_batched entry adds a warn-only batched-sweep check "
+        "(default: ./BENCH_machine.json)",
     )
     p.add_argument(
         "--tolerance",
@@ -338,35 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rounds",
-        type=int,
+        type=_positive(int),
         default=3,
         metavar="N",
         help="replay rounds per benchmark, best-of (default: 3)",
-    )
-    p.add_argument(
-        "--sweep-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also check batched-sweep speedup against the sweep_batched "
-        "entry of a BENCH_machine.json baseline (warn-only, never fails "
-        "the run)",
-    )
-    p.add_argument(
-        "--ledger-baseline",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="compare against a rolling median of recent runs recorded "
-        "in this ledger directory instead of a baseline file",
-    )
-    p.add_argument(
-        "--ledger-window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="how many recent ledger runs the rolling median covers "
-        "(default: 5)",
     )
     p.add_argument(
         "--json",
@@ -514,35 +491,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_counters() -> dict:
-    from .machine import telemetry
+def _print_cache_summary(registry) -> None:
+    """The ``table2`` profile-store traffic line, if the store was used."""
+    from .core import metrics
 
-    return dict(telemetry.counters("engine.profile"))
+    def total(spec, **labels: str) -> int:
+        return sum(i.value for i in registry.series(spec, store="profile", **labels))
 
-
-def _print_replay_summary(args: argparse.Namespace, before: dict) -> None:
-    """One-line replay-throughput summary from ``engine.profile.*`` deltas.
-
-    Counters are process-wide, so the numbers are only meaningful when
-    the characterizations ran in this process (``--workers 1``).
-    """
-    if args.workers != 1:
+    if registry.series(metrics.CACHE_EVENTS_TOTAL, store="profile"):
         print(
-            "verbose: replay summary needs --workers 1 "
-            "(worker processes keep their own counters)",
+            f"cache: {total(metrics.CACHE_EVENTS_TOTAL, event='hit')} hits, "
+            f"{total(metrics.CACHE_EVENTS_TOTAL, event='miss')} misses, "
+            f"{total(metrics.CACHE_IO_BYTES_TOTAL, direction='read')} B read, "
+            f"{total(metrics.CACHE_IO_BYTES_TOTAL, direction='write')} B written",
             file=sys.stderr,
         )
-        return
-    after = _replay_counters()
 
-    def delta(name: str) -> int:
-        key = f"engine.profile.{name}"
-        return after.get(key, 0) - before.get(key, 0)
 
-    events = delta("replay_events")
-    ns = delta("replay_ns")
-    evals = delta("evaluations")
-    stride = after.get("engine.profile.replay_stride_max", 0)
+def _print_replay_summary(registry) -> None:
+    """One-line replay-throughput summary of what the command replayed.
+
+    Pooled cells merge their worker snapshots into every active
+    collector, so the line covers any ``--workers``.  One evaluation is
+    one replay-kernel call; a batched sweep pass counts once.
+    """
+    from .core import metrics
+
+    events = sum(i.value for i in registry.series(metrics.REPLAY_EVENTS_TOTAL))
+    ns = sum(i.value for i in registry.series(metrics.REPLAY_NS_TOTAL))
+    evals = sum(i.count for i in registry.series(metrics.REPLAY_EPS))
+    stride = max(
+        (i.value for i in registry.series(metrics.SAMPLING_STRIDE_MAX)), default=0
+    )
     rate = events / (ns / 1e9) if ns else 0.0
     print(
         f"replay: {events} events over {evals} evaluations, "
@@ -554,19 +534,24 @@ def _print_replay_summary(args: argparse.Namespace, before: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .core.errors import UnknownScenarioError
+    from .core.metrics import MetricsRegistry, collector
 
+    # The stderr summaries below read what this command recorded, never
+    # process-wide totals.
+    command = MetricsRegistry()
     try:
-        if getattr(args, "verbose", False):
-            before = _replay_counters()
+        with collector(command):
             status = _dispatch(args)
-            _print_replay_summary(args, before)
-            return status
-        return _dispatch(args)
     except UnknownScenarioError as exc:
         # Usage error, not a pipeline failure: unknown benchmark /
         # workload / machine id anywhere in the command.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    if args.command == "table2":
+        _print_cache_summary(command)
+    if getattr(args, "verbose", False):
+        _print_replay_summary(command)
+    return status
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -581,7 +566,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .analysis.tables import render_table2
         from .core.characterize import characterize
         from .core.registry import benchmark_ids
-        from .machine import telemetry
 
         kwargs = _engine_kwargs(args)
         ids = args.benchmarks or sorted(benchmark_ids(table2_only=True))
@@ -592,15 +576,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_table2(chars))
         print()
         print(sensitivity_report(chars))
-        stats = telemetry.counters("engine.cache")
-        if stats:
-            print(
-                f"cache: {stats.get('engine.cache.hits', 0)} hits, "
-                f"{stats.get('engine.cache.misses', 0)} misses, "
-                f"{stats.get('engine.cache.bytes_read', 0)} B read, "
-                f"{stats.get('engine.cache.bytes_written', 0)} B written",
-                file=sys.stderr,
-            )
         return 0
 
     if args.command == "suite":
@@ -807,24 +782,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         from .core.watchdog import EXIT_USAGE, WatchdogError, run_watchdog
 
-        if args.baseline is not None and args.ledger_baseline is not None:
-            print(
-                "watchdog: needs exactly one of --baseline and --ledger-baseline",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        baseline = args.baseline
-        if baseline is None and args.ledger_baseline is None:
-            baseline = Path("BENCH_machine.json")
         try:
             report = run_watchdog(
-                baseline,
+                args.baseline,
                 args.benchmarks or None,
                 tolerance=args.tolerance,
                 rounds=args.rounds,
-                sweep_baseline=args.sweep_baseline,
-                ledger=args.ledger_baseline,
-                ledger_window=args.ledger_window,
             )
         except WatchdogError as exc:
             print(f"watchdog: {exc}", file=sys.stderr)
@@ -932,33 +895,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "flame":
         import time as time_mod
 
-        from .core.registry import (
-            UnknownScenarioError,
-            alberta_workloads,
-            get_benchmark,
-        )
+        from .core.registry import get_benchmark, refrate_workload
         from .core.resources import StackSampler, render_collapsed, top_frames
         from .machine.capture import capture_execution, replay_capture
 
-        try:
-            workloads = alberta_workloads(args.benchmark)
-        except UnknownScenarioError as exc:
-            print(f"flame: {exc}", file=sys.stderr)
-            return 2
-        if args.workload is None:
-            workload = next(
-                (w for w in workloads if w.name.endswith(".refrate")), workloads[0]
-            )
-        else:
-            match = [w for w in workloads if w.name == args.workload]
-            if not match:
-                print(
-                    f"flame: {args.benchmark} has no workload "
-                    f"named {args.workload!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            workload = match[0]
+        workload = refrate_workload(args.benchmark, args.workload)
         benchmark = get_benchmark(args.benchmark)
         replays = 0
         started = time_mod.perf_counter()

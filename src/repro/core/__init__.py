@@ -1,7 +1,7 @@
 """Core methodology: workloads, statistics, top-down and coverage summaries."""
 
 from .artifacts import ArtifactStore, CaptureStore, decode_capture, encode_capture
-from .cache import CacheStats, ResultCache, cache_key, capture_key, payload_digest
+from .cache import ResultCache, cache_key, capture_key, payload_digest
 from .characterize import (
     BenchmarkCharacterization,
     assemble_characterization,
@@ -63,7 +63,6 @@ __all__ = [
     "CaptureStore",
     "encode_capture",
     "decode_capture",
-    "CacheStats",
     "ResultCache",
     "cache_key",
     "capture_key",

@@ -22,29 +22,23 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
   machine/build) and ``captures`` (the capture-stage artifact, one
   entry per workload, shared by every machine/build that replays it).
 
-Capture traffic is mirrored under ``engine.artifacts.capture.*``
-(never ``engine.cache.*``, which remains exclusively profile-store
-traffic).
+Capture traffic is recorded in the metrics registry under
+``store="capture"``, apart from the profile store's ``store="profile"``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-import time
 import zlib
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
 
-from . import metrics
-from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
 from ..machine.telemetry import MethodCounters
-from .cache import CACHE_FORMAT, CacheStats, ResultCache
+from .cache import CACHE_FORMAT, ResultCache, _EntryStore
 from .errors import CacheCorruption
 
 __all__ = [
@@ -152,107 +146,29 @@ def decode_capture(blob: bytes) -> TelemetryCapture:
         raise CacheCorruption(f"capture artifact: bad header ({exc})") from exc
 
 
-class CaptureStore:
+class CaptureStore(_EntryStore):
     """Content-addressed on-disk store of encoded telemetry captures.
 
-    Mirrors :class:`~repro.core.cache.ResultCache` semantics — atomic
-    replace on write, quarantine (rename to ``*.bin.corrupt``) plus
-    miss on an undecodable read — for ``.bin`` entries at
-    ``<root>/<key[:2]>/<key>.bin``.  Traffic is counted per instance
-    in :attr:`stats` and process-wide under
-    ``engine.artifacts.capture.*``.
+    The same atomic-write and quarantine-on-corruption discipline as
+    :class:`~repro.core.cache.ResultCache` (both share one base), for
+    ``.bin`` entries at ``<root>/<key[:2]>/<key>.bin``; a corrupt entry
+    is renamed to ``*.bin.corrupt``.  Traffic is recorded under
+    ``store="capture"``.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.bin"
+    # The codec is looked up as module globals at call time, never bound
+    # as class attributes: perfbench/layers.py times encode and decode by
+    # wrapping these module attributes.
+    suffix = ".bin"
+    store = "capture"
 
     def get(self, key: str) -> TelemetryCapture | None:
         """Look up a capture; a miss or corrupt entry returns None."""
-        path = self._path(key)
-        started = time.perf_counter()
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            telemetry.record("engine.artifacts.capture.misses")
-            self._observe_lookup("miss", started)
-            return None
-        try:
-            capture = decode_capture(raw)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.stats.misses += 1
-            telemetry.record("engine.artifacts.capture.misses")
-            self._observe_lookup("miss", started)
-            return None
-        self.stats.hits += 1
-        self.stats.bytes_read += len(raw)
-        telemetry.record("engine.artifacts.capture.hits")
-        telemetry.record("engine.artifacts.capture.bytes_read", len(raw))
-        self._observe_lookup("hit", started)
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="capture", direction="read")
-        return capture
-
-    def _observe_lookup(self, result: str, started: float) -> None:
-        metrics.observe(
-            metrics.CACHE_LOOKUP_SECONDS,
-            time.perf_counter() - started,
-            store="capture",
-            result=result,
-        )
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event=result)
-
-    def _quarantine(self, path: Path) -> None:
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - racing unlink/permissions
-            pass
-        self.stats.quarantined += 1
-        telemetry.record("engine.artifacts.capture.quarantined")
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event="quarantined")
+        return self._lookup(key, decode_capture)
 
     def put(self, key: str, capture: TelemetryCapture) -> None:
         """Store an encoded capture under ``key`` (atomic replace)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        raw = encode_capture(capture)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
-        self.stats.bytes_written += len(raw)
-        telemetry.record("engine.artifacts.capture.bytes_written", len(raw))
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event="write")
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="capture", direction="write")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.bin"))
-
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.glob("*/*.bin"))
-
-    def quarantined_entries(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.bin.corrupt"))
-
-    def wipe(self) -> int:
-        """Delete every entry; returns the number of live entries removed."""
-        n = 0
-        for path in self.root.glob("*/*.bin.corrupt"):
-            path.unlink(missing_ok=True)
-        for path in self.root.glob("*/*.bin"):
-            path.unlink(missing_ok=True)
-            n += 1
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        return n
+        self._write(key, encode_capture(capture))
 
 
 class ArtifactStore:

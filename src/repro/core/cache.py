@@ -18,9 +18,9 @@ output, which the summaries never read) as JSON under
 (``repr`` is shortest-round-trip), so a cached profile reconstructs the
 summaries bit-identically.
 
-Cache traffic (hits / misses / bytes) is mirrored into the process-wide
-counters of :mod:`repro.machine.telemetry` under ``engine.cache.*`` so
-operational tooling can observe it without holding the cache object.
+Cache traffic (hits / misses / bytes / quarantines) is recorded in the
+metrics registry (:mod:`repro.core.metrics`) under ``store="profile"``;
+callers read it from a collector, not from the cache object.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ import hashlib
 import json
 import os
 import time
-from collections.abc import Mapping, Set
+from collections.abc import Callable, Iterator, Mapping, Set
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
 from . import metrics
-from ..machine import telemetry
 from ..machine.cache import HierarchyStats
 from ..machine.cost import MachineConfig, MachineReport, MethodCost
 from ..machine.profiler import ExecutionProfile
@@ -52,7 +51,6 @@ __all__ = [
     "capture_key",
     "profile_to_dict",
     "profile_from_dict",
-    "CacheStats",
     "ResultCache",
 ]
 
@@ -285,108 +283,57 @@ def profile_from_dict(data: Mapping[str, Any]) -> ExecutionProfile:
 # ----------------------------------------------------------------- cache
 
 
-class CacheStats:
-    """Traffic counters for one :class:`ResultCache` instance."""
+class _EntryStore:
+    """Content-addressed on-disk entries: the code both stage stores share.
 
-    __slots__ = ("hits", "misses", "bytes_read", "bytes_written", "quarantined")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.quarantined = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "quarantined": self.quarantined,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"read={self.bytes_read}B, written={self.bytes_written}B, "
-            f"quarantined={self.quarantined})"
-        )
-
-
-class ResultCache:
-    """Content-addressed on-disk store of serialized execution profiles.
-
-    Entries live at ``<root>/<key[:2]>/<key>.json`` and are written
+    Entries live at ``<root>/<key[:2]>/<key><suffix>`` and are written
     atomically (temp file + ``os.replace``), so concurrent writers of
     the *same* key are safe — last writer wins with identical content.
-    A corrupt or truncated entry is quarantined (renamed to
-    ``*.json.corrupt``), reads as a miss, and is re-created by the next
-    :meth:`put`.
-
-    Invalidation is purely key-based: any change to the workload
-    content, machine config, serialization format, or repro version
-    produces a different key, and stale entries are simply never read
-    again.  :meth:`wipe` removes everything under the root.
+    An entry that exists but cannot be decoded is quarantined (renamed
+    to ``*<suffix>.corrupt``) and reads as a miss.  Every lookup, write
+    and quarantine is recorded in the metrics registry under the
+    subclass's ``store`` label, each at exactly one call site below.
     """
+
+    suffix: str
+    store: str
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{self.suffix}"
 
-    def get(self, key: str) -> ExecutionProfile | None:
-        """Look up a profile; a miss (or unreadable entry) returns None.
-
-        An entry that exists but cannot be decoded — truncated write,
-        bit rot, foreign format — is *quarantined*: renamed to
-        ``<key>.json.corrupt`` so the evidence survives for inspection,
-        counted under ``engine.cache.quarantined``, and reported as a
-        miss so the cell is simply re-profiled (and re-cached) instead
-        of crashing the run.
-        """
+    def _lookup(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        """Read and decode one entry; ``None`` on a miss or a quarantine."""
         path = self._path(key)
         started = time.perf_counter()
         try:
             raw = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
-            telemetry.record("engine.cache.misses")
-            self._observe_lookup("miss", started)
+            self._settle("miss", started)
             return None
         try:
-            profile = profile_from_dict(json.loads(raw))
+            value = decode(raw)
         except (ValueError, KeyError, TypeError):
             # Includes json.JSONDecodeError and CacheCorruption.
             self._quarantine(path)
-            self.stats.misses += 1
-            telemetry.record("engine.cache.misses")
-            self._observe_lookup("miss", started)
+            self._settle("miss", started)
             return None
-        self.stats.hits += 1
-        self.stats.bytes_read += len(raw)
-        telemetry.record("engine.cache.hits")
-        telemetry.record("engine.cache.bytes_read", len(raw))
-        self._observe_lookup("hit", started)
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="profile", direction="read")
-        return profile
+        self._settle("hit", started)
+        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.store, direction="read")
+        return value
 
-    def _observe_lookup(self, result: str, started: float) -> None:
+    def _settle(self, result: str, started: float) -> None:
+        """Record one lookup's latency and its hit/miss event."""
         metrics.observe(
             metrics.CACHE_LOOKUP_SECONDS,
             time.perf_counter() - started,
-            store="profile",
+            store=self.store,
             result=result,
         )
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event=result)
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.store, event=result)
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (best effort) and count it."""
@@ -394,9 +341,81 @@ class ResultCache:
             os.replace(path, path.with_name(path.name + ".corrupt"))
         except OSError:  # pragma: no cover - racing unlink/permissions
             pass
-        self.stats.quarantined += 1
-        telemetry.record("engine.cache.quarantined")
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event="quarantined")
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.store, event="quarantined")
+
+    def _write(self, key: str, raw: bytes) -> None:
+        """Store encoded bytes under ``key`` (atomic replace)."""
+        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_bytes(raw)
+        os.replace(tmp, path)
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.store, event="write")
+        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.store, direction="write")
+
+    def _entries(self) -> Iterator[Path]:
+        return self.root.glob(f"*/*{self.suffix}")
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._entries())
+
+    def total_bytes(self) -> int:
+        return sum(p.stat().st_size for p in self._entries())
+
+    def quarantined_entries(self) -> int:
+        """How many corrupt entries have been moved aside on disk."""
+        return sum(1 for _ in self.root.glob(f"*/*{self.suffix}.corrupt"))
+
+    def wipe(self) -> int:
+        """Delete every entry (and quarantined ``*.corrupt`` remains);
+        returns the number of live entries removed."""
+        n = 0
+        for path in self.root.glob(f"*/*{self.suffix}.corrupt"):
+            path.unlink(missing_ok=True)
+        for path in self._entries():
+            path.unlink(missing_ok=True)
+            n += 1
+        for shard in self.root.glob("*"):
+            if shard.is_dir():
+                try:
+                    shard.rmdir()
+                except OSError:
+                    pass
+        return n
+
+
+def _decode_profile(raw: bytes) -> ExecutionProfile:
+    return profile_from_dict(json.loads(raw))
+
+
+class ResultCache(_EntryStore):
+    """Content-addressed on-disk store of serialized execution profiles.
+
+    Entries live at ``<root>/<key[:2]>/<key>.json``; a corrupt or
+    truncated entry is quarantined to ``*.json.corrupt``, reads as a
+    miss, and is re-created by the next :meth:`put`.  Traffic is
+    recorded under ``store="profile"``.
+
+    Invalidation is purely key-based: any change to the workload
+    content, machine config, serialization format, or repro version
+    produces a different key, and stale entries are simply never read
+    again.  :meth:`wipe` removes everything under the root.
+    """
+
+    suffix = ".json"
+    store = "profile"
+
+    def get(self, key: str) -> ExecutionProfile | None:
+        """Look up a profile; a miss (or unreadable entry) returns None.
+
+        An entry that exists but cannot be decoded — truncated write,
+        bit rot, foreign format — is *quarantined*: renamed to
+        ``<key>.json.corrupt`` so the evidence survives for inspection,
+        counted as ``repro_cache_events_total{event="quarantined"}``,
+        and reported as a miss so the cell is simply re-profiled (and
+        re-cached) instead of crashing the run.
+        """
+        return self._lookup(key, _decode_profile)
 
     def put(
         self,
@@ -413,29 +432,17 @@ class ResultCache:
         purely informational (``repro cache info`` reports the counts)
         and readers ignore it.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = profile_to_dict(profile)
         if replay_mode is not None:
             payload["replay_mode"] = replay_mode
-        raw = json.dumps(payload, separators=(",", ":")).encode()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
-        self.stats.bytes_written += len(raw)
-        telemetry.record("engine.cache.bytes_written", len(raw))
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event="write")
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="profile", direction="write")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        self._write(key, json.dumps(payload, separators=(",", ":")).encode())
 
     def replay_modes(self) -> dict[str, int]:
         """Provenance counts over stored entries: how many profiles were
         written by a ``"batched"`` multi-config replay, a ``"per-config"``
         replay, or predate the envelope key (``"unlabeled"``)."""
         counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
-        for path in self.root.glob("*/*.json"):
+        for path in self._entries():
             try:
                 mode = json.loads(path.read_bytes()).get("replay_mode")
             except (OSError, ValueError):
@@ -445,27 +452,3 @@ class ResultCache:
             else:
                 counts["unlabeled"] += 1
         return counts
-
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.glob("*/*.json"))
-
-    def quarantined_entries(self) -> int:
-        """How many corrupt entries have been moved aside on disk."""
-        return sum(1 for _ in self.root.glob("*/*.json.corrupt"))
-
-    def wipe(self) -> int:
-        """Delete every entry (and quarantined ``*.corrupt`` remains);
-        returns the number of live entries removed."""
-        n = 0
-        for path in self.root.glob("*/*.json.corrupt"):
-            path.unlink(missing_ok=True)
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-            n += 1
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        return n

@@ -37,9 +37,10 @@ deterministic.  The engine exploits both properties:
 * **Tracing** — every completed cell emits a
   :class:`~repro.core.trace.CellSpan` through the engine's
   :class:`~repro.core.trace.TraceWriter` (benchmark, workload, cache
-  hit/miss, attempts, duration, outcome), mirrored into
-  ``engine.run.*`` telemetry counters and optionally journaled as
-  JSONL (see ``repro suite --trace`` / ``repro trace``).
+  hit/miss, attempts, duration, outcome), tallied into the run
+  summary and optionally journaled as JSONL (see ``repro suite
+  --trace`` / ``repro trace``); counts and timings go to the metrics
+  registry (:mod:`repro.core.metrics`).
 
 Worker processes regenerate default Alberta workload sets from
 ``(benchmark_id, base_seed)`` instead of receiving pickled payloads
@@ -64,10 +65,11 @@ import os
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError  # distinct type pre-3.11
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..machine.batch import replay_capture_batched
 from ..machine.capture import TelemetryCapture, capture_execution, replay_capture
@@ -402,7 +404,7 @@ class CharacterizationEngine:
             :class:`CellFailure`; when False, runs complete and report
             failed cells in their results.
         trace: a :class:`TraceWriter`, a journal path, or ``None`` for
-            a tally-only writer (telemetry is mirrored either way).
+            a tally-only writer (the run summary is kept either way).
         max_pool_restarts: how many broken/timed-out pools to replace
             before declaring every still-pending cell crashed.
     """
@@ -432,7 +434,7 @@ class CharacterizationEngine:
                 cache = ResultCache(cache)
             self.store = ArtifactStore(profiles=cache)
         # Back-compat: the profile store under its historical name, the
-        # exact object the caller handed in (their .stats keep working).
+        # exact object the caller handed in.
         self.cache = self.store.profiles if self.store is not None else None
         #: In-process capture reuse for the stage-level APIs (capture_run,
         #: characterize_sweep_run); run_cells stays memo-free so suite
@@ -480,27 +482,27 @@ class CharacterizationEngine:
         keys: list[str | None] = [None] * len(cells)
         to_run: list[int] = []
         replays: list[tuple[int, TelemetryCapture]] = []
-        quarantined_before = self._quarantined_total()
         cache_state = "off" if self.store is None else "miss"
 
-        for i, (cell, workload) in enumerate(zip(cells, workloads)):
-            if self.store is not None:
-                looked_up = self.trace.now()
-                keys[i] = cache_key(cell.benchmark_id, workload, cell.machine)
-                cached = self.cache.get(keys[i])
-                if cached is not None:
-                    outcomes[i] = CellOutcome(
-                        cell, cached, "hit", 0, 0.0, "ok", replay="hit",
-                        start_s=looked_up,
+        with self._counting_quarantines():
+            for i, (cell, workload) in enumerate(zip(cells, workloads)):
+                if self.store is not None:
+                    looked_up = self.trace.now()
+                    keys[i] = cache_key(cell.benchmark_id, workload, cell.machine)
+                    cached = self.cache.get(keys[i])
+                    if cached is not None:
+                        outcomes[i] = CellOutcome(
+                            cell, cached, "hit", 0, 0.0, "ok", replay="hit",
+                            start_s=looked_up,
+                        )
+                        continue
+                    capture = self.store.captures.get(
+                        capture_key(cell.benchmark_id, workload)
                     )
-                    continue
-                capture = self.store.captures.get(
-                    capture_key(cell.benchmark_id, workload)
-                )
-                if capture is not None:
-                    replays.append((i, capture))
-                    continue
-            to_run.append(i)
+                    if capture is not None:
+                        replays.append((i, capture))
+                        continue
+                to_run.append(i)
 
         if to_run:
             mode = "both" if self.store is not None else "replay"
@@ -554,16 +556,23 @@ class CharacterizationEngine:
             )
             self.cache.put(keys[i], profile)
 
-        self.trace.quarantine(self._quarantined_total() - quarantined_before)
         done = [oc for oc in outcomes if oc is not None]
         self._emit_spans(done)
         return done
 
-    def _quarantined_total(self) -> int:
-        """Quarantined entries across both stage stores (0 when off)."""
-        if self.store is None:
-            return 0
-        return self.cache.stats.quarantined + self.store.captures.stats.quarantined
+    @contextmanager
+    def _counting_quarantines(self) -> Iterator[None]:
+        """Tally into the run summary every store entry quarantined here.
+
+        Read from the store events a block-local collector records, not
+        from process-wide totals, so two runs in one process never see
+        each other's quarantines.
+        """
+        lookups = metrics.MetricsRegistry()
+        with metrics.collector(lookups):
+            yield
+        events = lookups.series(metrics.CACHE_EVENTS_TOTAL, event="quarantined")
+        self.trace.quarantine(sum(inst.value for inst in events))
 
     # ----------------------------------------------------- span emission
 
@@ -966,16 +975,17 @@ class CharacterizationEngine:
             capture_key(cell.benchmark_id, w) for cell, w in zip(cells, workloads)
         ]
         to_run: list[int] = []
-        for i, key in enumerate(cap_keys):
-            capture = self._capture_memo.get(key)
-            if capture is None and self.store is not None:
-                capture = self.store.captures.get(key)
+        with self._counting_quarantines():
+            for i, key in enumerate(cap_keys):
+                capture = self._capture_memo.get(key)
+                if capture is None and self.store is not None:
+                    capture = self.store.captures.get(key)
+                    if capture is not None:
+                        self._capture_memo[key] = capture
                 if capture is not None:
-                    self._capture_memo[key] = capture
-            if capture is not None:
-                results[i] = (capture, "hit", None)
-            else:
-                to_run.append(i)
+                    results[i] = (capture, "hit", None)
+                else:
+                    to_run.append(i)
         if to_run:
             scratch: list[CellOutcome | None] = [None] * len(cells)
             self._execute(cells, to_run, scratch, "-", "capture")
@@ -1018,7 +1028,6 @@ class CharacterizationEngine:
         """
         if len(cells) != len(workloads):
             raise WorkloadError("capture_run: cells and workloads must align")
-        quarantined_before = self._quarantined_total()
         batch = self._capture_batch(cells, workloads)
         outcomes: list[CellOutcome] = []
         for cell, (capture, state, run_oc) in zip(cells, batch):
@@ -1035,7 +1044,6 @@ class CharacterizationEngine:
                 )
             else:
                 outcomes.append(replace(run_oc, capture="run"))
-        self.trace.quarantine(self._quarantined_total() - quarantined_before)
         self._emit_spans(outcomes)
         self._raise_first_failure(outcomes)
         return outcomes
@@ -1155,32 +1163,32 @@ class CharacterizationEngine:
         if len(workloads) == 0:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
         wl = list(workloads)
-        quarantined_before = self._quarantined_total()
         cache_state = "off" if self.store is None else "miss"
 
         grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
         keys: list[list[str | None]] = [[None] * len(wl) for _ in machines]
         need: list[tuple[int, int, _Cell]] = []
-        for mi, m in enumerate(machines):
-            for wi, w in enumerate(wl):
-                cell = _Cell(
-                    benchmark_id=benchmark_id,
-                    workload_name=w.name,
-                    base_seed=base_seed,
-                    machine=m,
-                    workload=None if alberta else w,
-                )
-                if self.store is not None:
-                    looked_up = self.trace.now()
-                    keys[mi][wi] = cache_key(benchmark_id, w, m)
-                    cached = self.cache.get(keys[mi][wi])
-                    if cached is not None:
-                        grid[mi][wi] = CellOutcome(
-                            cell, cached, "hit", 0, 0.0, "ok", replay="hit",
-                            start_s=looked_up,
-                        )
-                        continue
-                need.append((mi, wi, cell))
+        with self._counting_quarantines():
+            for mi, m in enumerate(machines):
+                for wi, w in enumerate(wl):
+                    cell = _Cell(
+                        benchmark_id=benchmark_id,
+                        workload_name=w.name,
+                        base_seed=base_seed,
+                        machine=m,
+                        workload=None if alberta else w,
+                    )
+                    if self.store is not None:
+                        looked_up = self.trace.now()
+                        keys[mi][wi] = cache_key(benchmark_id, w, m)
+                        cached = self.cache.get(keys[mi][wi])
+                        if cached is not None:
+                            grid[mi][wi] = CellOutcome(
+                                cell, cached, "hit", 0, 0.0, "ok", replay="hit",
+                                start_s=looked_up,
+                            )
+                            continue
+                    need.append((mi, wi, cell))
 
         need_w = sorted({wi for _, wi, _ in need})
         cap_cells = [
@@ -1314,7 +1322,6 @@ class CharacterizationEngine:
                         keys[mi][wi], profile, replay_mode="per-config"
                     )
 
-        self.trace.quarantine(self._quarantined_total() - quarantined_before)
         flat = [oc for row in grid for oc in row]
         self._emit_spans(flat)
         (chars,) = self._assemble([(benchmark_id, wl, grid)], keep_profiles=keep_profiles)

@@ -1,9 +1,11 @@
 """Unified metrics registry: labeled counters, gauges, and histograms.
 
 The paper's contribution is measurement; this module is the same
-discipline applied to the pipeline itself.  Where
-:mod:`repro.machine.telemetry` keeps flat process-global integers, this
-registry keeps *labeled* metrics with *distributions*:
+discipline applied to the pipeline itself.  It is the only recorder of
+the pipeline's operational counts and timings — the CLI's ``cache:`` and
+``--verbose`` lines, the run summary's quarantine count, Prometheus and
+ledger records are all views of it — and it keeps *labeled* metrics
+with *distributions*:
 
 * :class:`Counter` — monotonically increasing integer (cells run,
   replay events, cache bytes);
@@ -25,7 +27,7 @@ plain JSON types) and aggregate losslessly into the parent's registry.
 Registry topology:
 
 * one **process-global** registry (:func:`global_registry`) — the
-  lifetime aggregate, the moral successor of ``telemetry.counters()``;
+  lifetime aggregate;
 * **per-run child registries** — :meth:`MetricsRegistry.child` creates
   a write-through child: observations recorded in the child also land
   in its parent, so a :class:`~repro.core.run.Session` hands each run a
@@ -467,6 +469,16 @@ class MetricsRegistry:
         if isinstance(inst, Histogram):
             raise ValueError(f"{spec.name} is a histogram; use .histogram(...)")
         return inst.value
+
+    def series(self, spec: MetricSpec, **match: Any) -> list[_Instrument]:
+        """Every recorded instrument of ``spec`` whose labels include
+        ``match`` — e.g. all benchmarks' series of one store event."""
+        where = [(spec.labels.index(name), str(v)) for name, v in match.items()]
+        return [
+            inst
+            for key, inst in self._families.get(spec.name, {}).items()
+            if all(key[i] == v for i, v in where)
+        ]
 
     def __len__(self) -> int:
         return sum(len(f) for f in self._families.values())

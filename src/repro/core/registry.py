@@ -71,6 +71,7 @@ __all__ = [
     "get_benchmark",
     "get_generator",
     "alberta_workloads",
+    "refrate_workload",
     "machine_preset",
     "machine_preset_names",
 ]
@@ -660,6 +661,21 @@ def alberta_workloads(benchmark_id: str, base_seed: int = 0) -> Any:
             ) from None
         raise
     return generator.alberta_set(base_seed)
+
+
+def refrate_workload(benchmark_id: str, name: str | None = None) -> Any:
+    """The benchmark's ``*.refrate`` workload (its first one when it has
+    none), or the Alberta workload called ``name``; an unknown name
+    raises :class:`UnknownScenarioError`."""
+    workloads = alberta_workloads(benchmark_id)
+    if name is None:
+        return next((w for w in workloads if w.name.endswith(".refrate")), workloads[0])
+    if name not in workloads:
+        raise UnknownScenarioError(
+            f"{benchmark_id} workload", name, workloads.names(),
+            message=f"{benchmark_id} has no workload named {name!r}",
+        )
+    return workloads[name]
 
 
 def machine_preset(name: str) -> Any:

@@ -41,7 +41,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
@@ -205,11 +204,6 @@ class Session:
         #: The session-wide metrics aggregate; every call records into a
         #: write-through child of this registry.
         self.metrics = MetricsRegistry()
-        #: Per-session window onto the process-global telemetry counters
-        #: (``session.telemetry.counters("engine.run")`` is this
-        #: session's traffic only; ``telemetry.totals()`` keeps the
-        #: cross-run process view).
-        self.telemetry = telemetry.Scope()
         if ledger is None:
             env_dir = os.environ.get(LEDGER_ENV, "").strip()
             ledger = env_dir or None

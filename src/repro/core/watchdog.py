@@ -1,11 +1,15 @@
 """Perf-regression watchdog: gate fresh replay numbers on a baseline.
 
 ``BENCH_machine.json`` (written by ``benchmarks/bench_machine.py``)
-records per-benchmark replay throughput and stage seconds for one
+records per-benchmark replay throughput and replay seconds for one
 machine.  The watchdog re-measures a subset of those benchmarks with
 the same best-of-N discipline, compares against the stored numbers
 with a configurable relative tolerance, and renders a human-readable
-diff.  ``repro watchdog`` exposes it on the command line; CI runs it
+diff.  A run-ledger directory works as a baseline too: the rolling
+median of its last five runs (:func:`~repro.core.ledger.ledger_baseline`).
+When the baseline file carries a ``sweep_batched`` entry, the
+batched-sweep speedup is re-checked as well, warn-only.  ``repro
+watchdog --baseline PATH`` exposes it on the command line; CI runs it
 warn-only right after the bench smoke writes a fresh baseline.
 
 Exit semantics (mirrored by the CLI):
@@ -45,7 +49,6 @@ __all__ = [
     "SweepCheck",
     "WatchdogReport",
     "load_baseline",
-    "load_sweep_baseline",
     "measure_replay",
     "measure_sweep",
     "run_watchdog",
@@ -129,7 +132,6 @@ class WatchdogReport:
     checks: list[BenchmarkCheck] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     injected_slowdown: float = 1.0
-    sweep_path: Path | None = None
     sweep_checks: list[SweepCheck] = field(default_factory=list)
 
     @property
@@ -207,7 +209,7 @@ class WatchdogReport:
                 f"watchdog: all {len(self.checks)} benchmark(s) within tolerance"
             )
         if self.sweep_checks:
-            lines.append(f"sweep: baseline {self.sweep_path} (warn-only)")
+            lines.append(f"sweep: baseline {self.baseline_path} (warn-only)")
             lines.append(
                 f"  {'benchmark':<16} {'configs':>7} "
                 f"{'speedup (base/now)':>19}  verdict"
@@ -231,13 +233,24 @@ class WatchdogReport:
 
 
 def load_baseline(path: str | Path) -> dict[str, Any]:
-    """Parse a ``BENCH_machine.json`` baseline; raises :class:`WatchdogError`.
+    """Parse a watchdog baseline; raises :class:`WatchdogError`.
 
-    Any way the file can be unusable — missing, unreadable, not JSON,
-    wrong schema, or empty of per-benchmark rows — maps to the same
-    exception so the CLI can report one line and exit ``EXIT_USAGE``.
+    ``path`` is a ``BENCH_machine.json`` file, or a run-ledger directory
+    whose last five non-failed runs give a rolling-median baseline of
+    the same shape.  Any way it can be unusable — missing, unreadable,
+    not JSON, wrong schema, empty of per-benchmark rows, a malformed
+    ``sweep_batched`` entry, a ledger without replay throughput — maps
+    to the same exception so the CLI can report one line and exit
+    ``EXIT_USAGE``.
     """
     path = Path(path)
+    if path.is_dir():
+        from .ledger import LedgerError, RunLedger, ledger_baseline
+
+        try:
+            return ledger_baseline(RunLedger(path))
+        except LedgerError as exc:
+            raise WatchdogError(str(exc)) from exc
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -258,27 +271,12 @@ def load_baseline(path: str | Path) -> dict[str, Any]:
     for bid, row in benches.items():
         if "events_per_sec" not in row:
             raise WatchdogError(f"baseline {path}: {bid} has no events_per_sec")
-    return data
-
-
-def load_sweep_baseline(path: str | Path) -> dict[str, Any]:
-    """Parse the ``sweep_batched`` entry of a ``BENCH_machine.json``.
-
-    Same failure policy as :func:`load_baseline`; additionally requires
-    the top-level ``sweep_batched`` object written by
-    ``benchmarks/bench_machine.py::test_sweep_batched_throughput``.
-    """
-    data = load_baseline(path)
     sweep = data.get("sweep_batched")
-    if not isinstance(sweep, dict):
-        raise WatchdogError(
-            f"baseline {path}: no sweep_batched entry (re-run "
-            f"benchmarks/bench_machine.py to record one)"
-        )
-    for key in ("benchmark", "configs", "speedup"):
-        if key not in sweep:
-            raise WatchdogError(f"baseline {path}: sweep_batched has no {key}")
-    return sweep
+    if sweep is not None:
+        for key in ("benchmark", "configs", "speedup"):
+            if not isinstance(sweep, dict) or key not in sweep:
+                raise WatchdogError(f"baseline {path}: sweep_batched has no {key}")
+    return data
 
 
 def measure_sweep(
@@ -301,22 +299,10 @@ def measure_sweep(
 
     from ..machine.batch import replay_capture_batched
     from ..machine.capture import capture_execution, replay_capture
-    from .registry import alberta_workloads, get_benchmark
+    from .registry import get_benchmark, refrate_workload
     from .sweep import default_sweep_grid
 
-    workloads = alberta_workloads(benchmark_id)
-    if workload_name is None:
-        workload = next(
-            (w for w in workloads if w.name.endswith(".refrate")), workloads[0]
-        )
-    else:
-        match = [w for w in workloads if w.name == workload_name]
-        if not match:
-            raise WatchdogError(
-                f"{benchmark_id}: no workload named {workload_name!r}"
-            )
-        workload = match[0]
-
+    workload = refrate_workload(benchmark_id, workload_name)
     machines = list((grid or default_sweep_grid()).machines)
     capture = capture_execution(get_benchmark(benchmark_id), workload)
     best_single = best_batched = None
@@ -348,21 +334,9 @@ def measure_replay(
     the same numbers the Prometheus exporter publishes.
     """
     from ..machine.capture import capture_execution, replay_capture
-    from .registry import alberta_workloads, get_benchmark
+    from .registry import get_benchmark, refrate_workload
 
-    workloads = alberta_workloads(benchmark_id)
-    if workload_name is None:
-        workload = next(
-            (w for w in workloads if w.name.endswith(".refrate")), workloads[0]
-        )
-    else:
-        match = [w for w in workloads if w.name == workload_name]
-        if not match:
-            raise WatchdogError(
-                f"{benchmark_id}: no workload named {workload_name!r}"
-            )
-        workload = match[0]
-
+    workload = refrate_workload(benchmark_id, workload_name)
     capture = capture_execution(get_benchmark(benchmark_id), workload)
     best_ns: int | None = None
     for _ in range(max(1, rounds)):
@@ -391,47 +365,28 @@ def _injected_slowdown() -> float:
 
 
 def run_watchdog(
-    baseline_path: "str | Path | None" = None,
+    baseline_path: str | Path,
     benchmarks: "list[str] | None" = None,
     *,
     tolerance: float = 0.25,
     rounds: int = 3,
-    sweep_baseline: "str | Path | None" = None,
-    ledger: "str | Path | None" = None,
-    ledger_window: int = 5,
 ) -> WatchdogReport:
     """Measure and compare; raises :class:`WatchdogError` on usage problems.
 
+    ``baseline_path`` is anything :func:`load_baseline` reads.
     ``benchmarks=None`` checks every benchmark in the baseline.  Named
     benchmarks missing from the baseline are listed as skipped rather
     than failing the gate — a new benchmark has no number to regress
-    against.  ``sweep_baseline`` adds a warn-only batched-sweep speedup
-    check against the ``sweep_batched`` entry of a
-    ``BENCH_machine.json`` (typically the same file as ``--baseline``);
-    its drift never flips the exit code, but an unusable sweep baseline
-    still raises, mirroring ``--baseline``.
-
-    ``ledger`` replaces the file baseline with a rolling-median one
-    derived from the last ``ledger_window`` recorded runs in that
-    ledger directory (``repro watchdog --ledger-baseline``) — exactly
-    one of ``baseline_path`` / ``ledger`` must be given.
+    against.  The gate is one-sided: a run faster than its baseline
+    never counts as a regression.  A ``sweep_batched`` entry in the
+    baseline adds a warn-only batched-sweep speedup check whose drift
+    never flips the exit code.
     """
     if not 0.0 <= tolerance < 1.0:
         raise WatchdogError(f"tolerance {tolerance} must be in [0, 1)")
-    if (baseline_path is None) == (ledger is None):
-        raise WatchdogError(
-            "exactly one of a baseline file or a ledger directory is required"
-        )
-    if ledger is not None:
-        from .ledger import LedgerError, RunLedger, ledger_baseline
-
-        try:
-            baseline = ledger_baseline(RunLedger(ledger), window=ledger_window)
-        except LedgerError as exc:
-            raise WatchdogError(str(exc)) from exc
-        baseline_path = Path(ledger)
-    else:
-        baseline = load_baseline(baseline_path)
+    if rounds < 1:
+        raise WatchdogError(f"rounds {rounds} must be >= 1")
+    baseline = load_baseline(baseline_path)
     rows: Mapping[str, Any] = baseline["benchmarks"]
     ids = list(rows) if benchmarks is None else list(benchmarks)
     slowdown = _injected_slowdown()
@@ -440,7 +395,6 @@ def run_watchdog(
         tolerance=tolerance,
         rounds=rounds,
         injected_slowdown=slowdown,
-        sweep_path=Path(sweep_baseline) if sweep_baseline else None,
     )
     for bid in ids:
         row = rows.get(bid)
@@ -464,8 +418,8 @@ def run_watchdog(
         raise WatchdogError(
             f"baseline {baseline_path}: none of {ids} present in baseline"
         )
-    if sweep_baseline is not None:
-        sweep = load_sweep_baseline(sweep_baseline)
+    sweep = baseline.get("sweep_batched")
+    if sweep is not None:
         workload, n_configs, speedup = measure_sweep(
             sweep["benchmark"], sweep.get("workload"), rounds=rounds
         )

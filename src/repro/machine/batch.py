@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core import metrics
-from . import telemetry
 from .cache import CacheGeometry
 from .cost import (
     _MAX_FETCH_BLOCKS,
@@ -457,11 +456,6 @@ def replay_capture_batched(
 
     elapsed_ns = max(1, time.perf_counter_ns() - t0)
     replayed = n_events * len(cfgs)
-    telemetry.record("engine.profile.replay_events", replayed)
-    telemetry.record("engine.profile.replay_ns", elapsed_ns)
-    telemetry.record("engine.profile.evaluations", len(cfgs))
-    telemetry.record("engine.profile.batched_replays", len(cfgs))
-    telemetry.record_max("engine.profile.replay_stride_max", capture.sampling_stride)
     metrics.inc(metrics.REPLAY_EVENTS_TOTAL, replayed, benchmark=capture.benchmark)
     metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
     metrics.observe(

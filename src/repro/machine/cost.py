@@ -30,20 +30,19 @@ instruction-fetch bursts are deduplicated to unique
 (``_replay_code_bursts``).  Rate extrapolation then runs vectorized
 over methods.  Results are bit-identical to the historical scalar loop
 (``tests/test_golden_equivalence.py``); replay volume and wall time
-are recorded under the ``engine.profile.*`` telemetry counters.  See
+are recorded in the metrics registry by the callers that time a whole
+evaluation (:func:`~repro.machine.capture.replay_capture`).  See
 DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.coverage import CoverageProfile
 from ..core.topdown import TopDownVector
-from . import telemetry
 from .branch import BimodalPredictor, GsharePredictor
 from .cache import CacheGeometry, CacheHierarchy, HierarchyStats
 from .kernel import lru_filter
@@ -813,18 +812,9 @@ class CostModel:
 
         methods = probe.methods()
         nm = len(methods)
-        n_events = len(probe.events)
 
         # --- replay the sampled, order-preserving event stream -------------
-        t0 = time.perf_counter_ns()
         rep = _replay_stream(probe, predictor, hierarchy, nm)
-        replay_ns = time.perf_counter_ns() - t0
-        telemetry.record("engine.profile.replay_events", n_events)
-        telemetry.record("engine.profile.replay_ns", replay_ns)
-        telemetry.record("engine.profile.evaluations", 1)
-        telemetry.record_max(
-            "engine.profile.replay_stride_max", probe.sampling_stride
-        )
 
         # --- extrapolate sampled rates to exact counts and account cycles --
         rep_arrays = {

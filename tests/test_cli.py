@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -114,7 +116,7 @@ class TestObservability:
         from repro.core.trace import CellSpan, TraceWriter
 
         path = tmp_path / "t.jsonl"
-        writer = TraceWriter(path, mirror_telemetry=False)
+        writer = TraceWriter(path)
         writer.start()
         writer.span(CellSpan("505.mcf_r", "mcf.test", "off", 2, 0.1,
                              "failed", "boom"))
@@ -177,6 +179,26 @@ class TestCommands:
     def test_fig2(self, capsys):
         assert main(["fig2", "548.exchange2_r"]) == 0
         assert "Figure 2" in capsys.readouterr().out
+
+    def test_verbose_replay_line_covers_pooled_workers(self, capsys):
+        assert main(["report", "505.mcf_r", "--no-cache", "--workers", "2", "--verbose"]) == 0
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^replay: [1-9]\d* events over 7 evaluations, stride<=[1-9]\d*, "
+            r"\d+\.\d\dM events/s$",
+            err,
+            re.MULTILINE,
+        ), err
+
+    def test_table2_cache_line_counts_this_command_only(self, tmp_path, capsys):
+        argv = ["table2", "505.mcf_r", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "cache: 0 hits, 7 misses, 0 B read, " in capsys.readouterr().err
+        assert main(argv) == 0
+        assert re.search(
+            r"cache: 7 hits, 0 misses, [1-9]\d* B read, 0 B written",
+            capsys.readouterr().err,
+        )
 
     @pytest.mark.slow
     def test_export_bundle(self, tmp_path, capsys):

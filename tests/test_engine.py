@@ -9,6 +9,7 @@ registered benchmark (run with ``pytest -m slow``).
 
 import pytest
 
+from repro.core import metrics
 from repro.core.cache import (
     ResultCache,
     cache_key,
@@ -19,7 +20,7 @@ from repro.core.cache import (
 from repro.core.characterize import characterize, characterize_suite
 from repro.core.engine import CharacterizationEngine, default_workers
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
-from repro.machine import telemetry
+from repro.core.metrics import CACHE_EVENTS_TOTAL, CACHE_IO_BYTES_TOTAL
 from repro.machine.profiler import Profiler
 
 # Cheap benchmarks exercised by the fast (tier-1) tests.
@@ -54,13 +55,14 @@ class TestResultCache:
     def test_cached_rerun_identical(self, bid, tmp_path):
         cache = ResultCache(tmp_path)
         serial = characterize(bid, workers=1)
-        cold = characterize(bid, cache=cache)
-        warm = characterize(bid, cache=cache)
+        with metrics.collector(metrics.MetricsRegistry()) as reg:
+            cold = characterize(bid, cache=cache)
+            warm = characterize(bid, cache=cache)
         assert cold.table2_row() == serial.table2_row()
         assert warm.table2_row() == serial.table2_row()
         n = serial.n_workloads
-        assert cache.stats.misses == n
-        assert cache.stats.hits == n
+        assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == n
+        assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="hit") == n
         assert len(cache) == n
 
     def test_profile_round_trip_exact(self):
@@ -86,8 +88,10 @@ class TestResultCache:
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json")
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1
+        with metrics.collector(metrics.MetricsRegistry()) as reg:
+            assert cache.get(key) is None
+        assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == 1
+        assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined") == 1
 
     def test_wipe(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -111,15 +115,14 @@ class TestResultCache:
         )
 
     def test_telemetry_counters_surface_cache_traffic(self, tmp_path):
-        telemetry.reset_counters("engine.cache")
-        characterize("505.mcf_r", cache=ResultCache(tmp_path))
-        stats = telemetry.counters("engine.cache")
-        assert stats["engine.cache.misses"] == 7
-        assert stats["engine.cache.bytes_written"] > 0
-        characterize("505.mcf_r", cache=ResultCache(tmp_path))
-        stats = telemetry.counters("engine.cache")
-        assert stats["engine.cache.hits"] == 7
-        assert stats["engine.cache.bytes_read"] > 0
+        with metrics.collector(metrics.MetricsRegistry()) as cold:
+            characterize("505.mcf_r", cache=ResultCache(tmp_path))
+        assert cold.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == 7
+        assert cold.value(CACHE_IO_BYTES_TOTAL, store="profile", direction="write") > 0
+        with metrics.collector(metrics.MetricsRegistry()) as warm:
+            characterize("505.mcf_r", cache=ResultCache(tmp_path))
+        assert warm.value(CACHE_EVENTS_TOTAL, store="profile", event="hit") == 7
+        assert warm.value(CACHE_IO_BYTES_TOTAL, store="profile", direction="read") > 0
 
 
 class TestPayloadDigest:

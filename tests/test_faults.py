@@ -10,13 +10,15 @@ the ``max_attempt`` field makes retry-recovery deterministic.
 
 import pytest
 
-from repro.core.cache import ResultCache, cache_key
+from repro.core.artifacts import ArtifactStore
+from repro.core.cache import ResultCache, cache_key, capture_key
 from repro.core.engine import FAULT_INJECT_ENV
 from repro.core.errors import CellFailure
-from repro.core.run import Run
+from repro.core.metrics import CACHE_EVENTS_TOTAL
+from repro.core.run import Run, Session
 from repro.core.registry import alberta_workloads
+from repro.core.sweep import MachineGrid, SweepRequest
 from repro.core.trace import trace_spans
-from repro.machine import telemetry
 
 MCF = "505.mcf_r"
 XZ = "557.xz_r"
@@ -131,7 +133,6 @@ class TestWorkerCrash:
 
 class TestCorruptCache:
     def test_corrupt_entry_quarantined_and_reprofiled(self, tmp_path, clean_mcf):
-        telemetry.reset_counters("engine.cache.quarantined")
         cache = ResultCache(tmp_path)
         Run(cache=cache).characterize(MCF)
         key = cache_key(MCF, alberta_workloads(MCF)[0])
@@ -143,11 +144,37 @@ class TestCorruptCache:
         assert result.characterization.table2_row() == clean_mcf.table2_row()
         # Entry moved aside, counted, and re-created by the re-profile.
         assert path.with_name(path.name + ".corrupt").exists()
-        assert cache.stats.quarantined == 1
         assert cache.quarantined_entries() == 1
         assert result.summary.quarantined == 1
-        assert telemetry.counters("engine.cache")["engine.cache.quarantined"] == 1
+        assert (
+            result.metrics.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined")
+            == 1
+        )
         assert path.exists()
+
+    @pytest.mark.parametrize("call", ["run_cells", "sweep"])
+    def test_corrupt_capture_behind_corrupt_profile_counts_twice(self, tmp_path, call):
+        store = ArtifactStore(tmp_path)
+        Run(cache=store).characterize(MCF)
+        workload = alberta_workloads(MCF)[0]
+        store.profiles._path(cache_key(MCF, workload)).write_text("{truncated")
+        store.captures._path(capture_key(MCF, workload)).write_bytes(b"RTC1 torn")
+
+        with Session(cache=store) as session:
+            if call == "run_cells":
+                session.characterize(MCF)
+            else:
+                grid = MachineGrid.from_machines([None])
+                session.characterize_sweep(SweepRequest(MCF, grid))
+        assert session.summary.quarantined == 2
+        assert session.summary.captures == 1  # the cell had to re-execute
+        assert store.profiles.quarantined_entries() == 1
+        assert store.captures.quarantined_entries() == 1
+        for kind in ("profile", "capture"):
+            assert (
+                session.metrics.value(CACHE_EVENTS_TOTAL, store=kind, event="quarantined")
+                == 1
+            )
 
     def test_wipe_removes_quarantined_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -278,6 +278,23 @@ class TestCatalogLint:
             "not string literals:\n" + "\n".join(offenders)
         )
 
+    def test_registry_is_the_only_recorder(self):
+        """No second counter store: the registry records every count."""
+        # Split so a repo-wide grep for these names finds nothing here.
+        pattern = re.compile(
+            r"\btelemetry" r"\.(record|counters|totals|reset_counters|snapshot|since|Scope)"
+            r"|\bCache" r"Stats\b"
+        )
+        offenders = [
+            f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+            for path in sorted(SRC.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert not offenders, (
+            "counts are recorded through repro.core.metrics only:\n" + "\n".join(offenders)
+        )
+
     def test_catalog_names_are_unique_and_prefixed(self):
         names = [spec.name for spec in metrics.CATALOG.values()]
         assert len(names) == len(set(names))

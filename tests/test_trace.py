@@ -1,4 +1,4 @@
-"""Run-trace journal tests: writer, readers, CLI, telemetry mirror."""
+"""Run-trace journal tests: writer, readers, CLI, per-session metrics."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.core.trace import (
     summarize_trace,
     trace_spans,
 )
-from repro.machine import telemetry
 
 SPANS = [
     CellSpan("505.mcf_r", "mcf.refrate", "miss", 1, 0.05, "ok"),
@@ -24,7 +23,7 @@ SPANS = [
 
 
 def write_journal(path, spans=SPANS, finish=True):
-    writer = TraceWriter(path, mirror_telemetry=False)
+    writer = TraceWriter(path)
     writer.start({"workers": 2, "strict": False})
     for span in spans:
         writer.span(span)
@@ -57,7 +56,7 @@ class TestWriter:
 
     def test_finish_is_idempotent(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        writer = TraceWriter(path, mirror_telemetry=False)
+        writer = TraceWriter(path)
         writer.start()
         writer.span(SPANS[0])
         first = writer.finish()
@@ -66,7 +65,7 @@ class TestWriter:
         assert sum(1 for r in read_trace(path) if r["type"] == "summary") == 1
 
     def test_tally_only_writer_has_no_path(self):
-        writer = TraceWriter(None, mirror_telemetry=False)
+        writer = TraceWriter(None)
         writer.start()
         writer.span(SPANS[0])
         summary = writer.finish()
@@ -74,7 +73,7 @@ class TestWriter:
         assert summary.cells == 1
 
     def test_quarantine_tally_reaches_summary(self, tmp_path):
-        writer = TraceWriter(tmp_path / "run.jsonl", mirror_telemetry=False)
+        writer = TraceWriter(tmp_path / "run.jsonl")
         writer.start()
         writer.quarantine(2)
         assert writer.finish().quarantined == 2
@@ -101,66 +100,18 @@ class TestTruncatedJournal:
         assert trace_spans(path) == [SPANS[0]]
 
 
-class TestTelemetryMirror:
-    def test_spans_mirror_into_engine_run_counters(self):
-        telemetry.reset_counters("engine.run")
-        writer = TraceWriter(None)
-        writer.start()
-        for span in SPANS:
-            writer.span(span)
-        writer.finish()
-
-        stats = telemetry.counters("engine.run")
-        assert stats["engine.run.cells"] == 4
-        assert stats["engine.run.ok"] == 2
-        assert stats["engine.run.failed"] == 2
-        assert stats["engine.run.retries"] == 3
-        assert stats["engine.run.timeouts"] == 1
-        assert stats["engine.run.runs"] == 1
-        assert "engine.run.crashes" not in stats
-
-
-class TestTelemetryScope:
-    """Per-run windows stop cross-run counter bleed; totals stay global."""
-
-    def test_scope_sees_only_its_own_window(self):
-        telemetry.record("engine.run.cells", 5)
-        scope = telemetry.Scope("engine.run")
-        telemetry.record("engine.run.cells", 2)
-        assert scope.counters() == {"engine.run.cells": 2}
-        # The process-wide view keeps accumulating across scopes.
-        assert telemetry.totals("engine.run")["engine.run.cells"] >= 7
-
-    def test_two_scopes_do_not_bleed(self):
-        first = telemetry.Scope("engine.run")
-        telemetry.record("engine.run.cells", 3)
-        second = telemetry.Scope("engine.run")
-        telemetry.record("engine.run.cells", 4)
-        assert first.counters()["engine.run.cells"] == 7
-        assert second.counters()["engine.run.cells"] == 4
-
-    def test_reset_restarts_the_window(self):
-        scope = telemetry.Scope("engine.run")
-        telemetry.record("engine.run.cells", 1)
-        scope.reset()
-        assert scope.counters() == {}
-
-    def test_session_scope_is_per_session(self, tmp_path):
+class TestSessionMetrics:
+    def test_session_scope_is_per_session(self):
+        from repro.core.metrics import CELLS_TOTAL
         from repro.core.run import Session
 
         with Session(workers=1, cache=None) as first:
             first.characterize("505.mcf_r")
         with Session(workers=1, cache=None) as second:
             second.characterize("505.mcf_r")
-        # The second session's window starts at its construction, so it
-        # reports exactly its own 7 cells; the first session's window is
-        # older and also spans the second run.  Process totals cover both.
-        assert first.telemetry.counters()["engine.run.cells"] >= 14
-        assert second.telemetry.counters()["engine.run.cells"] == 7
-        assert (
-            telemetry.totals("engine.run")["engine.run.cells"]
-            >= second.telemetry.counters()["engine.run.cells"] + 7
-        )
+        # Each session's registry holds its own 7 cells, never the other's.
+        for session in (first, second):
+            assert sum(i.value for i in session.metrics.series(CELLS_TOTAL)) == 7
 
 
 class TestConcurrentAppend:

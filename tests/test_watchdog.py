@@ -169,19 +169,11 @@ class TestCli:
                 )
             )
         rc = main(
-            ["watchdog", BID, "--ledger-baseline", str(led),
+            ["watchdog", BID, "--baseline", str(led),
              "--tolerance", "0.5", "--rounds", "2"]
         )
         assert rc == EXIT_OK
         assert "within tolerance" in capsys.readouterr().out
-
-    def test_ledger_and_file_baseline_are_exclusive(self, baseline, tmp_path, capsys):
-        rc = main(
-            ["watchdog", "--baseline", str(baseline),
-             "--ledger-baseline", str(tmp_path / "led")]
-        )
-        assert rc == EXIT_USAGE
-        assert "exactly one" in capsys.readouterr().err
 
     def test_bare_watchdog_defaults_to_baseline_file(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -189,11 +181,14 @@ class TestCli:
         assert main(["watchdog"]) == EXIT_USAGE
         assert "BENCH_machine.json" in capsys.readouterr().err
 
-    def test_api_requires_exactly_one_baseline_source(self):
-        with pytest.raises(WatchdogError, match="exactly one"):
-            run_watchdog(None, ledger=None)
-
     def test_empty_ledger_is_usage_error(self, tmp_path, capsys):
-        rc = main(["watchdog", "--ledger-baseline", str(tmp_path / "led")])
+        (tmp_path / "led").mkdir()
+        rc = main(["watchdog", "--baseline", str(tmp_path / "led")])
         assert rc == EXIT_USAGE
-        assert "watchdog:" in capsys.readouterr().err
+        assert "watchdog: ledger" in capsys.readouterr().err
+
+    def test_zero_rounds_exits_2(self, baseline, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["watchdog", "--baseline", str(baseline), "--rounds", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --rounds" in capsys.readouterr().err
