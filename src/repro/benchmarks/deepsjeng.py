@@ -37,11 +37,16 @@ EMPTY, PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING = 0, 1, 2, 3, 4, 5, 6
 _PIECE_CHARS = {"p": PAWN, "n": KNIGHT, "b": BISHOP, "r": ROOK, "q": QUEEN, "k": KING}
 _CHAR_PIECES = {v: k for k, v in _PIECE_CHARS.items()}
 _VALUES = {PAWN: 100, KNIGHT: 320, BISHOP: 330, ROOK: 500, QUEEN: 900, KING: 20000}
+_KIND_VALUES = tuple(_VALUES.get(kind, 0) for kind in range(KING + 1))
 
 _KNIGHT_DELTAS = (-33, -31, -18, -14, 14, 18, 31, 33)
 _KING_DELTAS = (-17, -16, -15, -1, 1, 15, 16, 17)
 _BISHOP_DELTAS = (-17, -15, 15, 17)
 _ROOK_DELTAS = (-16, -1, 1, 16)
+
+#: The 64 on-board squares of the 0x88 board, in scan order.  The
+#: other 64 entries of ``Position.board`` are always ``EMPTY``.
+_SQUARES = tuple(sq for sq in range(128) if not sq & 0x88)
 
 # central piece-square bonus, mirrored for black
 _PST = [0] * 128
@@ -162,38 +167,39 @@ class Position:
     # ------------------------------------------------------------- movegen
 
     def find_king(self, white: bool) -> int:
-        target = KING if white else -KING
-        for sq in range(128):
-            if not sq & 0x88 and self.board[sq] == target:
-                return sq
-        return -1
+        # the first match in square order; off-board squares are EMPTY
+        try:
+            return self.board.index(KING if white else -KING)
+        except ValueError:
+            return -1
 
     def attacked_by(self, sq: int, by_white: bool) -> bool:
         board = self.board
         sign = 1 if by_white else -1
         # pawns
+        pawn = sign * PAWN
         for d in ((-15, -17) if by_white else (15, 17)):
             f = sq + d
-            if not f & 0x88 and board[f] == sign * PAWN:
+            if not f & 0x88 and board[f] == pawn:
                 return True
+        knight = sign * KNIGHT
         for d in _KNIGHT_DELTAS:
             f = sq + d
-            if not f & 0x88 and board[f] == sign * KNIGHT:
+            if not f & 0x88 and board[f] == knight:
                 return True
+        king = sign * KING
         for d in _KING_DELTAS:
             f = sq + d
-            if not f & 0x88 and board[f] == sign * KING:
+            if not f & 0x88 and board[f] == king:
                 return True
-        for deltas, sliders in (
-            (_BISHOP_DELTAS, (BISHOP, QUEEN)),
-            (_ROOK_DELTAS, (ROOK, QUEEN)),
-        ):
+        queen = sign * QUEEN
+        for deltas, slider in ((_BISHOP_DELTAS, sign * BISHOP), (_ROOK_DELTAS, sign * ROOK)):
             for d in deltas:
                 f = sq + d
                 while not f & 0x88:
                     piece = board[f]
                     if piece != EMPTY:
-                        if piece * sign > 0 and abs(piece) in sliders:
+                        if piece == slider or piece == queen:
                             return True
                         break
                     f += d
@@ -205,13 +211,10 @@ class Position:
         white = self.white_to_move
         sign = 1 if white else -1
         moves: list[tuple[int, int, int]] = []
-        for sq in range(128):
-            if sq & 0x88:
+        for sq in _SQUARES:
+            kind = board[sq] * sign
+            if kind <= 0:  # empty or the opponent's
                 continue
-            piece = board[sq]
-            if piece == EMPTY or piece * sign < 0:
-                continue
-            kind = abs(piece)
             if kind == PAWN:
                 fwd = 16 * sign
                 one = sq + fwd
@@ -259,30 +262,31 @@ class Position:
     def make_move(self, move: tuple[int, int, int]) -> "Position":
         """Return a new position with the move applied (copy-make)."""
         frm, to, _captured = move
-        p = self.copy()
-        board = p.board
+        p = Position.__new__(Position)
+        p.board = board = self.board[:]
+        p.castling = self.castling
         piece = board[frm]
         sign = 1 if piece > 0 else -1
-        h = p.hash_
-        h ^= _ZOBRIST[frm][piece + 6]
-        if board[to] != EMPTY:
-            h ^= _ZOBRIST[to][board[to] + 6]
+        is_pawn = piece * sign == PAWN
+        h = self.hash_ ^ _ZOBRIST[frm][piece + 6]
+        target = board[to]
+        if target != EMPTY:
+            h ^= _ZOBRIST[to][target + 6]
         # en passant capture removes a pawn not on `to`
-        if abs(piece) == PAWN and to == self.ep_square and board[to] == EMPTY:
+        if is_pawn and to == self.ep_square and target == EMPTY:
             cap_sq = to - 16 * sign
             h ^= _ZOBRIST[cap_sq][board[cap_sq] + 6]
             board[cap_sq] = EMPTY
         board[frm] = EMPTY
-        # promotion (always to queen, as search substrate)
-        if abs(piece) == PAWN and (to >> 4) in (0, 7):
-            piece = QUEEN * sign
-        board[to] = piece
-        h ^= _ZOBRIST[to][piece + 6]
-        h ^= _ZOBRIST_SIDE
-        p.hash_ = h
         p.ep_square = -1
-        if abs(piece) == PAWN and abs(to - frm) == 32:
-            p.ep_square = (frm + to) // 2
+        if is_pawn:
+            if (to >> 4) in (0, 7):
+                # promotion (always to queen, as search substrate)
+                piece = QUEEN * sign
+            elif abs(to - frm) == 32:
+                p.ep_square = (frm + to) // 2
+        board[to] = piece
+        p.hash_ = h ^ _ZOBRIST[to][piece + 6] ^ _ZOBRIST_SIDE
         p.white_to_move = not self.white_to_move
         return p
 
@@ -304,15 +308,13 @@ def evaluate(pos: Position) -> int:
     """Static evaluation (material + centralization), from White's view."""
     score = 0
     board = pos.board
-    for sq in range(128):
-        if sq & 0x88:
-            continue
+    for sq in _SQUARES:
         piece = board[sq]
-        if piece == EMPTY:
-            continue
-        kind = abs(piece)
-        value = _VALUES[kind] + _PST[sq]
-        score += value if piece > 0 else -value
+        if piece:
+            if piece > 0:
+                score += _KIND_VALUES[piece] + _PST[sq]
+            else:
+                score -= _KIND_VALUES[-piece] + _PST[sq]
     return score
 
 
@@ -380,9 +382,7 @@ class _Searcher:
         with probe.method("static_eval", code_bytes=6144):
             stand_pat = evaluate(pos)
             probe.ops(64)
-            probe.branches(
-                (pos.board[sq] != EMPTY for sq in range(0, 128, 8)), site=3
-            )
+            probe.branches([piece != EMPTY for piece in pos.board[::8]], site=3)
         score = stand_pat if pos.white_to_move else -stand_pat
         if score >= beta or qdepth <= 0:
             return score

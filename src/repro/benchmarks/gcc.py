@@ -712,6 +712,10 @@ def peephole(code_by_func: dict[str, list[tuple]], stats: dict[str, int] | None 
     return out
 
 
+#: ``run_vm`` records the code addresses of this many first steps.
+_TRACED_STEPS = 16_384
+
+
 def run_vm(
     code_by_func: dict[str, list[tuple]],
     funcs: dict[str, tuple],
@@ -722,39 +726,42 @@ def run_vm(
 ) -> int:
     """Execute compiled code starting at ``entry``."""
 
-    steps = 0
     branch_buf: list[bool] = []
     mem_reads: list[int] = []
 
-    def _call(name: str, argv: list[int]) -> int:
-        nonlocal steps
+    def _call(name: str, argv: list[int], steps: int) -> tuple[int, int]:
+        """Run one call; returns (result, steps taken so far)."""
         code = code_by_func[name]
+        n_code = len(code)
         params = funcs[name][2]
         env: dict[str, int] = dict(zip(params, argv))
         stack: list[int] = []
+        push = stack.append
+        pop = stack.pop
         pc = 0
         base = _CODE_REGION + (sum(map(ord, name)) % 512) * 4096
-        while pc < len(code):
+        while pc < n_code:
             steps += 1
             if steps > max_steps:
                 raise BenchmarkError("vm: step limit exceeded (infinite loop?)")
             op, arg = code[pc]
-            mem_reads.append(base + (pc % 1024) * 8)
+            if steps <= _TRACED_STEPS:
+                mem_reads.append(base + (pc % 1024) * 8)
             if op == "PUSH":
-                stack.append(arg)
+                push(arg)
             elif op == "LOAD":
-                stack.append(env.get(arg, 0))
+                push(env.get(arg, 0))
             elif op == "STORE":
-                env[arg] = stack.pop()
+                env[arg] = pop()
             elif op == "BIN":
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(_FOLD_OPS[arg](a, b))
+                b = pop()
+                a = pop()
+                push(_FOLD_OPS[arg](a, b))
             elif op == "UN":
-                a = stack.pop()
-                stack.append(-a if arg == "-" else int(not a))
+                a = pop()
+                push(-a if arg == "-" else int(not a))
             elif op == "JZ":
-                taken = stack.pop() == 0
+                taken = pop() == 0
                 branch_buf.append(taken)
                 if taken:
                     pc = arg
@@ -766,23 +773,23 @@ def run_vm(
                 fname, nargs = arg
                 argv2 = stack[-nargs:] if nargs else []
                 del stack[len(stack) - nargs :]
-                stack.append(_call(fname, argv2))
+                result, steps = _call(fname, argv2, steps)
+                push(result)
             elif op == "RET":
-                result = stack.pop() if stack else 0
-                return result
+                return (pop() if stack else 0), steps
             elif op == "POP":
-                stack.pop()
+                pop()
             pc += 1
-        return 0
+        return 0, steps
 
-    result = _call(entry, args)
+    result, steps = _call(entry, args, 0)
     if probe is not None:
         # execution is only SPEC-style output validation: the real
         # benchmark never runs the compiled program, so keep its share
         # of the profile small
         probe.ops(steps)
         probe.branches(branch_buf[::4], site=4)
-        probe.accesses(mem_reads[:16384:4])
+        probe.accesses(mem_reads[::4])
     return result
 
 

@@ -32,6 +32,13 @@ _HASH_REGION = 0x0200_0000
 _CHAIN_REGION = 0x0300_0000
 _PROB_REGION = 0x0400_0000
 
+#: ``_BITS[byte]``: the byte's eight bits as bools, most significant first.
+_BITS = tuple(tuple(bool(byte >> i & 1) for i in range(7, -1, -1)) for byte in range(256))
+
+#: ``_EXTENSION_PROBES[min(length, 16)]``: the branch outcomes one
+#: match-extension loop of ``length`` steps records (see ``_find_match``).
+_EXTENSION_PROBES = tuple((True,) * k + (False, k >= _MIN_MATCH) for k in range(17))
+
 
 @dataclass(frozen=True)
 class XzInput:
@@ -91,19 +98,32 @@ class _RangeEncoder:
         self.cache_size += 1
         self.low = (self.low << 8) & 0xFFFFFFFF
 
-    def encode_bit(self, probs: list[int], idx: int, bit: int) -> None:
-        prob = probs[idx]
-        bound = (self.range_ >> 11) * prob
-        if bit == 0:
-            self.range_ = bound
-            probs[idx] = prob + ((2048 - prob) >> 5)
-        else:
-            self.low += bound
-            self.range_ -= bound
-            probs[idx] = prob - (prob >> 5)
-        while self.range_ < self.TOP:
-            self.range_ <<= 8
-            self._shift_low()
+    def encode_bits(self, probs: list[int], base: int, value: int, nbits: int) -> None:
+        """Code the low ``nbits`` of ``value``, most significant first.
+
+        Bit ``j`` (0 = the most significant) is coded under
+        ``probs[base + j]``, which then adapts toward the coded bit.
+        """
+        low = self.low
+        range_ = self.range_
+        for idx in range(base, base + nbits):
+            nbits -= 1
+            prob = probs[idx]
+            bound = (range_ >> 11) * prob
+            if value >> nbits & 1:
+                low += bound
+                range_ -= bound
+                probs[idx] = prob - (prob >> 5)
+            else:
+                range_ = bound
+                probs[idx] = prob + ((2048 - prob) >> 5)
+            while range_ < 0x100_0000:  # TOP
+                range_ <<= 8
+                self.low = low
+                self._shift_low()
+                low = self.low
+        self.low = low
+        self.range_ = range_
 
     def finish(self) -> bytes:
         for _ in range(5):
@@ -125,24 +145,34 @@ class _RangeDecoder:
             self.code = (self.code << 8) | (data[i] if i < len(data) else 0)
         self.code &= 0xFFFFFFFF
 
-    def decode_bit(self, probs: list[int], idx: int) -> int:
-        prob = probs[idx]
-        bound = (self.range_ >> 11) * prob
-        if self.code < bound:
-            bit = 0
-            self.range_ = bound
-            probs[idx] = prob + ((2048 - prob) >> 5)
-        else:
-            bit = 1
-            self.code -= bound
-            self.range_ -= bound
-            probs[idx] = prob - (prob >> 5)
-        while self.range_ < self.TOP:
-            nxt = self.data[self.pos] if self.pos < len(self.data) else 0
-            self.pos += 1
-            self.code = ((self.code << 8) | nxt) & 0xFFFFFFFF
-            self.range_ <<= 8
-        return bit
+    def decode_bits(self, probs: list[int], base: int, nbits: int) -> int:
+        """Inverse of :meth:`_RangeEncoder.encode_bits`: the decoded value."""
+        data = self.data
+        n = len(data)
+        pos = self.pos
+        code = self.code
+        range_ = self.range_
+        value = 0
+        for idx in range(base, base + nbits):
+            prob = probs[idx]
+            bound = (range_ >> 11) * prob
+            if code < bound:
+                value <<= 1
+                range_ = bound
+                probs[idx] = prob + ((2048 - prob) >> 5)
+            else:
+                value = value << 1 | 1
+                code -= bound
+                range_ -= bound
+                probs[idx] = prob - (prob >> 5)
+            while range_ < 0x100_0000:  # TOP
+                code = (code << 8 | (data[pos] if pos < n else 0)) & 0xFFFFFFFF
+                pos += 1
+                range_ <<= 8
+        self.pos = pos
+        self.code = code
+        self.range_ = range_
+        return value
 
     def byte_position(self) -> int:
         return self.pos
@@ -150,18 +180,6 @@ class _RangeDecoder:
 
 def _new_probs(n: int) -> list[int]:
     return [1024] * n
-
-
-def _encode_number(enc: _RangeEncoder, probs: list[int], value: int, bits: int) -> None:
-    for i in range(bits - 1, -1, -1):
-        enc.encode_bit(probs, bits - 1 - i, (value >> i) & 1)
-
-
-def _decode_number(dec: _RangeDecoder, probs: list[int], bits: int) -> int:
-    value = 0
-    for i in range(bits):
-        value = (value << 1) | dec.decode_bit(probs, i)
-    return value
 
 
 def compress(
@@ -191,9 +209,6 @@ def compress(
     max_match = params.max_match
     min_pos_limit = params.dict_size
 
-    def _hash3(pos: int) -> int:
-        return ((data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]) & hash_mask
-
     pos = 0
     match_probes: list[bool] = []
     bit_branches: list[bool] = []
@@ -208,24 +223,28 @@ def compress(
             return 0, 0
         best_len = 0
         best_dist = 0
-        h = _hash3(at)
+        h = ((data[at] << 10) ^ (data[at + 1] << 5) ^ data[at + 2]) & hash_mask
         window_reads.append(_HASH_REGION + h * 4)
         cand = head[h]
         tries = params.max_chain
         lo_limit = at - min_pos_limit
+        limit = min(max_match, n - at)
+        target = data[at : at + limit]
+        target_int = int.from_bytes(target, "big")
         while cand >= 0 and cand >= lo_limit and tries > 0:
             tries -= 1
-            length = 0
-            limit = min(max_match, n - at)
-            cpos = cand
-            # data-dependent inner match-extension loop
-            while length < limit and data[cpos + length] == data[at + length]:
-                length += 1
+            # the match extension: the common prefix of the two windows
+            # (cand < at, so both hold `limit` bytes), from the highest
+            # differing bit of their big-endian XOR
+            window = data[cand : cand + limit]
+            if window == target:
+                length = limit
+            else:
+                diff = int.from_bytes(window, "big") ^ target_int
+                length = limit - (diff.bit_length() + 7) // 8
             # the extension loop is a data-dependent branch: `length`
             # taken iterations followed by one not-taken exit
-            match_probes.extend([True] * min(length, 16))
-            match_probes.append(False)
-            match_probes.append(length >= _MIN_MATCH)
+            match_probes.extend(_EXTENSION_PROBES[length if length < 16 else 16])
             window_reads.append(_WINDOW_REGION + (cand & dict_mask) * 8)
             if length > best_len:
                 best_len = length
@@ -255,35 +274,33 @@ def compress(
                 best_len = 0  # force the literal path for this byte
 
         if best_len >= _MIN_MATCH:
-            enc.encode_bit(flag_probs, 0, 1)
-            _encode_number(enc, len_probs, best_len, 8)
-            _encode_number(enc, dist_probs, best_dist, 16)
+            enc.encode_bits(flag_probs, 0, 1, 1)
+            enc.encode_bits(len_probs, 0, best_len, 8)
+            enc.encode_bits(dist_probs, 0, best_dist, 16)
             n_matches += 1
             total_match_len += best_len
             end = min(pos + best_len, n - 2)
             p = pos
             while p < end:
-                h = _hash3(p)
+                h = ((data[p] << 10) ^ (data[p + 1] << 5) ^ data[p + 2]) & hash_mask
                 chain[p & dict_mask] = head[h]
                 head[h] = p
                 p += 1
             pos += best_len
         else:
-            enc.encode_bit(flag_probs, 0, 0)
+            enc.encode_bits(flag_probs, 0, 0, 1)
             byte = data[pos]
             # literal context: top 3 bits of the previous byte (known to
             # the decoder as well, keeping the adaptive models in sync)
             ctx = (data[pos - 1] >> 5) if pos > 0 else 0
-            for i in range(7, -1, -1):
-                bit = (byte >> i) & 1
-                enc.encode_bit(lit_probs, ctx * 8 + (7 - i), bit)
-                # the range coder branches on the bit value itself — a
-                # data-dependent branch that is unpredictable exactly when
-                # the content is incompressible
-                bit_branches.append(bool(bit))
+            enc.encode_bits(lit_probs, ctx * 8, byte, 8)
+            # the range coder branches on each bit value itself — a
+            # data-dependent branch that is unpredictable exactly when
+            # the content is incompressible
+            bit_branches.extend(_BITS[byte])
             n_literals += 1
             if pos + _MIN_MATCH <= n:
-                h = _hash3(pos)
+                h = ((data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]) & hash_mask
                 chain[pos & dict_mask] = head[h]
                 head[h] = pos
             pos += 1
@@ -331,25 +348,26 @@ def decompress(blob: bytes, expected_size: int, probe: Probe | None = None) -> b
     bit_branches: list[bool] = []
     reads: list[int] = []
     while len(out) < expected_size:
-        if dec.decode_bit(flag_probs, 0):
-            length = _decode_number(dec, len_probs, 8)
-            dist = _decode_number(dec, dist_probs, 16)
+        if dec.decode_bits(flag_probs, 0, 1):
+            length = dec.decode_bits(len_probs, 0, 8)
+            dist = dec.decode_bits(dist_probs, 0, 16)
             if dist <= 0 or dist > len(out) or length < _MIN_MATCH:
                 raise BenchmarkError("xz: corrupt stream (bad match)")
             start = len(out) - dist
-            for i in range(length):
-                out.append(out[start + i])
-                reads.append(_WINDOW_REGION + ((start + i) & 0xFFFF))
+            # a byte-by-byte copy: when the match overlaps its own
+            # output (dist < length) it repeats the last `dist` bytes
+            chunk = out[start : start + length]
+            if dist < length:
+                chunk = (chunk * (length // dist + 1))[:length]
+            out += chunk
+            reads.extend([_WINDOW_REGION + (a & 0xFFFF) for a in range(start, start + length)])
             copy_branches.append(True)
         else:
             # literal context mirrors the encoder: top 3 bits of the
             # previous (already decoded) byte
             ctx = (out[-1] >> 5) if out else 0
-            byte = 0
-            for i in range(8):
-                bit = dec.decode_bit(lit_probs, ctx * 8 + i)
-                byte = (byte << 1) | bit
-                bit_branches.append(bool(bit))
+            byte = dec.decode_bits(lit_probs, ctx * 8, 8)
+            bit_branches.extend(_BITS[byte])
             out.append(byte)
             copy_branches.append(False)
         if probe is not None and len(reads) >= 8192:
