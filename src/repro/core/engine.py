@@ -137,9 +137,11 @@ def _require_capability(benchmark_id: str, capability: str, *, stage: str) -> No
 class _Cell:
     """One (benchmark, workload) unit of the profiling matrix.
 
-    ``workload`` is ``None`` for default Alberta workloads — the worker
-    regenerates them from ``(benchmark_id, base_seed)`` rather than
-    unpickling the payload.  Custom workloads ride along explicitly.
+    ``workload`` is ``None`` for default Alberta workloads — a pool
+    worker regenerates them from ``(benchmark_id, base_seed)`` rather
+    than unpickling the payload, while inline execution hands over the
+    parent's own workload object.  Custom workloads ride along
+    explicitly.
     """
 
     benchmark_id: str
@@ -506,7 +508,7 @@ class CharacterizationEngine:
 
         if to_run:
             mode = "both" if self.store is not None else "replay"
-            self._execute(cells, to_run, outcomes, cache_state, mode)
+            self._execute(cells, to_run, outcomes, cache_state, mode, workloads)
             for i in to_run:
                 oc = outcomes[i]
                 if oc is None:
@@ -670,18 +672,23 @@ class CharacterizationEngine:
         pending: list[int],
         outcomes: list[CellOutcome | None],
         cache_state: str,
-        mode: str = "replay",
+        mode: str,
+        workloads: list[Workload],
     ) -> None:
         """Run the cache-missed cells, inline or pooled.
 
         ``mode`` is forwarded to :func:`_run_cell`; successful outcomes
         carry the raw worker ``(profile, capture)`` tuple in their
         ``profile`` slot — callers unpack and re-tag with the stage
-        states they observed.
+        states they observed.  ``workloads`` aligns with ``cells``:
+        inline cells run on those objects (the parent generated them
+        for the cache keys already), pooled cells regenerate theirs.
+        Benchmarks never mutate their payload, so the capture key the
+        caller computes after the run still matches.
         """
         inline = self.timeout is None and (self.workers == 1 or len(pending) == 1)
         if inline:
-            self._execute_inline(cells, pending, outcomes, cache_state, mode)
+            self._execute_inline(cells, pending, outcomes, cache_state, mode, workloads)
         else:
             self._execute_pool(cells, pending, outcomes, cache_state, mode)
 
@@ -692,6 +699,7 @@ class CharacterizationEngine:
         outcomes: list[CellOutcome | None],
         cache_state: str,
         mode: str,
+        workloads: list[Workload],
     ) -> None:
         for i in pending:
             cell = cells[i]
@@ -700,7 +708,7 @@ class CharacterizationEngine:
             while True:
                 attempts += 1
                 try:
-                    result = _run_cell(cell, attempts, mode)
+                    result = _run_cell(replace(cell, workload=workloads[i]), attempts, mode)
                 except Exception as exc:
                     if attempts <= self.retries:
                         self._backoff_sleep(attempts)
@@ -988,7 +996,7 @@ class CharacterizationEngine:
                     to_run.append(i)
         if to_run:
             scratch: list[CellOutcome | None] = [None] * len(cells)
-            self._execute(cells, to_run, scratch, "-", "capture")
+            self._execute(cells, to_run, scratch, "-", "capture", workloads)
             for i in to_run:
                 oc = scratch[i]
                 if oc is None:  # pragma: no cover - _execute always fills

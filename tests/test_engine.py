@@ -50,6 +50,24 @@ class TestParallelEquivalence:
         assert [c.table2_row() for c in parallel] == [c.table2_row() for c in serial]
 
 
+class TestInlineWorkloads:
+    def test_inline_cells_run_the_parents_workloads(self, monkeypatch):
+        """At workers=1 each Alberta set is generated once: the parent
+        keys its cells with it and inline execution reuses the objects."""
+        from repro.core import engine
+
+        calls = []
+        generate = engine.alberta_workloads
+
+        def counting(benchmark_id, base_seed=0):
+            calls.append(benchmark_id)
+            return generate(benchmark_id, base_seed)
+
+        monkeypatch.setattr(engine, "alberta_workloads", counting)
+        characterize("505.mcf_r", workers=1)
+        assert calls == ["505.mcf_r"]
+
+
 class TestResultCache:
     @pytest.mark.parametrize("bid", FAST_IDS)
     def test_cached_rerun_identical(self, bid, tmp_path):

@@ -9,7 +9,8 @@ and a different seed must actually change the payload content.
 import pytest
 
 from repro.core.cache import payload_digest
-from repro.core.registry import benchmark_ids, get_generator
+from repro.core.registry import benchmark_ids, get_benchmark, get_generator
+from repro.machine.telemetry import Probe
 
 ALL_IDS = sorted(benchmark_ids())
 
@@ -53,3 +54,15 @@ def test_workload_metadata_is_reproducible(bid):
     a = get_generator(bid).alberta_set(0)
     b = get_generator(bid).alberta_set(0)
     assert a.manifest() == b.manifest()
+
+
+@pytest.mark.parametrize("bid", ALL_IDS)
+def test_run_leaves_every_payload_unchanged(bid):
+    """Inline engine cells execute the very workload objects the parent
+    computed the cache and capture keys from, so a run must not mutate
+    its payload."""
+    bench = get_benchmark(bid)
+    for w in get_generator(bid).alberta_set(0):
+        before = payload_digest(w.payload)
+        bench.run(w, Probe(event_cap=1024))
+        assert payload_digest(w.payload) == before, w.name
