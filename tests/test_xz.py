@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.benchmarks.xz import XzBenchmark, XzInput, compress, decompress
+from repro.benchmarks.xz import (
+    XzBenchmark,
+    XzInput,
+    _RangeDecoder,
+    _RangeEncoder,
+    compress,
+    decompress,
+)
 from repro.machine import run_benchmark
 from repro.workloads.xz_gen import CONTENT_STYLES, XzWorkloadGenerator
 
@@ -166,3 +173,109 @@ class TestLazyMatching:
             counts[lazy] = (mc.extra["matches"], mc.extra["literals"])
         assert counts[True][0] == counts[False][0] - 1  # one match deferred
         assert counts[True][1] == counts[False][1] + 1  # into one literal
+
+
+# The per-bit range coder the benchmark used before it coded whole
+# numbers and literals per call: the reference the fast coder must match.
+
+
+def reference_encode_bit(enc: _RangeEncoder, probs: list[int], idx: int, bit: int) -> None:
+    prob = probs[idx]
+    bound = (enc.range_ >> 11) * prob
+    if bit == 0:
+        enc.range_ = bound
+        probs[idx] = prob + ((2048 - prob) >> 5)
+    else:
+        enc.low += bound
+        enc.range_ -= bound
+        probs[idx] = prob - (prob >> 5)
+    while enc.range_ < enc.TOP:
+        enc.range_ <<= 8
+        enc._shift_low()
+
+
+def reference_decode_bit(dec: _RangeDecoder, probs: list[int], idx: int) -> int:
+    prob = probs[idx]
+    bound = (dec.range_ >> 11) * prob
+    if dec.code < bound:
+        bit = 0
+        dec.range_ = bound
+        probs[idx] = prob + ((2048 - prob) >> 5)
+    else:
+        bit = 1
+        dec.code -= bound
+        dec.range_ -= bound
+        probs[idx] = prob - (prob >> 5)
+    while dec.range_ < dec.TOP:
+        nxt = dec.data[dec.pos] if dec.pos < len(dec.data) else 0
+        dec.pos += 1
+        dec.code = ((dec.code << 8) | nxt) & 0xFFFFFFFF
+        dec.range_ <<= 8
+    return bit
+
+
+def _coder_calls(data: bytes, match_every: int) -> list[tuple[str, int, int, int]]:
+    """``(model, base, value, nbits)`` calls shaped like compress()'s:
+    a flag bit, then a literal under its context or a (length, distance)
+    pair."""
+    calls = []
+    for pos, byte in enumerate(data):
+        if match_every and pos % match_every == match_every - 1:
+            calls.append(("flag", 0, 1, 1))
+            calls.append(("len", 0, byte % 62 + 3, 8))
+            calls.append(("dist", 0, (byte << 7 | pos) & 0xFFFF or 1, 16))
+        else:
+            calls.append(("flag", 0, 0, 1))
+            calls.append(("lit", ((data[pos - 1] >> 5) if pos else 0) * 8, byte, 8))
+    return calls
+
+
+def _models() -> dict[str, list[int]]:
+    return {"flag": [1024] * 2, "lit": [1024] * 2048, "len": [1024] * 16, "dist": [1024] * 32}
+
+
+def assert_coder_matches_reference(data: bytes, match_every: int) -> None:
+    calls = _coder_calls(data, match_every)
+    fast, ref = _RangeEncoder(), _RangeEncoder()
+    fast_models, ref_models = _models(), _models()
+    for model, base, value, nbits in calls:
+        fast.encode_bits(fast_models[model], base, value, nbits)
+        for j in range(nbits):
+            bit = value >> (nbits - 1 - j) & 1
+            reference_encode_bit(ref, ref_models[model], base + j, bit)
+        assert (fast.low, fast.range_) == (ref.low, ref.range_)
+    assert fast_models == ref_models
+    blob = fast.finish()
+    assert blob == ref.finish()
+
+    fast_dec, ref_dec = _RangeDecoder(blob), _RangeDecoder(blob)
+    fast_models, ref_models = _models(), _models()
+    for model, base, value, nbits in calls:
+        got = fast_dec.decode_bits(fast_models[model], base, nbits)
+        want = 0
+        for j in range(nbits):
+            want = want << 1 | reference_decode_bit(ref_dec, ref_models[model], base + j)
+        assert got == want == value
+        assert (fast_dec.pos, fast_dec.code, fast_dec.range_) == (
+            ref_dec.pos, ref_dec.code, ref_dec.range_,
+        )
+    assert fast_models == ref_models
+
+
+class TestCoderMatchesPerBitReference:
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(CONTENT_STYLES),
+        st.sampled_from((0, 3, 11)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_generated_content(self, seed, style, match_every):
+        content = XzWorkloadGenerator().generate(
+            seed, style=style, size=1024, precompress=False
+        ).payload.content
+        assert_coder_matches_reference(content, match_every)
+
+    @given(st.binary(min_size=1, max_size=1500), st.sampled_from((0, 2, 7)))
+    @settings(max_examples=40, deadline=None)
+    def test_random_bytes(self, data, match_every):
+        assert_coder_matches_reference(data, match_every)
