@@ -48,21 +48,28 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _positive(kind: type) -> "Callable[[str], Any]":
-    """An argparse ``type=`` parsing ``kind`` and rejecting values <= 0.
+def _positive(kind: type, *, zero_ok: bool = False) -> "Callable[[str], Any]":
+    """An argparse ``type=`` parsing ``kind`` and rejecting values <= 0
+    (values < 0 with ``zero_ok``).
 
     Misuse such as ``--workers 0`` then exits 2 with argparse's one-line
-    error instead of surfacing the engine's ``ValueError`` traceback.
+    error instead of surfacing the engine's ``ValueError`` traceback or
+    being silently clamped.
     """
+    wanted = "non-negative" if zero_ok else "positive"
 
     def parse(text: str) -> Any:
         value = kind(text)  # ValueError: argparse reports "invalid int value"
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
     return parse
+
+
+def _non_negative(kind: type) -> "Callable[[str], Any]":
+    return _positive(kind, zero_ok=True)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative(int),
         default=1,
         metavar="N",
         help="extra attempts per failed cell (default: 1)",
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="for `list`: filter by run outcome",
     )
     p.add_argument(
-        "--limit", type=int, default=20, metavar="N",
+        "--limit", type=_positive(int), default=20, metavar="N",
         help="for `list`: show the newest N runs (default: 20)",
     )
     p.add_argument(
@@ -421,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", default=None, help="workload name (default: the refrate one)"
     )
     p.add_argument(
-        "--hz", type=float, default=1000.0, metavar="N",
+        "--hz", type=_positive(float), default=1000.0, metavar="N",
         help="sampling rate (default: 1000)",
     )
     p.add_argument(
-        "--seconds", type=float, default=1.0, metavar="S",
+        "--seconds", type=_positive(float), default=1.0, metavar="S",
         help="keep replaying until this much wall time is profiled "
         "(default: 1.0)",
     )
@@ -443,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("path", type=Path, help="journal written by suite/sweep --trace")
     p.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
+        "--interval", type=_positive(float), default=1.0, metavar="S",
         help="refresh period in seconds (default: 1.0)",
     )
     p.add_argument(
-        "--tail", type=int, default=12, metavar="N",
+        "--tail", type=_positive(int), default=12, metavar="N",
         help="how many recent cells to show (default: 12)",
     )
     p.add_argument(

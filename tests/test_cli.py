@@ -28,6 +28,14 @@ class TestParser:
             ["suite", "--timeout", "0"],
             ["sweep", "505.mcf_r", "--workers", "0"],
             ["table2", "--workers", "x"],
+            ["suite", "--retries", "-2"],
+            ["flame", "505.mcf_r", "--hz", "0"],
+            ["flame", "505.mcf_r", "--hz", "-5"],
+            ["flame", "505.mcf_r", "--seconds", "-1"],
+            ["runs", "list", "--limit", "0"],
+            ["runs", "list", "--limit", "-1"],
+            ["top", "trace.jsonl", "--interval", "-1"],
+            ["top", "trace.jsonl", "--tail", "0"],
         ],
     )
     def test_bad_engine_values_exit_2_with_one_error_line(self, argv, capsys):
@@ -42,6 +50,8 @@ class TestParser:
     def test_good_engine_values_parse(self):
         args = build_parser().parse_args(["suite", "--workers", "2", "--timeout", "1.5"])
         assert (args.workers, args.timeout) == (2, 1.5)
+        assert build_parser().parse_args(["suite", "--retries", "0"]).retries == 0
+        assert build_parser().parse_args(["runs", "list", "--limit", "1"]).limit == 1
 
 
 class TestObservability:
