@@ -79,10 +79,22 @@ class ChessInput:
                 raise ValueError(f"ChessInput: malformed FEN {fen!r}")
 
 
-class Position:
-    """A chess position on a 0x88 board."""
+def _material(piece: int, sq: int) -> int:
+    """``piece``'s material + centralization term on ``sq``, from White's view."""
+    if piece == EMPTY:
+        return 0
+    value = _KIND_VALUES[abs(piece)] + _PST[sq]
+    return value if piece > 0 else -value
 
-    __slots__ = ("board", "white_to_move", "castling", "ep_square", "hash_")
+
+class Position:
+    """A chess position on a 0x88 board.
+
+    ``hash_`` (Zobrist) and ``score`` (see :func:`evaluate`) are kept in
+    step with ``board`` by :meth:`from_fen` and :meth:`make_move`.
+    """
+
+    __slots__ = ("board", "white_to_move", "castling", "ep_square", "hash_", "score")
 
     def __init__(self) -> None:
         self.board = [EMPTY] * 128
@@ -90,6 +102,7 @@ class Position:
         self.castling = ""
         self.ep_square = -1
         self.hash_ = 0
+        self.score = 0
 
     @classmethod
     def from_fen(cls, fen: str) -> "Position":
@@ -147,6 +160,7 @@ class Position:
         return f"{'/'.join(rows)} {side} {castle} {ep} 0 1"
 
     def _rehash(self) -> None:
+        """Recompute ``hash_`` and ``score`` from the board."""
         h = 0
         for sq in range(128):
             if not sq & 0x88 and self.board[sq] != EMPTY:
@@ -154,6 +168,7 @@ class Position:
         if not self.white_to_move:
             h ^= _ZOBRIST_SIDE
         self.hash_ = h
+        self.score = sum(_material(self.board[sq], sq) for sq in _SQUARES)
 
     def copy(self) -> "Position":
         p = Position.__new__(Position)
@@ -162,6 +177,7 @@ class Position:
         p.castling = self.castling
         p.ep_square = self.ep_square
         p.hash_ = self.hash_
+        p.score = self.score
         return p
 
     # ------------------------------------------------------------- movegen
@@ -269,13 +285,16 @@ class Position:
         sign = 1 if piece > 0 else -1
         is_pawn = piece * sign == PAWN
         h = self.hash_ ^ _ZOBRIST[frm][piece + 6]
+        score = self.score - _material(piece, frm)
         target = board[to]
         if target != EMPTY:
             h ^= _ZOBRIST[to][target + 6]
+            score -= _material(target, to)
         # en passant capture removes a pawn not on `to`
         if is_pawn and to == self.ep_square and target == EMPTY:
             cap_sq = to - 16 * sign
             h ^= _ZOBRIST[cap_sq][board[cap_sq] + 6]
+            score -= _material(board[cap_sq], cap_sq)
             board[cap_sq] = EMPTY
         board[frm] = EMPTY
         p.ep_square = -1
@@ -287,6 +306,7 @@ class Position:
                 p.ep_square = (frm + to) // 2
         board[to] = piece
         p.hash_ = h ^ _ZOBRIST[to][piece + 6] ^ _ZOBRIST_SIDE
+        p.score = score + _material(piece, to)
         p.white_to_move = not self.white_to_move
         return p
 
@@ -305,17 +325,12 @@ class Position:
 
 
 def evaluate(pos: Position) -> int:
-    """Static evaluation (material + centralization), from White's view."""
-    score = 0
-    board = pos.board
-    for sq in _SQUARES:
-        piece = board[sq]
-        if piece:
-            if piece > 0:
-                score += _KIND_VALUES[piece] + _PST[sq]
-            else:
-                score -= _KIND_VALUES[-piece] + _PST[sq]
-    return score
+    """Static evaluation (material + centralization), from White's view.
+
+    The sum of :func:`_material` over the board, which ``make_move``
+    keeps up to date move by move.
+    """
+    return pos.score
 
 
 def perft(pos: Position, depth: int) -> int:

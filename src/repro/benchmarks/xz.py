@@ -104,6 +104,7 @@ class _RangeEncoder:
         Bit ``j`` (0 = the most significant) is coded under
         ``probs[base + j]``, which then adapts toward the coded bit.
         """
+        top = self.TOP
         low = self.low
         range_ = self.range_
         for idx in range(base, base + nbits):
@@ -117,7 +118,7 @@ class _RangeEncoder:
             else:
                 range_ = bound
                 probs[idx] = prob + ((2048 - prob) >> 5)
-            while range_ < 0x100_0000:  # TOP
+            while range_ < top:
                 range_ <<= 8
                 self.low = low
                 self._shift_low()
@@ -147,6 +148,7 @@ class _RangeDecoder:
 
     def decode_bits(self, probs: list[int], base: int, nbits: int) -> int:
         """Inverse of :meth:`_RangeEncoder.encode_bits`: the decoded value."""
+        top = self.TOP
         data = self.data
         n = len(data)
         pos = self.pos
@@ -165,7 +167,7 @@ class _RangeDecoder:
                 code -= bound
                 range_ -= bound
                 probs[idx] = prob - (prob >> 5)
-            while range_ < 0x100_0000:  # TOP
+            while range_ < top:
                 code = (code << 8 | (data[pos] if pos < n else 0)) & 0xFFFFFFFF
                 pos += 1
                 range_ <<= 8
@@ -209,6 +211,9 @@ def compress(
     max_match = params.max_match
     min_pos_limit = params.dict_size
 
+    def _hash3(pos: int) -> int:
+        return ((data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]) & hash_mask
+
     pos = 0
     match_probes: list[bool] = []
     bit_branches: list[bool] = []
@@ -223,7 +228,7 @@ def compress(
             return 0, 0
         best_len = 0
         best_dist = 0
-        h = ((data[at] << 10) ^ (data[at + 1] << 5) ^ data[at + 2]) & hash_mask
+        h = _hash3(at)
         window_reads.append(_HASH_REGION + h * 4)
         cand = head[h]
         tries = params.max_chain
@@ -282,7 +287,7 @@ def compress(
             end = min(pos + best_len, n - 2)
             p = pos
             while p < end:
-                h = ((data[p] << 10) ^ (data[p + 1] << 5) ^ data[p + 2]) & hash_mask
+                h = _hash3(p)
                 chain[p & dict_mask] = head[h]
                 head[h] = p
                 p += 1
@@ -300,7 +305,7 @@ def compress(
             bit_branches.extend(_BITS[byte])
             n_literals += 1
             if pos + _MIN_MATCH <= n:
-                h = ((data[pos] << 10) ^ (data[pos + 1] << 5) ^ data[pos + 2]) & hash_mask
+                h = _hash3(pos)
                 chain[pos & dict_mask] = head[h]
                 head[h] = pos
             pos += 1
