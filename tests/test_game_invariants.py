@@ -21,8 +21,8 @@ from repro.benchmarks.deepsjeng import (
 from repro.benchmarks.leela import BLACK, EMPTY, WHITE, GoBoard, _legal_moves
 
 
-# The 128-square scans deepsjeng used before it scanned the 64 on-board
-# squares: the references for find_king and evaluate.
+# Reference implementations: full scans of all 128 entries of the 0x88
+# board, which find_king and evaluate must match.
 
 
 def scan_find_king(pos: Position, white: bool) -> int:
@@ -117,7 +117,6 @@ class TestChessInvariants:
         fresh = Position.from_fen(pos.to_fen())
         assert fresh.hash_ == pos.hash_
 
-
     @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(CHESS_FENS))
     @settings(max_examples=30, deadline=None)
     def test_scans_match_128_square_reference(self, seed, fen):
@@ -180,6 +179,7 @@ class TestGoInvariants:
                     assert (dead is not None) == (libs == 0)
                     assert dead is None or dead == set(group)
                 board.cells[point] = EMPTY
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_no_zero_liberty_groups_after_play(self, seed):

@@ -175,8 +175,8 @@ class TestLazyMatching:
         assert counts[True][1] == counts[False][1] + 1  # into one literal
 
 
-# The per-bit range coder the benchmark used before it coded whole
-# numbers and literals per call: the reference the fast coder must match.
+# A per-bit range coder: the reference that encode_bits and decode_bits
+# must match bit for bit.
 
 
 def reference_encode_bit(enc: _RangeEncoder, probs: list[int], idx: int, bit: int) -> None:
