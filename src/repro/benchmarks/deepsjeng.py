@@ -37,7 +37,6 @@ EMPTY, PAWN, KNIGHT, BISHOP, ROOK, QUEEN, KING = 0, 1, 2, 3, 4, 5, 6
 _PIECE_CHARS = {"p": PAWN, "n": KNIGHT, "b": BISHOP, "r": ROOK, "q": QUEEN, "k": KING}
 _CHAR_PIECES = {v: k for k, v in _PIECE_CHARS.items()}
 _VALUES = {PAWN: 100, KNIGHT: 320, BISHOP: 330, ROOK: 500, QUEEN: 900, KING: 20000}
-_KIND_VALUES = tuple(_VALUES.get(kind, 0) for kind in range(KING + 1))
 
 _KNIGHT_DELTAS = (-33, -31, -18, -14, 14, 18, 31, 33)
 _KING_DELTAS = (-17, -16, -15, -1, 1, 15, 16, 17)
@@ -83,7 +82,7 @@ def _material(piece: int, sq: int) -> int:
     """``piece``'s material + centralization term on ``sq``, from White's view."""
     if piece == EMPTY:
         return 0
-    value = _KIND_VALUES[abs(piece)] + _PST[sq]
+    value = _VALUES[abs(piece)] + _PST[sq]
     return value if piece > 0 else -value
 
 
