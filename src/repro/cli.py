@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-age-days",
-        type=float,
+        type=_non_negative(float),
         default=None,
         metavar="DAYS",
         help="for `gc`: only delete runs older than this many days",

@@ -34,6 +34,7 @@ class TestParser:
             ["flame", "505.mcf_r", "--seconds", "-1"],
             ["runs", "list", "--limit", "0"],
             ["runs", "list", "--limit", "-1"],
+            ["runs", "gc", "--max-age-days", "-1"],
             ["top", "trace.jsonl", "--interval", "-1"],
             ["top", "trace.jsonl", "--tail", "0"],
         ],
