@@ -48,19 +48,20 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _positive(kind: type, *, zero_ok: bool = False) -> "Callable[[str], Any]":
-    """An argparse ``type=`` parsing ``kind`` and rejecting values <= 0
-    (values < 0 with ``zero_ok``).
+def _at_least(
+    kind: type, low: Any, wanted: str, *, inclusive: bool = True
+) -> "Callable[[str], Any]":
+    """An argparse ``type=`` parsing ``kind`` and rejecting values below
+    ``low`` (at or below it unless ``inclusive``).
 
     Misuse such as ``--workers 0`` then exits 2 with argparse's one-line
     error instead of surfacing the engine's ``ValueError`` traceback or
     being silently clamped.
     """
-    wanted = "non-negative" if zero_ok else "positive"
 
     def parse(text: str) -> Any:
         value = kind(text)  # ValueError: argparse reports "invalid int value"
-        if not (value >= 0 if zero_ok else value > 0):
+        if not (value >= low if inclusive else value > low):  # rejects NaN too
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
@@ -68,8 +69,12 @@ def _positive(kind: type, *, zero_ok: bool = False) -> "Callable[[str], Any]":
     return parse
 
 
+def _positive(kind: type) -> "Callable[[str], Any]":
+    return _at_least(kind, 0, "positive", inclusive=False)
+
+
 def _non_negative(kind: type) -> "Callable[[str], Any]":
-    return _positive(kind, zero_ok=True)
+    return _at_least(kind, 0, "non-negative")
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -482,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fdo", help="FDO evaluation study")
     p.add_argument("benchmark")
-    p.add_argument("--max-workloads", type=int, default=5)
+    # Leave-one-out cross-validation needs two workloads at least.
+    p.add_argument("--max-workloads", type=_at_least(int, 2, "at least 2"), default=5)
 
     p = sub.add_parser("export", help="write the full result bundle to a directory")
     p.add_argument("out_dir")

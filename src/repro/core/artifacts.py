@@ -94,8 +94,11 @@ def decode_capture(blob: bytes) -> TelemetryCapture:
     """Reconstruct a capture; raises :class:`CacheCorruption` on damage.
 
     Every structural check — magic, declared lengths, format version,
-    CRC over the decompressed columns, column count consistency — maps
-    to the same exception so stores can quarantine uniformly.
+    CRC over the decompressed columns, column count consistency, header
+    fields — maps to the same exception, and so does any other failure
+    to read a damaged blob, so stores can quarantine uniformly.  The
+    CRC covers the columns only: a damaged header that still parses
+    decodes to the same columns but may carry different counters.
     """
     if blob[: len(CAPTURE_MAGIC)] != CAPTURE_MAGIC:
         raise CacheCorruption("capture artifact: bad magic")
@@ -110,40 +113,38 @@ def decode_capture(blob: bytes) -> TelemetryCapture:
         if len(payload) != payload_len:
             raise CacheCorruption("capture artifact: truncated payload")
         raw = zlib.decompress(payload)
-    except CacheCorruption:
-        raise
-    except (struct.error, ValueError, zlib.error) as exc:
-        raise CacheCorruption(f"capture artifact: undecodable ({exc})") from exc
-    if header.get("format") != CACHE_FORMAT:
-        raise CacheCorruption(
-            f"capture artifact: unsupported format {header.get('format')!r}"
+        if header.get("format") != CACHE_FORMAT:
+            raise CacheCorruption(
+                f"capture artifact: unsupported format {header.get('format')!r}"
+            )
+        if zlib.crc32(raw) != crc:
+            raise CacheCorruption("capture artifact: CRC mismatch")
+        n = header["events"]
+        if len(raw) != 4 * 8 * n:
+            raise CacheCorruption(
+                f"capture artifact: expected {4 * 8 * n} column bytes, got {len(raw)}"
+            )
+        width = 8 * n
+        columns = tuple(
+            np.frombuffer(raw[i * width : (i + 1) * width], dtype=np.int64).copy()
+            for i in range(4)
         )
-    if zlib.crc32(raw) != crc:
-        raise CacheCorruption("capture artifact: CRC mismatch")
-    n = header["events"]
-    if len(raw) != 4 * 8 * n:
-        raise CacheCorruption(
-            f"capture artifact: expected {4 * 8 * n} column bytes, got {len(raw)}"
-        )
-    width = 8 * n
-    columns = tuple(
-        np.frombuffer(raw[i * width : (i + 1) * width], dtype=np.int64).copy()
-        for i in range(4)
-    )
-    try:
-        methods = tuple(MethodCounters(**mc) for mc in header["methods"])
         return TelemetryCapture(
             benchmark=header["benchmark"],
             workload=header["workload"],
-            methods=methods,
+            methods=tuple(MethodCounters(**mc) for mc in header["methods"]),
             columns=columns,  # type: ignore[arg-type]
             sampling_stride=header["sampling_stride"],
             event_cap=header["event_cap"],
             tick=header["tick"],
             verified=header["verified"],
         )
-    except (KeyError, TypeError) as exc:
-        raise CacheCorruption(f"capture artifact: bad header ({exc})") from exc
+    except CacheCorruption:
+        raise
+    except (struct.error, zlib.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CacheCorruption(
+            f"capture artifact: undecodable ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 class CaptureStore(_EntryStore):
@@ -154,11 +155,16 @@ class CaptureStore(_EntryStore):
     ``.bin`` entries at ``<root>/<key[:2]>/<key>.bin``; a corrupt entry
     is renamed to ``*.bin.corrupt``.  Traffic is recorded under
     ``store="capture"``.
+
+    :meth:`put` takes bytes that :func:`encode_capture` already made —
+    the engine encodes where the capture was taken, often in a pool
+    worker — so the store never encodes.  :meth:`get` still decodes,
+    because decoding is where a damaged entry is detected.
     """
 
-    # The codec is looked up as module globals at call time, never bound
-    # as class attributes: perfbench/layers.py times encode and decode by
-    # wrapping these module attributes.
+    # The decoder is looked up as a module global at call time, never
+    # bound as a class attribute: perfbench/layers.py times decoding by
+    # wrapping that module attribute.
     suffix = ".bin"
     store = "capture"
 
@@ -166,9 +172,9 @@ class CaptureStore(_EntryStore):
         """Look up a capture; a miss or corrupt entry returns None."""
         return self._lookup(key, decode_capture)
 
-    def put(self, key: str, capture: TelemetryCapture) -> None:
-        """Store an encoded capture under ``key`` (atomic replace)."""
-        self._write(key, encode_capture(capture))
+    def put(self, key: str, blob: bytes) -> None:
+        """Store an :func:`encode_capture` blob under ``key`` (atomic replace)."""
+        self._write(key, blob)
 
 
 class ArtifactStore:

@@ -42,12 +42,15 @@ deterministic.  The engine exploits both properties:
   --trace`` / ``repro trace``); counts and timings go to the metrics
   registry (:mod:`repro.core.metrics`).
 
-Worker processes regenerate default Alberta workload sets from
-``(benchmark_id, base_seed)`` instead of receiving pickled payloads
-(sets are memoized per process); explicitly-provided workload sets are
-shipped to the workers as-is.  Profiles returned from workers and from
-the cache carry ``output=None`` — the summaries never read the
-benchmark output.
+Every cell carries its :class:`~repro.core.workload.Workload`: the
+parent generated it to compute the cell's cache keys, inline cells run
+on that object and pool workers receive it pickled (a whole Table II
+matrix of workloads pickles to 1.6 MB).  A cell bound for a store
+encodes its capture where it ran and ships home only the
+:func:`~repro.core.artifacts.encode_capture` bytes, which the parent
+writes as they are — the parent neither regenerates workloads nor
+encodes captures.  Profiles returned from workers and from the cache
+carry ``output=None`` — the summaries never read the benchmark output.
 
 Fault injection (for tests and chaos drills): set
 ``REPRO_FAULT_INJECT`` to ``;``-separated entries of the form
@@ -75,7 +78,7 @@ from ..machine.batch import replay_capture_batched
 from ..machine.capture import TelemetryCapture, capture_execution, replay_capture
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
-from . import metrics
+from . import artifacts, metrics
 from .artifacts import ArtifactStore
 from .cache import ResultCache, cache_key, capture_key
 from .errors import CellFailure, WorkloadError
@@ -137,18 +140,16 @@ def _require_capability(benchmark_id: str, capability: str, *, stage: str) -> No
 class _Cell:
     """One (benchmark, workload) unit of the profiling matrix.
 
-    ``workload`` is ``None`` for default Alberta workloads — a pool
-    worker regenerates them from ``(benchmark_id, base_seed)`` rather
-    than unpickling the payload, while inline execution hands over the
-    parent's own workload object.  Custom workloads ride along
-    explicitly.
+    ``workload`` is the parent's own workload object: inline execution
+    runs on it and a pool worker receives it pickled.  Only
+    :meth:`CharacterizationEngine.replay_run` builds a cell without
+    one, because a replay never executes the benchmark.
     """
 
     benchmark_id: str
     workload_name: str
-    base_seed: int
     machine: MachineConfig | None
-    workload: Workload | None = None
+    workload: Workload | None
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,6 @@ class CellOutcome:
 
 # ----------------------------------------------------------- worker side
 
-# Per-worker-process memoization: regenerating a 30-workload Alberta set
-# per cell would swamp the run cost for cheap benchmarks.
-_WORKER_SETS: dict[tuple[str, int], WorkloadSet] = {}
 _WORKER_BENCHMARKS: dict[str, Any] = {}
 
 
@@ -231,16 +229,6 @@ def _worker_benchmark(benchmark_id: str) -> Any:
     if bench is None:
         bench = _WORKER_BENCHMARKS[benchmark_id] = get_benchmark(benchmark_id)
     return bench
-
-
-def _worker_workload(cell: _Cell) -> Workload:
-    if cell.workload is not None:
-        return cell.workload
-    key = (cell.benchmark_id, cell.base_seed)
-    workloads = _WORKER_SETS.get(key)
-    if workloads is None:
-        workloads = _WORKER_SETS[key] = alberta_workloads(cell.benchmark_id, cell.base_seed)
-    return workloads[cell.workload_name]
 
 
 class _InjectedFault(RuntimeError):
@@ -302,19 +290,23 @@ def _replay_resources(
 
 
 def _run_cell(
-    cell: _Cell, attempt: int = 1, mode: str = "replay"
-) -> tuple[ExecutionProfile | None, TelemetryCapture | None, dict[str, Any]]:
-    """Execute one matrix cell (runs in a worker process or inline).
+    cell: _Cell, attempt: int = 1, mode: str = "replay", encode: bool = False
+) -> tuple[ExecutionProfile | TelemetryCapture, bytes | None, dict[str, Any]]:
+    """Execute one matrix cell on ``cell.workload`` (in a worker or inline).
 
-    Always runs the capture stage; ``mode`` picks what crosses the
-    process boundary back to the parent:
+    Always runs the capture stage; ``mode`` picks the first element of
+    the result:
 
-    * ``"replay"`` — replay in the worker, return only the profile
-      (store-less runs: no reason to ship the telemetry columns);
-    * ``"both"`` — replay in the worker *and* return the capture so
-      the parent can persist it for later sweeps;
-    * ``"capture"`` — skip replay, return only the capture
+    * ``"replay"`` — replay here and return the profile; the capture's
+      columns never cross the process boundary (Table II cells);
+    * ``"capture"`` — skip replay and return the capture itself
       (stage-level capture runs).
+
+    The second element is ``encode_capture(capture)`` when ``encode``
+    is set (the engine has a store to write it to), else ``None``.
+    Encoding here runs in parallel across pool workers; the parent
+    writes the bytes as they are and, for ``"replay"``, never holds
+    the columns.
 
     The third element is the cell's observability meta: ``"stages"`` is
     ``(name, start offset, duration, resources)`` entries for the
@@ -342,19 +334,21 @@ def _run_cell(
     try:
         with metrics.collector(reg):
             metrics.inc(metrics.WORKER_CELLS_TOTAL, worker=str(os.getpid()))
-            workload = _worker_workload(cell)
-            t1 = time.perf_counter()
+            t1 = time.perf_counter()  # the parent generated the workload
             stages.append(["generate", 0.0, t1 - t0, tracker.lap()])
-            capture = capture_execution(_worker_benchmark(cell.benchmark_id), workload)
+            capture = capture_execution(_worker_benchmark(cell.benchmark_id), cell.workload)
             t2 = time.perf_counter()
             stages.append(["capture", t1 - t0, t2 - t1, tracker.lap()])
             if mode == "capture":
-                profile = None
+                product = capture
             else:
-                profile = replay_capture(capture, machine=cell.machine)
+                product = replay_capture(capture, machine=cell.machine)
                 t3 = time.perf_counter()
                 res = _replay_resources(tracker, reg, cell.benchmark_id)
                 stages.append(["replay", t2 - t0, t3 - t2, res])
+        # Looked up through the module at call time: perfbench/layers.py
+        # times encoding by wrapping this module attribute.
+        blob = artifacts.encode_capture(capture) if encode else None
     finally:
         if sampler is not None:
             sampler.stop()
@@ -365,9 +359,7 @@ def _run_cell(
             if n:
                 st[3]["samples"] = n
         meta["stacks"] = sampler.stacks
-    if mode == "capture":
-        return None, capture, meta
-    return profile, (capture if mode == "both" else None), meta
+    return product, blob, meta
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -462,35 +454,34 @@ class CharacterizationEngine:
 
     # ------------------------------------------------------------ matrix
 
-    def run_cells(self, cells: list[_Cell], workloads: list[Workload]) -> list[CellOutcome]:
+    def run_cells(self, cells: list[_Cell]) -> list[CellOutcome]:
         """Resolve every cell to a :class:`CellOutcome`, in ``cells`` order.
 
         The staged pipeline: a profile-cache miss next consults the
         capture store — a stored telemetry stream is replayed in the
         parent (``capture="hit"``, no benchmark execution) — and only
         cells missing both artifacts execute the benchmark.  Executed
-        cells capture *and* replay in the worker (one process
-        round-trip, replay stays parallel) and ship the capture back
-        for persistence when a store is attached.
+        cells capture *and* replay where they run (one process
+        round-trip, replay stays parallel); with a store attached they
+        also encode the capture there and ship home only its bytes.
 
         Never raises for per-cell failures — inspect ``outcome.ok``.
         Cache lookups and stores happen in the parent process only;
         workers never touch the cache directory.  Spans are emitted to
         the trace writer in matrix order once all cells settle.
         """
-        if len(cells) != len(workloads):
-            raise WorkloadError("run_cells: cells and workloads must align")
         outcomes: list[CellOutcome | None] = [None] * len(cells)
         keys: list[str | None] = [None] * len(cells)
+        cap_keys: list[str | None] = [None] * len(cells)
         to_run: list[int] = []
         replays: list[tuple[int, TelemetryCapture]] = []
         cache_state = "off" if self.store is None else "miss"
 
         with self._counting_quarantines():
-            for i, (cell, workload) in enumerate(zip(cells, workloads)):
+            for i, cell in enumerate(cells):
                 if self.store is not None:
                     looked_up = self.trace.now()
-                    keys[i] = cache_key(cell.benchmark_id, workload, cell.machine)
+                    keys[i] = cache_key(cell.benchmark_id, cell.workload, cell.machine)
                     cached = self.cache.get(keys[i])
                     if cached is not None:
                         outcomes[i] = CellOutcome(
@@ -498,17 +489,15 @@ class CharacterizationEngine:
                             start_s=looked_up,
                         )
                         continue
-                    capture = self.store.captures.get(
-                        capture_key(cell.benchmark_id, workload)
-                    )
+                    cap_keys[i] = capture_key(cell.benchmark_id, cell.workload)
+                    capture = self.store.captures.get(cap_keys[i])
                     if capture is not None:
                         replays.append((i, capture))
                         continue
                 to_run.append(i)
 
         if to_run:
-            mode = "both" if self.store is not None else "replay"
-            self._execute(cells, to_run, outcomes, cache_state, mode, workloads)
+            self._execute(cells, to_run, outcomes, cache_state, "replay")
             for i in to_run:
                 oc = outcomes[i]
                 if oc is None:
@@ -516,7 +505,7 @@ class CharacterizationEngine:
                 if not oc.ok:
                     outcomes[i] = replace(oc, capture="run")
                     continue
-                profile, capture, meta = oc.profile
+                profile, blob, meta = oc.profile
                 if meta.get("stacks"):
                     merge_stacks(self.stack_counts, meta["stacks"])
                 outcomes[i] = replace(
@@ -524,11 +513,7 @@ class CharacterizationEngine:
                     stages=tuple(tuple(s) for s in meta["stages"]),
                 )
                 if keys[i] is not None:
-                    if capture is not None:
-                        self.store.captures.put(
-                            capture_key(cells[i].benchmark_id, workloads[i]),
-                            capture,
-                        )
+                    self.store.captures.put(cap_keys[i], blob)
                     self.cache.put(keys[i], profile)
 
         for i, capture in replays:
@@ -673,22 +658,21 @@ class CharacterizationEngine:
         outcomes: list[CellOutcome | None],
         cache_state: str,
         mode: str,
-        workloads: list[Workload],
     ) -> None:
         """Run the cache-missed cells, inline or pooled.
 
-        ``mode`` is forwarded to :func:`_run_cell`; successful outcomes
-        carry the raw worker ``(profile, capture)`` tuple in their
+        ``mode`` is forwarded to :func:`_run_cell`, which also encodes
+        each capture whenever this engine has a store to write it to;
+        successful outcomes carry its raw result triple in their
         ``profile`` slot — callers unpack and re-tag with the stage
-        states they observed.  ``workloads`` aligns with ``cells``:
-        inline cells run on those objects (the parent generated them
-        for the cache keys already), pooled cells regenerate theirs.
-        Benchmarks never mutate their payload, so the capture key the
-        caller computes after the run still matches.
+        states they observed.  Every cell runs on its own workload
+        object, inline or pickled to a worker.  Benchmarks never mutate
+        their payload, so the keys the caller computed from those
+        objects before the run still match.
         """
         inline = self.timeout is None and (self.workers == 1 or len(pending) == 1)
         if inline:
-            self._execute_inline(cells, pending, outcomes, cache_state, mode, workloads)
+            self._execute_inline(cells, pending, outcomes, cache_state, mode)
         else:
             self._execute_pool(cells, pending, outcomes, cache_state, mode)
 
@@ -699,8 +683,8 @@ class CharacterizationEngine:
         outcomes: list[CellOutcome | None],
         cache_state: str,
         mode: str,
-        workloads: list[Workload],
     ) -> None:
+        encode = self.store is not None
         for i in pending:
             cell = cells[i]
             attempts = 0
@@ -708,7 +692,7 @@ class CharacterizationEngine:
             while True:
                 attempts += 1
                 try:
-                    result = _run_cell(replace(cell, workload=workloads[i]), attempts, mode)
+                    result = _run_cell(cell, attempts, mode, encode)
                 except Exception as exc:
                     if attempts <= self.retries:
                         self._backoff_sleep(attempts)
@@ -754,6 +738,7 @@ class CharacterizationEngine:
         crash implicates exactly that cell, so innocents always
         complete and only genuinely crashing cells fail.
         """
+        encode = self.store is not None
         remaining: dict[int, int] = {i: 0 for i in pending}  # index -> attempts
         first_seen: dict[int, float] = {}
         restarts = 0
@@ -787,7 +772,7 @@ class CharacterizationEngine:
             try:
                 for i in order:
                     remaining[i] += 1
-                    futures[i] = pool.submit(_run_cell, cells[i], remaining[i], mode)
+                    futures[i] = pool.submit(_run_cell, cells[i], remaining[i], mode, encode)
             except BrokenExecutor:  # pragma: no cover - instant bootstrap death
                 for i in order:
                     if i in remaining and i not in futures:
@@ -853,6 +838,7 @@ class CharacterizationEngine:
         pool makes crashes exactly attributable, so each cell gets its
         honest retry budget and only genuinely failing cells fail.
         """
+        encode = self.store is not None
         for i in sorted(remaining):
             cell = cells[i]
             first_seen.setdefault(i, time.perf_counter())
@@ -864,7 +850,7 @@ class CharacterizationEngine:
                 outcome, error = "", ""
                 result: Any = None
                 try:
-                    fut = pool.submit(_run_cell, cell, attempt, mode)
+                    fut = pool.submit(_run_cell, cell, attempt, mode, encode)
                     result = fut.result(timeout=self.timeout)
                 except (FuturesTimeoutError, TimeoutError) as exc:
                     abandon = True
@@ -966,7 +952,7 @@ class CharacterizationEngine:
     # --------------------------------------------------- stage-level APIs
 
     def _capture_batch(
-        self, cells: list[_Cell], workloads: list[Workload]
+        self, cells: list[_Cell]
     ) -> list[tuple[TelemetryCapture | None, str, CellOutcome | None]]:
         """Resolve the capture stage for every cell: memo → store → run.
 
@@ -976,12 +962,12 @@ class CharacterizationEngine:
         ``run_outcome`` carries attempts/duration/error for ``"run"``
         entries and is ``None`` for hits.  Emits no spans — callers
         decide how capture cost is attributed (a sweep charges it to
-        the first consuming cell).
+        the first consuming cell).  With a store attached, executed
+        cells ship home their capture and its encoded bytes, and the
+        bytes are stored as they are.
         """
         results: list[Any] = [None] * len(cells)
-        cap_keys = [
-            capture_key(cell.benchmark_id, w) for cell, w in zip(cells, workloads)
-        ]
+        cap_keys = [capture_key(cell.benchmark_id, cell.workload) for cell in cells]
         to_run: list[int] = []
         with self._counting_quarantines():
             for i, key in enumerate(cap_keys):
@@ -996,13 +982,13 @@ class CharacterizationEngine:
                     to_run.append(i)
         if to_run:
             scratch: list[CellOutcome | None] = [None] * len(cells)
-            self._execute(cells, to_run, scratch, "-", "capture", workloads)
+            self._execute(cells, to_run, scratch, "-", "capture")
             for i in to_run:
                 oc = scratch[i]
                 if oc is None:  # pragma: no cover - _execute always fills
                     continue
                 if oc.ok:
-                    _, capture, meta = oc.profile
+                    capture, blob, meta = oc.profile
                     if meta.get("stacks"):
                         merge_stacks(self.stack_counts, meta["stacks"])
                     results[i] = (
@@ -1015,15 +1001,13 @@ class CharacterizationEngine:
                         ),
                     )
                     self._capture_memo[cap_keys[i]] = capture
-                    if self.store is not None:
-                        self.store.captures.put(cap_keys[i], capture)
+                    if blob is not None:
+                        self.store.captures.put(cap_keys[i], blob)
                 else:
                     results[i] = (None, "run", oc)
         return results
 
-    def capture_run(
-        self, cells: list[_Cell], workloads: list[Workload]
-    ) -> list[CellOutcome]:
+    def capture_run(self, cells: list[_Cell]) -> list[CellOutcome]:
         """Run only the capture stage; spans carry ``replay="-"``.
 
         Successful outcomes hold the
@@ -1034,9 +1018,7 @@ class CharacterizationEngine:
         a benchmark.  Under ``strict=True`` the first failed cell
         raises its :class:`CellFailure` after all spans are journaled.
         """
-        if len(cells) != len(workloads):
-            raise WorkloadError("capture_run: cells and workloads must align")
-        batch = self._capture_batch(cells, workloads)
+        batch = self._capture_batch(cells)
         outcomes: list[CellOutcome] = []
         for cell, (capture, state, run_oc) in zip(cells, batch):
             if capture is not None:
@@ -1078,7 +1060,7 @@ class CharacterizationEngine:
         build_digest = build.digest() if build is not None else None
         if build_name is not None and build_digest is not None:
             self.builds_used[str(build_name)] = str(build_digest)
-        cell = _Cell(capture.benchmark, capture.workload, 0, m)
+        cell = _Cell(capture.benchmark, capture.workload, m, request.workload)
         key = None
         if self.store is not None and request.workload is not None:
             key = cache_key(capture.benchmark, request.workload, m, build=build_digest)
@@ -1165,8 +1147,7 @@ class CharacterizationEngine:
         if not machines:
             raise WorkloadError("characterize_sweep: need at least one machine config")
         _require_capability(benchmark_id, CAP_SWEEPABLE, stage="characterize_sweep")
-        alberta = workloads is None
-        if alberta:
+        if workloads is None:
             workloads = alberta_workloads(benchmark_id, base_seed)
         if len(workloads) == 0:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
@@ -1179,13 +1160,7 @@ class CharacterizationEngine:
         with self._counting_quarantines():
             for mi, m in enumerate(machines):
                 for wi, w in enumerate(wl):
-                    cell = _Cell(
-                        benchmark_id=benchmark_id,
-                        workload_name=w.name,
-                        base_seed=base_seed,
-                        machine=m,
-                        workload=None if alberta else w,
-                    )
+                    cell = _Cell(benchmark_id, w.name, m, w)
                     if self.store is not None:
                         looked_up = self.trace.now()
                         keys[mi][wi] = cache_key(benchmark_id, w, m)
@@ -1199,17 +1174,9 @@ class CharacterizationEngine:
                     need.append((mi, wi, cell))
 
         need_w = sorted({wi for _, wi, _ in need})
-        cap_cells = [
-            _Cell(
-                benchmark_id=benchmark_id,
-                workload_name=wl[wi].name,
-                base_seed=base_seed,
-                machine=None,
-                workload=None if alberta else wl[wi],
-            )
-            for wi in need_w
-        ]
-        batch = self._capture_batch(cap_cells, [wl[wi] for wi in need_w])
+        batch = self._capture_batch(
+            [_Cell(benchmark_id, wl[wi].name, None, wl[wi]) for wi in need_w]
+        )
         cap_by_w = dict(zip(need_w, batch))
 
         # Group pending cells by workload: within one workload every
@@ -1369,22 +1336,11 @@ class CharacterizationEngine:
             for bid in ids
         }
         cells: list[_Cell] = []
-        flat: list[Workload] = []
         for bid in ids:
             if not sets[bid]:
                 raise WorkloadError(f"characterize: empty workload set for {bid}")
-            for w in sets[bid]:
-                cells.append(
-                    _Cell(
-                        benchmark_id=bid,
-                        workload_name=w.name,
-                        base_seed=base_seed,
-                        machine=self.machine,
-                        workload=None if workloads is None else w,
-                    )
-                )
-                flat.append(w)
-        outcomes = self.run_cells(cells, flat)
+            cells += [_Cell(bid, w.name, self.machine, w) for w in sets[bid]]
+        outcomes = self.run_cells(cells)
         per_bench = []
         cursor = 0
         for bid in ids:

@@ -336,22 +336,11 @@ class Session:
         one capture per workload however many times it is re-requested
         (in-process memo + capture store).
         """
-        alberta = workloads is None
-        if alberta:
+        if workloads is None:
             workloads = alberta_workloads(benchmark_id, base_seed)
-        wl = list(workloads)
-        cells = [
-            _Cell(
-                benchmark_id=benchmark_id,
-                workload_name=w.name,
-                base_seed=base_seed,
-                machine=None,
-                workload=None if alberta else w,
-            )
-            for w in wl
-        ]
+        cells = [_Cell(benchmark_id, w.name, None, w) for w in workloads]
         with self._collect():
-            outcomes = self.engine.capture_run(cells, wl)
+            outcomes = self.engine.capture_run(cells)
         return [oc.profile if oc.ok else None for oc in outcomes]
 
     def replay(

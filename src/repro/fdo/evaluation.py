@@ -251,6 +251,10 @@ def cross_validate(
     if own:
         session = Session(machine=machine)
     try:
+        if max_workloads is not None and max_workloads < 2:
+            raise StudyError(
+                f"cross_validate: max_workloads must be at least 2, got {max_workloads}"
+            )
         if workloads is None:
             workloads = alberta_workloads(benchmark_id)
         wl = list(workloads)

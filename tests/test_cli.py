@@ -37,6 +37,9 @@ class TestParser:
             ["runs", "gc", "--max-age-days", "-1"],
             ["top", "trace.jsonl", "--interval", "-1"],
             ["top", "trace.jsonl", "--tail", "0"],
+            ["fdo", "505.mcf_r", "--max-workloads", "1"],
+            ["fdo", "505.mcf_r", "--max-workloads", "0"],
+            ["fdo", "505.mcf_r", "--max-workloads", "-3"],
         ],
     )
     def test_bad_engine_values_exit_2_with_one_error_line(self, argv, capsys):

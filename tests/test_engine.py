@@ -7,9 +7,12 @@ contract on a couple of benchmarks; the `slow`-marked test sweeps every
 registered benchmark (run with ``pytest -m slow``).
 """
 
+import os
+
 import pytest
 
 from repro.core import metrics
+from repro.core.artifacts import ArtifactStore
 from repro.core.cache import (
     ResultCache,
     cache_key,
@@ -20,6 +23,7 @@ from repro.core.cache import (
 from repro.core.characterize import characterize, characterize_suite
 from repro.core.engine import CharacterizationEngine, default_workers
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
+from repro.core.run import Session
 from repro.core.metrics import CACHE_EVENTS_TOTAL, CACHE_IO_BYTES_TOTAL
 from repro.machine.profiler import Profiler
 
@@ -51,21 +55,41 @@ class TestParallelEquivalence:
 
 
 class TestInlineWorkloads:
-    def test_inline_cells_run_the_parents_workloads(self, monkeypatch):
-        """At workers=1 each Alberta set is generated once: the parent
-        keys its cells with it and inline execution reuses the objects."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inline_cells_run_the_parents_workloads(self, workers, monkeypatch):
+        """Each Alberta set is generated once, in the parent: it keys the
+        cells with it, and inline cells and pool workers alike run on
+        those objects.  Forked workers inherit the wrapper, which raises
+        outside the parent, so a worker that regenerated would fail."""
         from repro.core import engine
 
+        parent = os.getpid()
         calls = []
         generate = engine.alberta_workloads
 
-        def counting(benchmark_id, base_seed=0):
+        def parent_only(benchmark_id, base_seed=0):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker generated a workload set")
             calls.append(benchmark_id)
             return generate(benchmark_id, base_seed)
 
-        monkeypatch.setattr(engine, "alberta_workloads", counting)
-        characterize("505.mcf_r", workers=1)
+        monkeypatch.setattr(engine, "alberta_workloads", parent_only)
+        characterize("505.mcf_r", workers=workers)
         assert calls == ["505.mcf_r"]
+
+    def test_cold_stores_match_across_worker_counts(self, tmp_path):
+        """Inline cells and pool workers encode the captures they store;
+        either way the stores hold the same files with the same bytes."""
+        stores = {}
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            with Session(workers=workers, cache=ArtifactStore(root)) as s:
+                s.characterize_suite(ids=list(FAST_IDS))
+            stores[workers] = {
+                p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+        assert len(stores[1]) == 2 * sum(len(alberta_workloads(b)) for b in FAST_IDS)
+        assert stores[1] == stores[2]
 
 
 class TestResultCache:

@@ -108,7 +108,7 @@ class TestCaptureCodec:
         store = CaptureStore(tmp_path)
         cap, wl = _capture()
         key = capture_key(cap.benchmark, wl)
-        store.put(key, cap)
+        store.put(key, encode_capture(cap))
         assert len(store) == 1
         path = next(Path(tmp_path).glob("*/*.bin"))
         path.write_bytes(b"garbage")
@@ -162,8 +162,10 @@ class TestGoldenPorts:
         assert new.results == old.results
 
     def test_cross_validate_needs_two_workloads(self):
-        with pytest.raises(StudyError):
-            cross_validate("505.mcf_r", max_workloads=1)
+        # Checked before slicing: wl[:-3] would keep 4 of mcf's 7 workloads.
+        for limit in (1, 0, -3):
+            with pytest.raises(StudyError):
+                cross_validate("505.mcf_r", max_workloads=limit)
 
 
 class TestMachineMismatch:
