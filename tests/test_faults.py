@@ -158,7 +158,7 @@ class TestCorruptCache:
         Run(cache=store).characterize(MCF)
         workload = alberta_workloads(MCF)[0]
         store.profiles._path(cache_key(MCF, workload)).write_text("{truncated")
-        store.captures._path(capture_key(MCF, workload)).write_bytes(b"RTC1 torn")
+        store.captures._path(capture_key(MCF, workload)).write_bytes(b"RTC2 torn")
 
         with Session(cache=store) as session:
             if call == "run_cells":
