@@ -253,18 +253,24 @@ class Probe:
         if len(self._ev_kind) >= self._event_cap:
             self._decimate()
 
-    def _push_events_vector(self, kind: int, a: np.ndarray, b: np.ndarray) -> None:
+    def _push_events_vector(
+        self, kind: int, a: "np.ndarray | int", b: "np.ndarray | int"
+    ) -> None:
         """Append a batch of same-kind events, applying the decimation
         stride with slices instead of per-event pushes.
 
-        ``a`` and ``b`` are int64 arrays of equal length.  Equivalent,
-        event for event, to calling ``_push_event`` in a loop: the tick
-        counter advances once per input event, survivors are the events
-        whose tick is a stride multiple, and hitting the cap mid-batch
-        halves the stored stream and doubles the stride for the rest of
-        the batch.
+        One of ``a`` and ``b`` is an int64 array with one value per
+        event; the other is either an equal-length int64 array or an int
+        that every event of the batch shares (a branch site's pc, an
+        access batch's store flag).  Constant columns, like the method
+        and kind columns, grow by ``array('q', (v,)) * take``, with no
+        NumPy allocation.  Equivalent, event for event, to calling
+        ``_push_event`` in a loop: the tick counter advances once per
+        input event, survivors are the events whose tick is a stride
+        multiple, and hitting the cap mid-batch halves the stored stream
+        and doubles the stride for the rest of the batch.
         """
-        n = len(a)
+        n = len(a) if isinstance(a, np.ndarray) else len(b)
         midx = self._stack[-1].index
         pos = 0
         while pos < n:
@@ -280,12 +286,13 @@ class Probe:
             avail = (n - 1 - first) // k + 1
             take = min(avail, room)
             stop = first + (take - 1) * k + 1
-            sel_a = a[first:stop:k]
-            sel_b = b[first:stop:k]
-            self._ev_method.frombytes(np.full(take, midx, dtype=np.int64).tobytes())
-            self._ev_kind.frombytes(np.full(take, kind, dtype=np.int64).tobytes())
-            self._ev_a.frombytes(np.ascontiguousarray(sel_a).tobytes())
-            self._ev_b.frombytes(np.ascontiguousarray(sel_b).tobytes())
+            self._ev_method.extend(array("q", (midx,)) * take)
+            self._ev_kind.extend(array("q", (kind,)) * take)
+            for column, values in ((self._ev_a, a), (self._ev_b, b)):
+                if isinstance(values, np.ndarray):
+                    column.frombytes(np.ascontiguousarray(values[first:stop:k]).tobytes())
+                else:
+                    column.extend(array("q", (values,)) * take)
             self._tick = t + (stop - pos)
             pos = stop
             if len(self._ev_kind) >= self._event_cap:
@@ -369,7 +376,7 @@ class Probe:
         if n == 0:
             return
         flags = (arr != 0).astype(np.int64)
-        self._push_events_vector(EV_BRANCH, np.full(n, pc, dtype=np.int64), flags)
+        self._push_events_vector(EV_BRANCH, pc, flags)
         mc.branches += n
         mc.branches_taken += int(flags.sum())
 
@@ -385,28 +392,21 @@ class Probe:
         mc.stores += 1
         self._push_event(EV_DATA, addr, 1)
 
-    def accesses(self, addrs: Sequence[int], store: bool = False) -> None:
+    def accesses(self, addrs: Iterable[int], store: bool = False) -> None:
         """Record a batch of data accesses (all loads or all stores).
 
-        Vector fast path: the address batch becomes one int64 column
-        append with the decimation stride applied by slicing.
+        Vector fast path: the addresses are materialized once as one
+        int64 column, so a batch that does not fit raises before any
+        event or counter moves, and the column is appended with the
+        decimation stride applied by slicing.
         """
         mc = self.current
-        flag = 1 if store else 0
-        try:
-            arr = np.asarray(addrs, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            # addresses that don't fit int64: scalar fallback
-            for addr in addrs:
-                self._push_event(EV_DATA, addr, flag)
-            if store:
-                mc.stores += len(addrs)
-            else:
-                mc.loads += len(addrs)
-            return
+        if not isinstance(addrs, np.ndarray):
+            addrs = list(addrs)
+        arr = np.asarray(addrs, dtype=np.int64)
         n = len(arr)
         if n:
-            self._push_events_vector(EV_DATA, arr, np.full(n, flag, dtype=np.int64))
+            self._push_events_vector(EV_DATA, arr, 1 if store else 0)
         if store:
             mc.stores += n
         else:

@@ -6,6 +6,7 @@ event stream once it crosses a cap.  The cost model extrapolates
 rates must track the unsampled ones.
 """
 
+import copy
 import random
 
 import numpy as np
@@ -192,6 +193,35 @@ class TestProbeApi:
             assert probe.method_by_index(i).name == name
         with pytest.raises(KeyError):
             probe.method_by_index(len(names))
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_generator_batch_records_like_the_list(self, store):
+        addrs = [8 * i for i in range(1, 3000)]
+        gen, ref = Probe(event_cap=1024), Probe(event_cap=1024)
+        with gen.method("m"), ref.method("m"):
+            gen.accesses((a for a in addrs), store=store)
+            ref.accesses(addrs, store=store)
+        assert ref.methods()[0].data_accesses == len(addrs)
+        assert gen.methods() == ref.methods()
+        assert gen._tick == ref._tick
+        assert _streams_equal(gen, ref)
+
+    @pytest.mark.parametrize("batch", [[2**63], [8, 16, 2**63], [-(2**63) - 1, 8]])
+    @pytest.mark.parametrize("store", [False, True])
+    def test_out_of_range_batch_changes_nothing(self, batch, store):
+        probe = Probe()
+        with probe.method("m"):
+            probe.load(64)
+            probe.branches([True, False], site=1)
+
+            def state():
+                columns = [c.tolist() for c in probe.events.columns()]
+                return probe._tick, probe.sampling_stride, columns, probe.methods()
+
+            before = copy.deepcopy(state())
+            with pytest.raises(OverflowError):
+                probe.accesses(batch, store=store)
+            assert state() == before
 
 
 class TestAttribution:
