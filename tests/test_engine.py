@@ -135,6 +135,18 @@ class TestResultCache:
         assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == 1
         assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined") == 1
 
+    @pytest.mark.parametrize("document", ["null", "[1,2]", "3", '"x"'])
+    def test_entry_that_is_not_an_object_reads_as_miss(self, tmp_path, document):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "0" * 62
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(document)
+        with metrics.collector(metrics.MetricsRegistry()) as reg:
+            assert cache.get(key) is None
+        assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined") == 1
+        assert cache.quarantined_entries() == 1
+
     def test_wipe(self, tmp_path):
         cache = ResultCache(tmp_path)
         characterize("505.mcf_r", cache=cache)
