@@ -105,10 +105,16 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _cache_dir(args: argparse.Namespace) -> Path | None:
+    """The cache directory this command opens; ``None`` if it opens none."""
+    if not hasattr(args, "cache_dir") or getattr(args, "no_cache", False):
+        return None
+    return args.cache_dir or default_cache_dir()
+
+
 def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Translate the engine flags into characterize() keyword arguments."""
-    cache = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    return {"workers": args.workers, "cache": cache}
+    return {"workers": args.workers, "cache": _cache_dir(args)}
 
 
 def _write_observability(session, args: argparse.Namespace) -> None:
@@ -549,6 +555,10 @@ def main(argv: list[str] | None = None) -> int:
     from .core.errors import UnknownScenarioError
     from .core.metrics import MetricsRegistry, collector
 
+    cache_dir = _cache_dir(args)
+    if cache_dir is not None and cache_dir.exists() and not cache_dir.is_dir():
+        print(f"{args.command}: cache dir {cache_dir} is not a directory", file=sys.stderr)
+        return 2
     # The stderr summaries below read what this command recorded, never
     # process-wide totals.
     command = MetricsRegistry()
@@ -977,7 +987,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "cache":
         from .core.artifacts import ArtifactStore
 
-        store = ArtifactStore(args.cache_dir or default_cache_dir())
+        store = ArtifactStore(_cache_dir(args))
         if args.action == "wipe":
             n = store.wipe()
             print(f"removed {n} cached artifacts from {store.root}")

@@ -447,13 +447,17 @@ class ResultCache(_EntryStore):
     def replay_modes(self) -> dict[str, int]:
         """Provenance counts over stored entries: how many profiles were
         written by a ``"batched"`` multi-config replay, a ``"per-config"``
-        replay, or predate the envelope key (``"unlabeled"``)."""
+        replay, or predate the envelope key (``"unlabeled"``).  An entry
+        that is not a JSON object is counted in none of them."""
         counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
         for path in self._entries():
             try:
-                mode = json.loads(path.read_bytes()).get("replay_mode")
+                entry = json.loads(path.read_bytes())
             except (OSError, ValueError):
                 continue
+            if not isinstance(entry, Mapping):
+                continue
+            mode = entry.get("replay_mode")
             if mode in ("batched", "per-config"):
                 counts[mode] += 1
             else:

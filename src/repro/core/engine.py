@@ -430,9 +430,12 @@ class CharacterizationEngine:
         # Back-compat: the profile store under its historical name, the
         # exact object the caller handed in.
         self.cache = self.store.profiles if self.store is not None else None
-        #: In-process capture reuse for the stage-level APIs (capture_run,
-        #: characterize_sweep_run); run_cells stays memo-free so suite
-        #: runs don't pin every telemetry stream in memory.
+        #: Captures a store-less engine executed for the stage-level APIs
+        #: (capture_run, characterize_sweep_run), so a repeat never
+        #: re-executes a benchmark.  With a store attached the store is
+        #: the memo and this stays empty: a repeat costs one decode, and
+        #: no decoded capture outlives its consumer.  run_cells never
+        #: memoizes.
         self._capture_memo: dict[str, TelemetryCapture] = {}
         #: FDO build digests replayed through this engine (name → digest);
         #: the run ledger records them so a build sweep is diffable.
@@ -951,89 +954,79 @@ class CharacterizationEngine:
 
     # --------------------------------------------------- stage-level APIs
 
-    def _capture_batch(
+    def _captures(
         self, cells: list[_Cell]
-    ) -> list[tuple[TelemetryCapture | None, str, CellOutcome | None]]:
-        """Resolve the capture stage for every cell: memo → store → run.
+    ) -> Iterator[tuple[int, TelemetryCapture | None, str, CellOutcome | None]]:
+        """Resolve the capture stage of ``cells``, one capture at a time.
 
-        Returns one ``(capture, state, run_outcome)`` triple per cell:
-        ``state`` is ``"hit"`` (in-process memo or capture store) or
-        ``"run"`` (the benchmark executed — successfully or not);
-        ``run_outcome`` carries attempts/duration/error for ``"run"``
-        entries and is ``None`` for hits.  Emits no spans — callers
-        decide how capture cost is attributed (a sweep charges it to
-        the first consuming cell).  With a store attached, executed
-        cells ship home their capture and its encoded bytes, and the
-        bytes are stored as they are.
+        Yields one ``(i, capture, state, run_outcome)`` tuple per cell
+        index ``i``: first every hit, each looked up just before it is
+        yielded, then the misses, executed as one batch (inline or
+        pooled) and yielded in ``cells`` order.  ``state`` is ``"hit"``
+        or ``"run"`` (the benchmark executed — successfully or not,
+        ``capture`` is ``None`` on failure); ``run_outcome`` carries
+        attempts/duration/error for ``"run"`` entries and is ``None``
+        for hits.  Emits no spans — callers decide how capture cost is
+        attributed (a sweep charges it to the first consuming cell).
+
+        With a store attached the store is the memo: a hit is decoded
+        from it, and an executed cell ships home its encoded bytes,
+        which are stored as they are.  So a consumer that drops each
+        capture before asking for the next holds one decoded capture at
+        a time.  Only a store-less engine keeps captures in
+        :attr:`_capture_memo`, because a repeat there would re-execute
+        the benchmark.
         """
-        results: list[Any] = [None] * len(cells)
         cap_keys = [capture_key(cell.benchmark_id, cell.workload) for cell in cells]
         to_run: list[int] = []
-        with self._counting_quarantines():
-            for i, key in enumerate(cap_keys):
+        for i, key in enumerate(cap_keys):
+            if self.store is None:
                 capture = self._capture_memo.get(key)
-                if capture is None and self.store is not None:
+            else:
+                # Closed before the yield, so the consumer's replay
+                # metrics stay out of the lookup's collector.
+                with self._counting_quarantines():
                     capture = self.store.captures.get(key)
-                    if capture is not None:
-                        self._capture_memo[key] = capture
-                if capture is not None:
-                    results[i] = (capture, "hit", None)
-                else:
-                    to_run.append(i)
-        if to_run:
-            scratch: list[CellOutcome | None] = [None] * len(cells)
-            self._execute(cells, to_run, scratch, "-", "capture")
-            for i in to_run:
-                oc = scratch[i]
-                if oc is None:  # pragma: no cover - _execute always fills
-                    continue
-                if oc.ok:
-                    capture, blob, meta = oc.profile
-                    if meta.get("stacks"):
-                        merge_stacks(self.stack_counts, meta["stacks"])
-                    results[i] = (
-                        capture,
-                        "run",
-                        replace(
-                            oc,
-                            profile=None,
-                            stages=tuple(tuple(s) for s in meta["stages"]),
-                        ),
-                    )
-                    self._capture_memo[cap_keys[i]] = capture
-                    if blob is not None:
-                        self.store.captures.put(cap_keys[i], blob)
-                else:
-                    results[i] = (None, "run", oc)
-        return results
+            if capture is None:
+                to_run.append(i)
+            else:
+                yield i, capture, "hit", None
+        if not to_run:
+            return
+        scratch: list[CellOutcome | None] = [None] * len(cells)
+        self._execute(cells, to_run, scratch, "-", "capture")
+        for i in to_run:
+            oc, scratch[i] = scratch[i], None
+            if not oc.ok:
+                yield i, None, "run", oc
+                continue
+            capture, blob, meta = oc.profile
+            if meta.get("stacks"):
+                merge_stacks(self.stack_counts, meta["stacks"])
+            if self.store is None:
+                self._capture_memo[cap_keys[i]] = capture
+            else:
+                self.store.captures.put(cap_keys[i], blob)
+            stages = tuple(tuple(s) for s in meta["stages"])
+            yield i, capture, "run", replace(oc, profile=None, stages=stages)
 
     def capture_run(self, cells: list[_Cell]) -> list[CellOutcome]:
         """Run only the capture stage; spans carry ``replay="-"``.
 
         Successful outcomes hold the
         :class:`~repro.machine.capture.TelemetryCapture` in their
-        ``profile`` slot.  Captures are memoized in-process and
-        persisted to the capture store when one is attached, so
+        ``profile`` slot.  Captures are persisted to the capture store
+        when one is attached and memoized in-process when none is, so
         repeated stage-level consumers (the studies) never re-execute
         a benchmark.  Under ``strict=True`` the first failed cell
         raises its :class:`CellFailure` after all spans are journaled.
         """
-        batch = self._capture_batch(cells)
-        outcomes: list[CellOutcome] = []
-        for cell, (capture, state, run_oc) in zip(cells, batch):
-            if capture is not None:
-                outcomes.append(
-                    CellOutcome(
-                        cell, capture, "-",
-                        run_oc.attempts if run_oc is not None else 0,
-                        run_oc.duration_s if run_oc is not None else 0.0,
-                        "ok", capture=state,
-                        start_s=run_oc.start_s if run_oc is not None else -1.0,
-                        stages=run_oc.stages if run_oc is not None else (),
-                    )
-                )
+        outcomes: list[Any] = [None] * len(cells)
+        for i, capture, _, run_oc in self._captures(cells):
+            if run_oc is None:
+                outcomes[i] = CellOutcome(cells[i], capture, "-", 0, 0.0, "ok", capture="hit")
             else:
-                outcomes.append(replace(run_oc, capture="run"))
+                outcomes[i] = replace(run_oc, profile=capture, capture="run")
         self._emit_spans(outcomes)
         self._raise_first_failure(outcomes)
         return outcomes
@@ -1125,7 +1118,9 @@ class CharacterizationEngine:
         cost (attempts, duration) is charged to the first consuming
         cell (``capture="run"``); later consumers report
         ``capture="hit"``, so ``summary.captures`` equals the number
-        of real benchmark executions.
+        of real benchmark executions.  Stored captures are decoded and
+        replayed one workload at a time, before the misses execute as
+        one batch, so a warm sweep holds one decoded capture at a time.
 
         Replays additionally share *one pass* over the capture columns:
         all pending configs for a workload go through
@@ -1173,12 +1168,6 @@ class CharacterizationEngine:
                             continue
                     need.append((mi, wi, cell))
 
-        need_w = sorted({wi for _, wi, _ in need})
-        batch = self._capture_batch(
-            [_Cell(benchmark_id, wl[wi].name, None, wl[wi]) for wi in need_w]
-        )
-        cap_by_w = dict(zip(need_w, batch))
-
         # Group pending cells by workload: within one workload every
         # config replays the same capture, so exact replays can share a
         # single batched pass.  Member order is machine-major (``need``
@@ -1188,9 +1177,13 @@ class CharacterizationEngine:
         by_w: dict[int, list[tuple[int, _Cell]]] = {}
         for mi, wi, cell in need:
             by_w.setdefault(wi, []).append((mi, cell))
+        need_w = sorted(by_w)
 
-        for wi, members in by_w.items():
-            capture, state, run_oc = cap_by_w[wi]
+        for k, capture, state, run_oc in self._captures(
+            [_Cell(benchmark_id, wl[wi].name, None, wl[wi]) for wi in need_w]
+        ):
+            wi = need_w[k]
+            members = by_w[wi]
 
             def _charge(j: int) -> tuple[bool, int, float, tuple]:
                 fresh = state == "run" and j == 0

@@ -333,8 +333,10 @@ class Session:
         """Capture every workload (default: the benchmark's Alberta set).
 
         One engine pass — parallel across cache-missed workloads — and
-        one capture per workload however many times it is re-requested
-        (in-process memo + capture store).
+        one execution per workload however many times it is
+        re-requested: a repeat is decoded from the capture store, or,
+        in a session without one, served from the engine's in-process
+        memo.
         """
         if workloads is None:
             workloads = alberta_workloads(benchmark_id, base_seed)

@@ -204,6 +204,36 @@ class TestCommands:
             re.MULTILINE,
         ), err
 
+    @pytest.mark.parametrize("document", ["null", "[1,2]", "3", '"x"'])
+    def test_cache_info_skips_an_entry_that_is_not_an_object(
+        self, tmp_path, capsys, document
+    ):
+        shard = tmp_path / "ab"
+        shard.mkdir()
+        (shard / ("ab" + "0" * 62 + ".json")).write_text(document)
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  entries : 1\n" in out
+        assert "  source  : 0 batched, 0 per-config, 0 unlabeled replays\n" in out
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv", [["suite", "505.mcf_r"], ["sweep", "505.mcf_r"], ["cache", "info"]]
+    )
+    def test_cache_dir_that_is_a_file_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, via
+    ):
+        path = tmp_path / "not-a-dir"
+        path.write_text("keep\n")
+        if via == "flag":
+            argv = [*argv, "--cache-dir", str(path)]
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: cache dir {path} is not a directory\n"
+        assert path.read_text() == "keep\n"
+
     def test_table2_cache_line_counts_this_command_only(self, tmp_path, capsys):
         argv = ["table2", "505.mcf_r", "--cache-dir", str(tmp_path)]
         assert main(argv) == 0

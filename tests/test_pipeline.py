@@ -15,11 +15,14 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import re
+import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import artifacts
 from repro.core.artifacts import ArtifactStore, CaptureStore, decode_capture, encode_capture
 from repro.core.cache import capture_key, profile_to_dict
 from repro.core.errors import CacheCorruption, MachineMismatch, StudyError
@@ -280,6 +283,90 @@ class TestSweepReuse:
         assert removed > 0
         assert len(store.profiles) == 0
         assert len(store.captures) == 0
+
+
+class TestCaptureLifetime:
+    """With a store attached the store is the capture memo.
+
+    A sweep over stored captures decodes and replays them one workload
+    at a time and keeps none of them; only a store-less engine memoizes
+    captures, because a repeat there would re-execute the benchmark.
+    The stores here hold captures only, as the sweep benchmark's
+    fixture does: with profiles stored, every cell would be a profile
+    hit and no capture would be looked up.
+    """
+
+    GRID = MachineGrid.from_machines([None, MachineConfig(predictor="bimodal")])
+
+    @pytest.fixture(scope="class")
+    def captures_only(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("captures") / "store"
+        with Session(cache=ArtifactStore(root)) as s:
+            s.capture_set("505.mcf_r")
+        assert len(ArtifactStore(root).profiles) == 0
+        return root
+
+    @pytest.fixture
+    def store(self, captures_only, tmp_path):
+        return shutil.copytree(captures_only, tmp_path / "store")
+
+    def test_sweep_holds_at_most_two_decoded_captures(self, store, monkeypatch):
+        decode = artifacts.decode_capture
+        alive = peak = decoded = 0
+
+        def release() -> None:
+            nonlocal alive
+            alive -= 1
+
+        def counting_decode(blob):
+            nonlocal alive, peak, decoded
+            capture = decode(blob)
+            weakref.finalize(capture, release)
+            alive += 1
+            decoded += 1
+            peak = max(peak, alive)
+            return capture
+
+        monkeypatch.setattr(artifacts, "decode_capture", counting_decode)
+        with Session(cache=store) as s:
+            assert s.characterize_sweep(SweepRequest("505.mcf_r", self.GRID)).ok
+            memoized = len(s.engine._capture_memo)
+        assert decoded == len(alberta_workloads("505.mcf_r"))
+        assert peak <= 2
+        assert memoized == 0
+
+    def test_mixed_sweep_matches_a_store_less_one(self, store, tmp_path):
+        for path in sorted((store / "capture").glob("*/*.bin"))[:2]:
+            path.unlink()
+        with Session(cache=store, trace=tmp_path / "mixed.jsonl") as s:
+            mixed = s.characterize_sweep(SweepRequest("505.mcf_r", self.GRID))
+        with Session() as s:
+            fresh = s.characterize_sweep(SweepRequest("505.mcf_r", self.GRID))
+        assert mixed.ok and fresh.ok
+        for a, b in zip(mixed.characterizations, fresh.characterizations):
+            assert a.table2_row() == b.table2_row()
+        summary = summarize_trace(tmp_path / "mixed.jsonl")
+        assert summary.cells == 2 * len(alberta_workloads("505.mcf_r"))
+        assert (summary.captures, summary.capture_hits) == (2, 12)
+
+    def test_store_less_repeat_executes_once(self):
+        with Session() as s:
+            first = s.capture("519.lbm_r", "lbm.test")
+            again = s.capture("519.lbm_r", "lbm.test")
+        assert again is first
+        assert s.summary.captures == 1
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["cold", "warm"])
+    def test_store_backed_capture_set_memoizes_nothing(
+        self, stored, captures_only, tmp_path
+    ):
+        root = tmp_path / "store"
+        if stored:
+            shutil.copytree(captures_only, root)
+        with Session(cache=root) as s:
+            assert all(s.capture_set("505.mcf_r"))
+            assert s.engine._capture_memo == {}
+        assert s.summary.captures == (0 if stored else len(alberta_workloads("505.mcf_r")))
 
 
 GATE_PATTERN = re.compile(r"(?<![\w.])(Probe|CostModel)\s*\(")
