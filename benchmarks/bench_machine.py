@@ -141,10 +141,10 @@ def test_replay_throughput():
 
     Writes ``BENCH_machine.json`` with per-benchmark replay seconds and
     events/sec.  Each round replays the capture under a fresh metrics
-    collector and reads ``repro_replay_ns_total`` back, exactly as
-    :func:`repro.core.watchdog.measure_replay` does, so the baseline
-    measures what the watchdog gates on (one whole cost-model
-    evaluation per replay).
+    collector and reads ``repro_replay_ns_total`` back, the counter a
+    ledger record derives its replay throughput from (one whole
+    cost-model evaluation per replay).  The file is an ungated record;
+    ``repro runs diff`` is the perf-regression check.
 
     Set ``REPRO_BENCH_FULL=1`` to sweep every registered benchmark
     (the configuration the >=3x aggregate target is asserted on);
@@ -318,8 +318,7 @@ def test_sweep_batched_throughput():
     Replays one 502.gcc_r refrate capture over the standard 8-config
     grid (:func:`repro.core.sweep.default_sweep_grid`) both ways,
     best-of-N, asserts bit-identical simulated seconds, and merges a
-    ``sweep_batched`` key into ``BENCH_machine.json`` — the entry
-    ``repro watchdog --baseline`` re-measures, warn-only.  Run after
+    ``sweep_batched`` key into ``BENCH_machine.json``.  Run after
     ``test_replay_throughput``, which rewrites that file wholesale.
 
     The >=3x acceptance target is asserted under ``REPRO_BENCH_FULL=1``;

@@ -12,11 +12,10 @@ Commands mirror the deliverables:
   export it as Chrome ``trace_event`` JSON (load in Perfetto);
 * ``metrics show|prom PATH``       — render a ``--metrics`` snapshot as
   a latency table or Prometheus text;
-* ``watchdog [IDS...]``            — replay-throughput regression gate
-  against a ``BENCH_machine.json`` baseline or, given a ledger
-  directory, a rolling median of recent recorded runs;
 * ``runs list|show|diff|gc|pin``   — query the persistent run ledger
   (``suite/sweep --ledger DIR`` or ``REPRO_LEDGER_DIR`` record runs);
+  ``runs diff A B`` is the perf-regression check: it flags every stage
+  in which run B is slower than run A beyond tolerance;
 * ``flame BENCH``                  — stack-sample one capture+replay and
   write collapsed stacks (flamegraph.pl / speedscope format);
 * ``top PATH``                     — live tail of an in-flight trace
@@ -110,6 +109,16 @@ def _cache_dir(args: argparse.Namespace) -> Path | None:
     if not hasattr(args, "cache_dir") or getattr(args, "no_cache", False):
         return None
     return args.cache_dir or default_cache_dir()
+
+
+def _ledger_dir(args: argparse.Namespace) -> Path | None:
+    """The run-ledger directory this command opens; ``None`` if none."""
+    if not hasattr(args, "ledger"):
+        return None
+    from .core.ledger import LEDGER_ENV
+
+    env = os.environ.get(LEDGER_ENV, "").strip()
+    return args.ledger or (Path(env) if env else None)
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
@@ -331,45 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "watchdog",
-        help="gate fresh replay throughput on a BENCH_machine.json baseline",
-    )
-    p.add_argument(
-        "benchmarks",
-        nargs="*",
-        help="benchmark ids to check (default: every id in the baseline)",
-    )
-    p.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("BENCH_machine.json"),
-        metavar="PATH",
-        help="baseline JSON written by benchmarks/bench_machine.py, or a "
-        "run-ledger directory to gate on the rolling median of its last 5 "
-        "runs; a sweep_batched entry adds a warn-only batched-sweep check "
-        "(default: ./BENCH_machine.json)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        metavar="FRACTION",
-        help="allowed relative throughput drop before failing (default: 0.25)",
-    )
-    p.add_argument(
-        "--rounds",
-        type=_positive(int),
-        default=3,
-        metavar="N",
-        help="replay rounds per benchmark, best-of (default: 3)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable report instead of the table",
-    )
-
-    p = sub.add_parser(
         "runs", help="query the persistent run ledger (see suite --ledger)"
     )
     p.add_argument(
@@ -555,10 +525,10 @@ def main(argv: list[str] | None = None) -> int:
     from .core.errors import UnknownScenarioError
     from .core.metrics import MetricsRegistry, collector
 
-    cache_dir = _cache_dir(args)
-    if cache_dir is not None and cache_dir.exists() and not cache_dir.is_dir():
-        print(f"{args.command}: cache dir {cache_dir} is not a directory", file=sys.stderr)
-        return 2
+    for kind, path in (("cache", _cache_dir(args)), ("ledger", _ledger_dir(args))):
+        if path is not None and path.exists() and not path.is_dir():
+            print(f"{args.command}: {kind} dir {path} is not a directory", file=sys.stderr)
+            return 2
     # The stderr summaries below read what this command recorded, never
     # process-wide totals.
     command = MetricsRegistry()
@@ -660,7 +630,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("sweep: pass --grid or --config, not both", file=sys.stderr)
             return 2
         if args.grid is not None:
-            if not args.grid.exists():
+            if not args.grid.is_file():
                 print(f"sweep: no grid file at {args.grid}", file=sys.stderr)
                 return 2
             try:
@@ -730,7 +700,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             render_trace_summary,
         )
 
-        if not args.path.exists():
+        if not args.path.is_file():
             print(f"trace: no journal at {args.path}", file=sys.stderr)
             return 2
         records = read_trace(args.path)
@@ -782,7 +752,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             render_prometheus,
         )
 
-        if not args.path.exists():
+        if not args.path.is_file():
             print(f"metrics: no snapshot at {args.path}", file=sys.stderr)
             return 2
         try:
@@ -800,27 +770,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.command == "watchdog":
-        import json
-
-        from .core.watchdog import EXIT_USAGE, WatchdogError, run_watchdog
-
-        try:
-            report = run_watchdog(
-                args.baseline,
-                args.benchmarks or None,
-                tolerance=args.tolerance,
-                rounds=args.rounds,
-            )
-        except WatchdogError as exc:
-            print(f"watchdog: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        return report.exit_code
-
     if args.command == "runs":
         import json
 
@@ -833,7 +782,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             render_runs_table,
         )
 
-        root = args.ledger or os.environ.get(LEDGER_ENV, "").strip() or None
+        root = _ledger_dir(args)
         if root is None:
             print(
                 f"runs: no ledger directory (pass --ledger or set {LEDGER_ENV})",
@@ -952,7 +901,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .core.trace import read_trace, render_top
 
         while True:
-            records = read_trace(args.path) if args.path.exists() else []
+            records = read_trace(args.path) if args.path.is_file() else []
             if not records:
                 if args.once:
                     print(f"top: no records at {args.path}", file=sys.stderr)

@@ -37,16 +37,18 @@ metric-by-metric under per-family *tolerance classes*:
   run of the same scenario set agree on totals.
 * **timing** — wall-clock and throughput measurements (stage/cell
   seconds, replay ns, eps, stage CPU seconds, derived per-benchmark
-  throughput).  Compared with a relative tolerance (default 25%).
+  throughput).  One-sided: a B that is faster than A is never a
+  finding; a slower B is one once it exceeds both the family's noise
+  floor and a relative tolerance (default 25%).  Faster means higher
+  for eps and lower for every seconds or ns family.
 * **info** — everything else (cache/worker/RSS/sampling internals):
   recorded, never diffed.
 
-The derived throughput honors ``REPRO_WATCHDOG_INJECT_SLOWDOWN`` the
-same way the watchdog does (measured eps divided by the factor) — the
-documented CI hook for validating that ``repro runs diff`` actually
-flags a slowed run.  :func:`ledger_baseline` turns recent records into
-a rolling-median baseline consumable by ``repro watchdog
---ledger-baseline``.
+This makes ``repro runs diff`` the project's perf-regression check;
+its timing families cover every stage of a pass.  The derived
+throughput honors ``REPRO_INJECT_SLOWDOWN=<factor>`` (measured eps
+divided by the factor), the test hook that proves the diff flags a
+slowed run without a genuinely slow machine.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import median
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ReproError
@@ -71,7 +72,6 @@ __all__ = [
     "diff_records",
     "DiffEntry",
     "DiffReport",
-    "ledger_baseline",
     "render_record",
     "render_runs_table",
 ]
@@ -81,10 +81,9 @@ LEDGER_ENV = "REPRO_LEDGER_DIR"
 
 LEDGER_SCHEMA = 1
 
-#: Mirrors :data:`repro.core.watchdog._INJECT_ENV` — recorded throughput
-#: is divided by the factor so an injected run is visibly slower in the
-#: ledger, exercisable by CI without a genuinely slow machine.
-_INJECT_ENV = "REPRO_WATCHDOG_INJECT_SLOWDOWN"
+#: Test hook: recorded throughput is divided by this factor, so an
+#: injected run is visibly slower in the ledger without a slow machine.
+_INJECT_ENV = "REPRO_INJECT_SLOWDOWN"
 
 _RUNS_FILE = "runs.jsonl"
 _INDEX_FILE = "index.jsonl"
@@ -99,7 +98,8 @@ EXACT_FAMILIES = frozenset(
     }
 )
 
-#: Wall-clock / throughput measurements: compared with relative tolerance.
+#: Wall-clock / throughput measurements: only a slower B beyond the noise
+#: floor and the relative tolerance is a finding.
 TIMING_FAMILIES = frozenset(
     {
         "repro_stage_seconds",
@@ -109,6 +109,10 @@ TIMING_FAMILIES = frozenset(
         "repro_stage_cpu_seconds",
     }
 )
+
+#: Timing series in which the faster run reads higher; every other
+#: timing family is seconds or ns, where the faster run reads lower.
+_HIGHER_IS_FASTER = frozenset({"throughput.eps", "repro_replay_eps"})
 
 #: Labels aggregated away before exact comparison: a warm and a cold run
 #: disagree per cache state but must agree on totals; worker pids are
@@ -536,7 +540,7 @@ class DiffReport:
     def render(self, *, verbose: bool = False) -> str:
         lines = [
             f"runs diff: {self.run_a} -> {self.run_b} "
-            f"(timing tolerance {self.tolerance:.0%})"
+            f"(timing tolerance {self.tolerance:.0%}, slower B only)"
         ]
         shown = self.entries if verbose else self.out_of_tolerance
         if shown:
@@ -615,9 +619,11 @@ def diff_records(
 ) -> DiffReport:
     """Compare two ledger records metric-by-metric (see module docstring).
 
-    Exact series must match to the digit; timing series must agree
-    within ``tolerance`` relative difference (``|a-b| / max(a, b)``).
-    A series present on only one side is a finding in its class.
+    Exact series must match to the digit.  A timing series is a finding
+    only when B is the slower run by more than the family's noise floor
+    and by more than ``tolerance`` relative difference
+    (``|a-b| / max(a, b)``).  A series present on only one side is a
+    finding in its class.
     """
     if not 0.0 <= tolerance < 1.0:
         raise LedgerError(f"diff: tolerance {tolerance} must be in [0, 1)")
@@ -635,67 +641,16 @@ def diff_records(
             continue
         if cls == "exact":
             ok = va == vb
-        elif va == vb:
-            ok = True
         else:
+            slower = vb < va if metric in _HIGHER_IS_FASTER else vb > va
             ok = (
-                abs(va - vb) <= _TIMING_FLOORS.get(metric, 0.0)
+                not slower
+                or abs(va - vb) <= _TIMING_FLOORS.get(metric, 0.0)
                 or abs(va - vb) / max(abs(va), abs(vb)) <= tolerance
             )
         report.entries.append(DiffEntry(metric, labels, cls, va, vb, ok=ok))
     report.ignored = max(_count_info(a), _count_info(b))
     return report
-
-
-# ------------------------------------------------------------- baseline
-
-
-def ledger_baseline(
-    ledger: RunLedger,
-    *,
-    window: int = 5,
-    benchmarks: Sequence[str] | None = None,
-) -> dict[str, Any]:
-    """A watchdog baseline from the rolling median of recent records.
-
-    Takes the last ``window`` non-failed runs, derives per-benchmark
-    events/sec and replay seconds from each record's throughput block,
-    and medians them — the shape matches ``BENCH_machine.json`` so
-    :func:`repro.core.watchdog.run_watchdog` consumes it unchanged
-    (``repro watchdog --ledger-baseline``).
-    """
-    if window < 1:
-        raise LedgerError(f"ledger_baseline: window must be >= 1, got {window}")
-    recent = [r for r in ledger.records() if r.get("outcome") != "failed"]
-    recent = recent[len(recent) - min(window, len(recent)):]
-    eps_series: dict[str, list[float]] = {}
-    sec_series: dict[str, list[float]] = {}
-    for record in recent:
-        for bench, t in (record.get("throughput") or {}).items():
-            if benchmarks is not None and bench not in benchmarks:
-                continue
-            if t.get("eps"):
-                eps_series.setdefault(bench, []).append(float(t["eps"]))
-                sec_series.setdefault(bench, []).append(float(t.get("ns", 0.0)) / 1e9)
-    benches = {
-        bench: {
-            "events_per_sec": median(values),
-            "replay_seconds": median(sec_series[bench]),
-            "runs": len(values),
-        }
-        for bench, values in sorted(eps_series.items())
-    }
-    if not benches:
-        raise LedgerError(
-            f"ledger {ledger.root}: no replay throughput in the last "
-            f"{window} run(s)"
-        )
-    return {
-        "schema": 1,
-        "source": f"ledger:{ledger.root}",
-        "window": window,
-        "benchmarks": benches,
-    }
 
 
 # ------------------------------------------------------------ rendering

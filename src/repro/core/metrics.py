@@ -625,7 +625,10 @@ def merge_snapshot(snapshot: "Mapping[str, Any] | MetricsRegistry") -> None:
 def load_snapshot(path: str | Path) -> MetricsRegistry:
     """Load a ``--metrics`` JSON snapshot back into a registry."""
     with Path(path).open(encoding="utf-8") as fh:
-        return MetricsRegistry.from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    return MetricsRegistry.from_dict(data)
 
 
 # -------------------------------------------------------------- exporters

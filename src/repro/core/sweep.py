@@ -134,7 +134,7 @@ class MachineGrid:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MachineGrid":
-        rows = data.get("configs")
+        rows = data.get("configs") if isinstance(data, Mapping) else None
         if not isinstance(rows, list) or not rows:
             raise ValueError("MachineGrid.from_dict: need a non-empty 'configs' list")
         names, machines = [], []
@@ -205,7 +205,7 @@ class ReplayRequest:
 
 
 def default_sweep_grid() -> MachineGrid:
-    """The 8-config benchmark grid shared by the sweep bench and watchdog.
+    """The 8-config benchmark grid shared by the sweep bench and perfbench.
 
     A predictor-sensitivity axis (both predictor kinds, three table
     sizes, three history depths) crossed with memory-sizing points

@@ -409,7 +409,8 @@ class TraceWriter:
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a journal into raw records, skipping truncated tail lines."""
+    """Parse a journal into raw records, skipping truncated tail lines
+    and lines that are JSON but not objects."""
     records: list[dict[str, Any]] = []
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
@@ -417,9 +418,11 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
                 break  # truncated final line from a killed run
+            if isinstance(record, dict):
+                records.append(record)
     return records
 
 

@@ -142,14 +142,21 @@ class TestObservability:
         assert cell["workload"] == "mcf.test" and cell["error"] == "boom"
 
     def test_metrics_missing_snapshot_exits_2(self, tmp_path, capsys):
-        assert main(["metrics", "show", str(tmp_path / "nope.json")]) == 2
-        assert "no snapshot" in capsys.readouterr().err
+        missing, directory = tmp_path / "nope.json", tmp_path / "dir.json"
+        directory.mkdir()
+        for path in (missing, directory):
+            assert main(["metrics", "show", str(path)]) == 2
+            assert capsys.readouterr().err == f"metrics: no snapshot at {path}\n"
 
     def test_metrics_garbage_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{broken")
-        assert main(["metrics", "show", str(path)]) == 2
-        assert "unreadable snapshot" in capsys.readouterr().err
+        for document in ("{broken", "null", "3", "[1,2]"):
+            path.write_text(document)
+            for action in ("show", "prom"):
+                assert main(["metrics", action, str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"metrics: {path}: unreadable snapshot ("), err
+                assert err.count("\n") == 1
 
 
 class TestCommands:
@@ -233,6 +240,44 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == f"{argv[0]}: cache dir {path} is not a directory\n"
         assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv", [["suite", "505.mcf_r"], ["sweep", "505.mcf_r"], ["runs", "list"]]
+    )
+    def test_ledger_dir_that_is_a_file_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, via
+    ):
+        path = tmp_path / "not-a-dir"
+        path.write_text("keep\n")
+        if via == "flag":
+            argv = [*argv, "--ledger", str(path)]
+        else:
+            monkeypatch.setenv("REPRO_LEDGER_DIR", str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: ledger dir {path} is not a directory\n"
+        assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (None, "no grid file at {path}"),
+            ("[1,2]", "{path}: bad grid ("),
+            ("null", "{path}: bad grid ("),
+        ],
+        ids=["directory", "list", "null"],
+    )
+    def test_sweep_unusable_grid_exits_2(self, tmp_path, capsys, grid, message):
+        path = tmp_path / "grid.json"
+        if grid is None:
+            path.mkdir()
+        else:
+            path.write_text(grid)
+        assert main(["sweep", "505.mcf_r", "--grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: " + message.format(path=path))
+        assert err.count("\n") == 1
 
     def test_table2_cache_line_counts_this_command_only(self, tmp_path, capsys):
         argv = ["table2", "505.mcf_r", "--cache-dir", str(tmp_path)]

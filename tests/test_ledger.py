@@ -1,4 +1,4 @@
-"""Run-ledger tests: durability, retention, diffing, baselines, CLI.
+"""Run-ledger tests: durability, retention, diffing, CLI.
 
 The durability cases mirror the trace-journal ones (torn tails,
 concurrent writers) because the ledger makes the same crash-tolerance
@@ -6,6 +6,7 @@ promise across *runs* that the journal makes across *spans*.
 """
 
 import json
+import re
 import threading
 
 import pytest
@@ -20,7 +21,6 @@ from repro.core.ledger import (
     classify_metric,
     derive_throughput,
     diff_records,
-    ledger_baseline,
     render_record,
     render_runs_table,
 )
@@ -40,6 +40,11 @@ def snapshot(bench="505.mcf_r", *, events=1_000_000, eps=5e6, stage_s=None):
             "kind": "counter",
             "labels": ["benchmark"],
             "series": [{"labels": [bench], "value": events / eps * 1e9}],
+        },
+        "repro_replay_eps": {
+            "kind": "histogram",
+            "labels": ["benchmark"],
+            "series": [{"labels": [bench], "sum": eps, "count": 1}],
         },
         # An info-class family the diff must record but never flag.
         "repro_cache_lookups_total": {
@@ -99,7 +104,7 @@ class TestBuildRecord:
         assert t["events"] == 1_000_000
 
     def test_injected_slowdown_shows_in_recorded_eps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", "4")
+        monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "4")
         t = derive_throughput(snapshot(eps=4e6))["505.mcf_r"]
         assert t["eps"] == pytest.approx(1e6)
 
@@ -319,9 +324,49 @@ class TestDiff:
         )
         assert all(e.ok for e in rep.entries if e.metric == "repro_stage_seconds")
 
+    # B replays 2.5x faster than A and its replay stage takes 0.4x as
+    # long, so every timing family moves far beyond tolerance and floor.
+    SLOW = {"eps": 4e6, "stage_s": 1.0}
+    FAST = {"eps": 1e7, "stage_s": 0.4}
+    TIMING = [
+        "throughput.eps",
+        "repro_replay_eps",
+        "repro_stage_seconds",
+        "repro_replay_ns_total",
+    ]
+
+    @pytest.mark.parametrize("metric", TIMING)
+    def test_faster_b_is_never_a_finding(self, metric):
+        rep = diff_records(make_record("a", **self.SLOW), make_record("b", **self.FAST))
+        entry, = [e for e in rep.entries if e.metric == metric]
+        assert entry.ok and abs(entry.ratio - 1.0) > 0.5
+
+    @pytest.mark.parametrize("metric", TIMING)
+    def test_slower_b_beyond_tolerance_is_flagged(self, metric):
+        rep = diff_records(make_record("a", **self.FAST), make_record("b", **self.SLOW))
+        entry, = [e for e in rep.entries if e.metric == metric]
+        assert not entry.ok and rep.exit_code == 1
+
+    def test_faster_b_still_flags_exact_mismatches(self):
+        rep = diff_records(
+            make_record("a", **self.SLOW),
+            make_record("b", **self.FAST, events=999_999),
+        )
+        assert rep.exit_code == 1
+        assert {e.cls for e in rep.out_of_tolerance} == {"exact"}
+
+    def test_cli_diff_is_one_sided(self, tmp_path, capsys):
+        ledger = RunLedger(tmp_path / "led")
+        ledger.append(make_record("slow", started=1_000.0, **self.SLOW))
+        ledger.append(make_record("fast", started=2_000.0, **self.FAST))
+        root = str(tmp_path / "led")
+        assert main(["runs", "diff", "slow", "fast", "--ledger", root]) == 0
+        assert main(["runs", "diff", "fast", "slow", "--ledger", root]) == 1
+        assert "throughput.eps" in capsys.readouterr().out
+
     def test_injected_slowdown_run_is_flagged(self, monkeypatch):
         fast = make_record("a", eps=5e6)
-        monkeypatch.setenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", "3")
+        monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "2")
         slow = make_record("b", eps=5e6)
         rep = diff_records(fast, slow)
         assert not rep.ok
@@ -372,35 +417,6 @@ class TestDiff:
         assert main(["runs", "diff", "prev", "latest", "--ledger", root]) == 0
         assert main(["runs", "show", "prev", "--ledger", root]) == 0
         assert "cells=2" in capsys.readouterr().out
-
-
-# --------------------------------------------------------------- baseline
-
-
-class TestLedgerBaseline:
-    def test_rolling_median(self, tmp_path):
-        ledger = RunLedger(tmp_path / "led")
-        for i, eps in enumerate((4e6, 5e6, 6e6)):
-            ledger.append(make_record(f"r{i}", started=1_000.0 + i, eps=eps))
-        baseline = ledger_baseline(ledger, window=3)
-        bench = baseline["benchmarks"]["505.mcf_r"]
-        assert bench["events_per_sec"] == pytest.approx(5e6)
-        assert bench["runs"] == 3
-        assert baseline["schema"] == 1
-
-    def test_window_and_failed_runs_excluded(self, tmp_path):
-        ledger = RunLedger(tmp_path / "led")
-        ledger.append(make_record("bad", ok=0, failed=2, eps=1e3))
-        for i, eps in enumerate((4e6, 6e6)):
-            ledger.append(make_record(f"r{i}", started=2_000.0 + i, eps=eps))
-        baseline = ledger_baseline(ledger, window=2)
-        assert baseline["benchmarks"]["505.mcf_r"]["events_per_sec"] == pytest.approx(
-            5e6
-        )
-
-    def test_empty_ledger_raises(self, tmp_path):
-        with pytest.raises(LedgerError):
-            ledger_baseline(RunLedger(tmp_path / "led"))
 
 
 # ------------------------------------------------------------- rendering
@@ -464,17 +480,18 @@ class TestSessionEndToEnd:
         assert "all within tolerance" in out
 
     def test_injected_slowdown_run_is_flagged(self, led, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", "3")
+        monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "2")
         assert main(
             ["suite", "519.lbm_r", "--no-cache", "--workers", "1",
              "--ledger", str(led)]
         ) == 0
-        monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN")
+        monkeypatch.delenv("REPRO_INJECT_SLOWDOWN")
         capsys.readouterr()
         rc = main(["runs", "diff", "prev", "latest", "--ledger", str(led)])
         out = capsys.readouterr().out
         assert rc == 1
         assert "OUT OF TOLERANCE" in out
+        assert re.search(r"timing\s+throughput\.eps\s+519\.lbm_r .*OUT-OF-TOL", out), out
         # restore a clean tail for later tests in this class
         RunLedger(led).gc(keep=2)
 

@@ -251,8 +251,14 @@ class TestTopCli:
         assert "run" in out
 
     def test_top_once_missing_journal_exits_2(self, tmp_path, capsys):
-        assert main(["top", str(tmp_path / "nope.jsonl"), "--once"]) == 2
-        assert "no records" in capsys.readouterr().err
+        # missing, a directory, and a journal whose lines are not objects
+        missing, directory = tmp_path / "nope.jsonl", tmp_path / "dir.jsonl"
+        not_objects = tmp_path / "list.jsonl"
+        directory.mkdir()
+        not_objects.write_text("[1,2]\n3\n")
+        for path in (missing, directory, not_objects):
+            assert main(["top", str(path), "--once"]) == 2
+            assert capsys.readouterr().err == f"top: no records at {path}\n"
 
     def test_top_tail_limits_rows(self, journal, capsys):
         assert main(["top", str(journal), "--once", "--tail", "3"]) == 0

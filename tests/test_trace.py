@@ -99,6 +99,12 @@ class TestTruncatedJournal:
         path.write_text("\n" + json.dumps(SPANS[0].to_dict()) + "\n\n")
         assert trace_spans(path) == [SPANS[0]]
 
+    def test_lines_that_are_not_objects_are_skipped(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("[1,2]\n3\n" + json.dumps(SPANS[0].to_dict()) + '\n"x"\n')
+        assert read_trace(path) == [SPANS[0].to_dict()]
+        assert trace_spans(path) == [SPANS[0]]
+
 
 class TestSessionMetrics:
     def test_session_scope_is_per_session(self):
@@ -297,17 +303,21 @@ class TestCli:
         assert "505.mcf_r/mcf.test: failed after 3 attempt(s) — boom" in out
 
     def test_missing_journal_exits_2(self, tmp_path, capsys):
-        assert main(["trace", "summary", str(tmp_path / "nope.jsonl")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1  # one-line diagnostic
-        assert "no journal" in err
+        missing, directory = tmp_path / "nope.jsonl", tmp_path / "dir.jsonl"
+        directory.mkdir()
+        for path in (missing, directory):
+            for action in ("summary", "show", "chrome"):
+                assert main(["trace", action, str(path)]) == 2
+                assert capsys.readouterr().err == f"trace: no journal at {path}\n"
 
     def test_empty_journal_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        for action in ("summary", "show", "chrome"):
-            assert main(["trace", action, str(path)]) == 2
-            assert "has no records" in capsys.readouterr().err
+        for content in ("", "[1,2]\n3\nnull\n"):
+            path.write_text(content)
+            for action in ("summary", "show", "chrome"):
+                assert main(["trace", action, str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"trace: journal {path} has no records\n"
 
     def test_trace_chrome_writes_perfetto_json(self, journal, tmp_path, capsys):
         out = tmp_path / "chrome.json"
