@@ -523,21 +523,25 @@ def _print_replay_summary(registry) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     from .core.errors import UnknownScenarioError
+    from .core.ledger import LedgerError
     from .core.metrics import MetricsRegistry, collector
+    from .core.trace import TraceError
 
-    for kind, path in (("cache", _cache_dir(args)), ("ledger", _ledger_dir(args))):
-        if path is not None and path.exists() and not path.is_dir():
-            print(f"{args.command}: {kind} dir {path} is not a directory", file=sys.stderr)
-            return 2
+    cache_dir = _cache_dir(args)
+    if cache_dir is not None and cache_dir.exists() and not cache_dir.is_dir():
+        print(f"{args.command}: cache dir {cache_dir} is not a directory", file=sys.stderr)
+        return 2
     # The stderr summaries below read what this command recorded, never
     # process-wide totals.
     command = MetricsRegistry()
     try:
         with collector(command):
             status = _dispatch(args)
-    except UnknownScenarioError as exc:
-        # Usage error, not a pipeline failure: unknown benchmark /
-        # workload / machine id anywhere in the command.
+    except (UnknownScenarioError, LedgerError, TraceError) as exc:
+        # Usage errors, not pipeline failures: an unknown benchmark /
+        # workload / machine id anywhere in the command, a ledger
+        # (--ledger or REPRO_LEDGER_DIR) that cannot be opened or read,
+        # or a malformed journal record.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     if args.command == "table2":
@@ -953,10 +957,14 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"{modes['per-config']} per-config, "
                 f"{modes['unlabeled']} unlabeled replays"
             )
-            print("stage: capture (machine-independent telemetry)")
-            print(f"  entries : {len(captures)}")
-            print(f"  bytes   : {captures.total_bytes()}")
-            print(f"  corrupt : {captures.quarantined_entries()} (quarantined *.corrupt)")
+            for heading, entries in (
+                ("stage: capture (machine-independent telemetry)", captures),
+                ("stage: set (Alberta set member names)", store.sets),
+            ):
+                print(heading)
+                print(f"  entries : {len(entries)}")
+                print(f"  bytes   : {entries.total_bytes()}")
+                print(f"  corrupt : {entries.quarantined_entries()} (quarantined *.corrupt)")
         return 0
 
     if args.command == "generate":

@@ -20,13 +20,19 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
 * :class:`CaptureStore` — the on-disk store for encoded captures,
   with the same atomic-write and quarantine-on-corruption discipline
   as :class:`~repro.core.cache.ResultCache`;
-* :class:`ArtifactStore` — the pair of per-stage stores the engine
-  holds: ``profiles`` (the replay-stage artifact, one entry per
-  machine/build) and ``captures`` (the capture-stage artifact, one
-  entry per workload, shared by every machine/build that replays it).
+* :class:`SetStore` — the member names of each generated Alberta set
+  (:func:`encode_set` / :func:`decode_set`, checked by length and CRC-32
+  before parsing like RTC2), so a pass whose cells all hit never
+  generates the set;
+* :class:`ArtifactStore` — the per-stage stores the engine holds:
+  ``profiles`` (the replay-stage artifact, one entry per
+  machine/build), ``captures`` (the capture-stage artifact, one entry
+  per workload, shared by every machine/build that replays it) and
+  ``sets`` (one entry per benchmark and base seed).
 
-Capture traffic is recorded in the metrics registry under
-``store="capture"``, apart from the profile store's ``store="profile"``.
+Capture and set traffic is recorded in the metrics registry under
+``store="capture"`` and ``store="set"``, apart from the profile
+store's ``store="profile"``.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ __all__ = [
     "encode_capture",
     "decode_capture",
     "CaptureStore",
+    "SET_MAGIC",
+    "encode_set",
+    "decode_set",
+    "SetStore",
     "ArtifactStore",
 ]
 
@@ -59,6 +69,10 @@ CAPTURE_MAGIC = b"RTC2"
 
 _PREFIX = struct.Struct("<4sIII")  # magic, header length, payload length, CRC-32
 _LEVEL = 3  # zlib level: DESIGN.md §10 has the level table
+
+#: Leading bytes of every encoded set entry.
+SET_MAGIC = b"RSN1"
+_SET_PREFIX = struct.Struct("<4sII")  # magic, body length, CRC-32 of the body
 
 #: Column dtypes a header may name, narrowest first; all little-endian.
 _DTYPES = {name: np.dtype(name).newbyteorder("<") for name in ("int8", "int16", "int32", "int64")}
@@ -196,8 +210,71 @@ class CaptureStore(_EntryStore):
         self._write(key, blob)
 
 
+def encode_set(benchmark_id: str, base_seed: int, names: "list[str]") -> bytes:
+    """Serialize one Alberta set's member names: ``SET_MAGIC``, two u32s
+    (body length and CRC-32 of the body), then the JSON body."""
+    body = json.dumps(
+        {"format": CACHE_FORMAT, "benchmark": benchmark_id, "base_seed": base_seed,
+         "names": list(names)},
+        separators=(",", ":"),
+    ).encode()
+    return _SET_PREFIX.pack(SET_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def decode_set(blob: bytes, benchmark_id: str, base_seed: int) -> "list[str]":
+    """The member names of ``benchmark_id``'s set at ``base_seed``.
+
+    Raises :class:`CacheCorruption` on any damage, and on an entry for
+    another set.  The magic, the length and the CRC are checked before
+    the body is parsed.
+    """
+    if len(blob) < _SET_PREFIX.size:
+        raise CacheCorruption("set entry: truncated prefix")
+    magic, length, crc = _SET_PREFIX.unpack_from(blob)
+    body = blob[_SET_PREFIX.size :]
+    if magic != SET_MAGIC or len(body) != length or zlib.crc32(body) != crc:
+        raise CacheCorruption("set entry: bad magic, length or CRC")
+    try:
+        doc = json.loads(body)
+        names = doc["names"]
+        ok = (
+            doc["format"] == CACHE_FORMAT
+            and doc["benchmark"] == benchmark_id
+            and doc["base_seed"] == base_seed
+            and isinstance(names, list)
+            and all(isinstance(n, str) and n for n in names)
+            and len(set(names)) == len(names)
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CacheCorruption(f"set entry: undecodable ({type(exc).__name__}: {exc})") from exc
+    if not ok:
+        raise CacheCorruption(f"set entry: not the member list of {benchmark_id} at seed {base_seed}")
+    return names
+
+
+class SetStore(_EntryStore):
+    """On-disk member names of generated Alberta sets, by :func:`~repro.core.
+    cache.set_key`.
+
+    ``.set`` entries at ``<root>/<key[:2]>/<key>.set`` with the shared
+    atomic-write and quarantine discipline; traffic is recorded under
+    ``store="set"``.  Not a :class:`ResultCache`, whose traffic is the
+    profile store's.
+    """
+
+    suffix = ".set"
+    store = "set"
+
+    def get(self, key: str, benchmark_id: str, base_seed: int) -> "list[str] | None":
+        """The set's names; a miss or a damaged entry returns None."""
+        return self._lookup(key, lambda raw: decode_set(raw, benchmark_id, base_seed))
+
+    def put(self, key: str, benchmark_id: str, base_seed: int, names: "list[str]") -> None:
+        self._write(key, encode_set(benchmark_id, base_seed, names))
+
+
 class ArtifactStore:
-    """The engine's pair of per-stage stores under one cache root.
+    """The engine's per-stage stores under one cache root.
 
     ``profiles`` is the replay-stage store — one
     :class:`~repro.machine.profiler.ExecutionProfile` per (workload,
@@ -205,9 +282,10 @@ class ArtifactStore:
     caller handed the engine, so their ``cache.stats`` keep working.
     ``captures`` lives under ``<root>/capture/`` — one
     :class:`~repro.machine.capture.TelemetryCapture` per workload,
-    shared across every machine/build.  The subdirectory is invisible
-    to the profile store's ``*/*.json`` globs, so profile entry counts
-    and :meth:`ResultCache.wipe` semantics are unchanged.
+    shared across every machine/build — and ``sets`` under
+    ``<root>/set/``.  The subdirectories are invisible to the profile
+    store's ``*/*.json`` globs, so profile entry counts and
+    :meth:`ResultCache.wipe` semantics are unchanged.
     """
 
     def __init__(
@@ -222,11 +300,12 @@ class ArtifactStore:
             profiles = ResultCache(root)
         self.profiles = profiles
         self.captures = CaptureStore(Path(profiles.root) / "capture")
+        self.sets = SetStore(Path(profiles.root) / "set")
 
     @property
     def root(self) -> Path:
         return self.profiles.root
 
     def wipe(self) -> int:
-        """Wipe both stages; returns total live entries removed."""
-        return self.profiles.wipe() + self.captures.wipe()
+        """Wipe every store; returns total live entries removed."""
+        return self.profiles.wipe() + self.captures.wipe() + self.sets.wipe()

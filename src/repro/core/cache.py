@@ -1,19 +1,32 @@
-"""Content-addressed on-disk cache for characterization results.
+"""Code-derived keys and the on-disk store of characterization results.
 
 Re-running Table II, the figures, or the studies repeats the exact same
 (benchmark, workload) executions; since the whole pipeline is
-deterministic (see DESIGN.md §6), every :class:`ExecutionProfile` is a
-pure function of four inputs:
+deterministic (see DESIGN.md §6), every stored artifact is a pure
+function of its inputs and of the code that made it.  Keys name both:
 
-* the benchmark id,
-* the workload content (name, seed, params, and a digest of the
-  payload itself),
-* the machine configuration,
-* the repro version (the cost model may change between releases).
+* a capture's *identity* is the capture code fingerprint
+  (:func:`capture_fingerprint`: the source of the benchmark's and its
+  generator's modules, :data:`CAPTURE_MODULES`, NumPy's and Python's
+  versions), the benchmark id and the workload.  A workload that
+  :func:`~repro.core.registry.alberta_workloads` generated is named by
+  its recipe, its base seed and name (:class:`~repro.core.workload.
+  AlbertaRef`), so it can be keyed without generating it; any other
+  workload by its content (name, seed, params and a digest of the
+  payload itself);
+* :func:`capture_key` adds the capture codec to the identity;
+* :func:`cache_key`, a profile's key, adds the machine configuration,
+  the build digest, :data:`CACHE_FORMAT` and the replay code fingerprint
+  (:func:`replay_fingerprint`, over :data:`REPLAY_MODULES`);
+* :func:`set_key` names one Alberta set's member list by the capture
+  code fingerprint, the benchmark and the base seed.
 
-:func:`cache_key` hashes those four inputs into a stable SHA-256 key
-and :class:`ResultCache` stores the profile (minus the benchmark
-output, which the summaries never read) as JSON under
+Module sources are read once per process, and each machine config is
+hashed once.  An edit to any module a stage depends on turns that
+stage's artifacts cold; nothing is bumped by hand.
+
+:class:`ResultCache` stores a profile (minus the benchmark output,
+which the summaries never read) as JSON under
 ``<root>/<key[:2]>/<key>.json``.  JSON floats round-trip exactly
 (``repr`` is shortest-round-trip), so a cached profile reconstructs the
 summaries bit-identically.
@@ -25,9 +38,13 @@ callers read it from a collector, not from the cache object.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import json
 import os
+import secrets
+import sys
 import time
 from collections.abc import Callable, Iterator, Mapping, Set
 from dataclasses import asdict, fields, is_dataclass
@@ -41,14 +58,19 @@ from ..machine.profiler import ExecutionProfile
 from .coverage import CoverageProfile
 from .errors import CacheCorruption
 from .topdown import TopDownVector
-from .workload import Workload
+from .workload import AlbertaRef, Workload
 
 __all__ = [
     "CACHE_FORMAT",
+    "CAPTURE_MODULES",
+    "REPLAY_MODULES",
     "payload_digest",
     "workload_fingerprint",
+    "capture_fingerprint",
+    "replay_fingerprint",
     "cache_key",
     "capture_key",
+    "set_key",
     "profile_to_dict",
     "profile_from_dict",
     "ResultCache",
@@ -56,6 +78,36 @@ __all__ = [
 
 #: Bump when the serialized profile layout changes; part of every key.
 CACHE_FORMAT = 1
+
+#: The modules every capture runs through besides its benchmark's and its
+#: generator's own.  A benchmark or generator module may import only
+#: these, ``repro.core.registry`` and ``repro.core.errors`` from the
+#: package (a test checks), so the capture fingerprint covers its code.
+CAPTURE_MODULES = (
+    "repro.benchmarks.base",
+    "repro.core.artifacts",
+    "repro.core.workload",
+    "repro.machine.capture",
+    "repro.machine.telemetry",
+    "repro.workloads.base",
+)
+
+#: The modules a replay runs, from a capture to a stored profile.
+REPLAY_MODULES = (
+    "repro.core.cache",
+    "repro.core.coverage",
+    "repro.core.topdown",
+    "repro.fdo.optimizer",
+    "repro.fdo.profile_data",
+    "repro.machine.batch",
+    "repro.machine.branch",
+    "repro.machine.cache",
+    "repro.machine.capture",
+    "repro.machine.cost",
+    "repro.machine.kernel",
+    "repro.machine.profiler",
+    "repro.machine.telemetry",
+)
 
 
 # --------------------------------------------------------------- hashing
@@ -138,92 +190,145 @@ def workload_fingerprint(workload: Workload) -> dict[str, Any]:
     }
 
 
-def _descriptor_tokens(benchmark_id: str) -> dict[str, str]:
-    """Registry descriptor tokens that join this benchmark's cache keys.
+@functools.lru_cache(maxsize=None)
+def _module_digest(name: str) -> str:
+    """SHA-256 of one module's source file, read once per process."""
+    module = importlib.import_module(name)
+    try:
+        return hashlib.sha256(Path(module.__file__).read_bytes()).hexdigest()
+    except (AttributeError, TypeError, OSError):
+        # No source file (a module built in memory): nothing vouches that
+        # another process runs the same code, so no other process's keys
+        # match this one's.
+        return f"unread:{secrets.token_hex(16)}"
 
-    Empty for descriptors at ``version=1`` (and for benchmark ids the
-    registry has never heard of — keys must stay computable for
-    synthetic test benchmarks), so pre-registry cache entries keep
-    their exact keys.  A descriptor version bump makes its token
-    non-``None``, which shows up here and invalidates exactly that
-    scenario's artifacts.
+
+@functools.lru_cache(maxsize=None)
+def _code_digest(modules: tuple[str, ...]) -> str:
+    return payload_digest({name: _module_digest(name) for name in modules})
+
+
+def capture_fingerprint(benchmark_id: str) -> str:
+    """Digest of the code one benchmark's captures and Alberta sets come from.
+
+    Covers the modules of the benchmark's and its generator's registered
+    factories (so a plugin's own modules count), :data:`CAPTURE_MODULES`,
+    NumPy's version (generators draw from its RNG streams) and Python's
+    minor version.  An unregistered benchmark id covers only the shared
+    modules and the versions.
+    """
+    import numpy
+    from .registry import REGISTRY
+
+    modules = set(CAPTURE_MODULES)
+    for kind in ("benchmark", "generator"):
+        d = REGISTRY.find(kind, benchmark_id)
+        if d is not None and d.factory is not None:
+            modules.add(getattr(d.factory, "__module__", None) or "__main__")
+    runtime = f"numpy {numpy.__version__}, python {sys.version_info[0]}.{sys.version_info[1]}"
+    return f"{_code_digest(tuple(sorted(modules)))}/{runtime}"
+
+
+@functools.lru_cache(maxsize=None)
+def replay_fingerprint() -> str:
+    """Digest of the code of :data:`REPLAY_MODULES`, read once per process."""
+    return _code_digest(REPLAY_MODULES)
+
+
+@functools.lru_cache(maxsize=None)
+def _machine_digest(machine: MachineConfig | None) -> str:
+    return payload_digest(asdict(machine or MachineConfig()))
+
+
+def _code_identity(benchmark_id: str) -> dict[str, Any]:
+    """What every key of one benchmark's artifacts starts from.
+
+    Registry descriptor versions above 1 still join it as tokens.
     """
     from .registry import REGISTRY
 
-    return REGISTRY.cache_tokens(benchmark_id)
+    ident: dict[str, Any] = {
+        "format": CACHE_FORMAT,
+        "code": capture_fingerprint(benchmark_id),
+        "benchmark": benchmark_id,
+    }
+    tokens = REGISTRY.cache_tokens(benchmark_id)
+    if tokens:
+        ident["descriptors"] = tokens
+    return ident
+
+
+def _capture_identity(benchmark_id: str, workload: Workload | AlbertaRef) -> dict[str, Any]:
+    """A capture's identity: by recipe for an Alberta workload, else by content.
+
+    A workload stamped with another benchmark's recipe keys by content,
+    since this benchmark's fingerprint does not cover that generator.
+    """
+    ident = _code_identity(benchmark_id)
+    ref = workload if isinstance(workload, AlbertaRef) else workload.alberta
+    if ref is not None and ref.benchmark == benchmark_id:
+        ident["base_seed"] = ref.base_seed
+        ident["name"] = ref.name
+    else:
+        ident["workload"] = workload_fingerprint(workload)
+    return ident
 
 
 def cache_key(
     benchmark_id: str,
-    workload: Workload,
+    workload: Workload | AlbertaRef,
     machine: MachineConfig | None = None,
     *,
     build: str | None = None,
 ) -> str:
-    """Stable key for one (benchmark, workload, machine, version) cell.
+    """Stable key for one stored profile: a capture replayed on one machine.
 
-    ``build`` is an optional digest of a build transformation (e.g. an
-    FDO profile — see :meth:`repro.fdo.optimizer.FdoBuild.digest`) that
-    changes the replay but not the capture.  ``None`` (the baseline
-    build) hashes exactly as before, so caches populated prior to this
-    field stay warm.
-
-    Registry descriptor versions join the key the same way: only
-    non-``None`` :meth:`~repro.core.registry.Descriptor.cache_token`
-    values (version > 1) are folded in, so unchanged descriptors keep
-    every pre-existing key byte-identical.
+    The capture's identity plus the machine config, ``build`` (an
+    optional digest of a build transformation such as an FDO profile —
+    see :meth:`repro.fdo.optimizer.FdoBuild.digest` — that changes the
+    replay but not the capture), :data:`CACHE_FORMAT` and the replay
+    code fingerprint.
     """
-    from .. import __version__
-
-    ident: dict[str, Any] = {
-        "format": CACHE_FORMAT,
-        "version": __version__,
-        "benchmark": benchmark_id,
-        "workload": workload_fingerprint(workload),
-        "machine": asdict(machine or MachineConfig()),
-    }
-    tokens = _descriptor_tokens(benchmark_id)
-    if tokens:
-        ident["descriptors"] = tokens
+    ident = _capture_identity(benchmark_id, workload)
+    ident["replay"] = replay_fingerprint()
+    ident["machine"] = _machine_digest(machine)
     if build is not None:
         ident["build"] = build
-    h = hashlib.sha256()
-    _update(h, ident)
-    return h.hexdigest()
+    return payload_digest(ident)
 
 
-def capture_key(benchmark_id: str, workload: Workload) -> str:
+def capture_key(benchmark_id: str, workload: Workload | AlbertaRef) -> str:
     """Stable key for one captured telemetry stream.
 
     Deliberately *machine-independent*: the capture stage records what
-    the benchmark did, not how a machine would execute it, so the key
-    covers only the benchmark id, the workload content, the artifact
-    format, the capture codec, and the repro version — plus, like
-    :func:`cache_key`, any non-baseline registry descriptor tokens.
-    Every machine config (and every FDO build) replays the same
-    capture.  The codec token is the codec's magic, so a new capture
-    layout misses on old entries while profile keys stay warm.
+    the benchmark did, not how a machine would execute it, so every
+    machine config (and every FDO build) replays the same capture.  The
+    key is the capture's identity plus the codec's magic, so a new
+    capture layout misses on old entries while profile keys stay warm.
     """
-    from .. import __version__
     from .artifacts import CAPTURE_MAGIC
 
-    ident: dict[str, Any] = {
-        "format": CACHE_FORMAT,
-        "version": __version__,
-        "stage": "capture",
-        "codec": CAPTURE_MAGIC.decode(),
-        "benchmark": benchmark_id,
-        "workload": workload_fingerprint(workload),
-    }
-    tokens = _descriptor_tokens(benchmark_id)
-    if tokens:
-        ident["descriptors"] = tokens
-    h = hashlib.sha256()
-    _update(h, ident)
-    return h.hexdigest()
+    ident = _capture_identity(benchmark_id, workload)
+    ident["stage"] = "capture"
+    ident["codec"] = CAPTURE_MAGIC.decode()
+    return payload_digest(ident)
+
+
+def set_key(benchmark_id: str, base_seed: int) -> str:
+    """Stable key for the member names of one generated Alberta set."""
+    ident = _code_identity(benchmark_id)
+    ident["stage"] = "set"
+    ident["base_seed"] = base_seed
+    return payload_digest(ident)
 
 
 # --------------------------------------------------------- serialization
+
+
+def _scalars(obj: Any) -> dict[str, Any]:
+    """``asdict`` of a dataclass whose fields are all scalars, without its
+    recursive deep copy: a sweep stores one profile per config."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
@@ -245,8 +350,8 @@ def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
             "coverage": dict(report.coverage.fractions),
             "cycles": report.cycles,
             "seconds": report.seconds,
-            "per_method": {name: asdict(mc) for name, mc in report.per_method.items()},
-            "cache_stats": asdict(report.cache_stats),
+            "per_method": {name: _scalars(mc) for name, mc in report.per_method.items()},
+            "cache_stats": _scalars(report.cache_stats),
             "branch_misprediction_rate": report.branch_misprediction_rate,
             "sampling_stride": report.sampling_stride,
             "counters": dict(report.counters),

@@ -42,11 +42,18 @@ deterministic.  The engine exploits both properties:
   --trace`` / ``repro trace``); counts and timings go to the metrics
   registry (:mod:`repro.core.metrics`).
 
-Every cell carries its :class:`~repro.core.workload.Workload`: the
-parent generated it to compute the cell's cache keys, inline cells run
-on that object and pool workers receive it pickled (a whole Table II
-matrix of workloads pickles to 1.6 MB).  A cell bound for a store
-encodes its capture where it ran and ships home only the
+Keys are code-derived and name an Alberta workload by its recipe (see
+:mod:`repro.core.cache`), so a cell needs no payload until it executes.
+With a store attached, a benchmark's Alberta set is read by name from
+the set store (:class:`~repro.core.artifacts.SetStore`) and its cells
+carry :class:`~repro.core.workload.AlbertaRef` recipes; the set is
+generated only when one of its cells has to execute, or when the set
+store misses, which writes the entry.  So a pass whose cells all hit
+generates nothing.  An executing cell carries its
+:class:`~repro.core.workload.Workload`: inline cells run on that object
+and pool workers receive it pickled (a whole Table II matrix of
+workloads pickles to 1.6 MB).  A cell bound for a store encodes its
+capture where it ran and ships home only the
 :func:`~repro.core.artifacts.encode_capture` bytes, which the parent
 writes as they are — the parent neither regenerates workloads nor
 encodes captures.  Profiles returned from workers and from the cache
@@ -80,7 +87,7 @@ from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import artifacts, metrics
 from .artifacts import ArtifactStore
-from .cache import ResultCache, cache_key, capture_key
+from .cache import ResultCache, cache_key, capture_key, set_key
 from .errors import CellFailure, WorkloadError
 from .registry import (
     CAP_CAPTURE_ONLY,
@@ -93,7 +100,7 @@ from .registry import (
 from .resources import StageResourceTracker, merge_stacks, sampler_from_env
 from .sweep import ENGINE_MACHINE, ReplayRequest
 from .trace import CellSpan, StageSpan, TraceWriter
-from .workload import Workload, WorkloadSet
+from .workload import AlbertaRef, Workload, WorkloadSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .characterize import BenchmarkCharacterization
@@ -141,15 +148,17 @@ class _Cell:
     """One (benchmark, workload) unit of the profiling matrix.
 
     ``workload`` is the parent's own workload object: inline execution
-    runs on it and a pool worker receives it pickled.  Only
+    runs on it and a pool worker receives it pickled.  Until the cell
+    has to execute it may be the workload's :class:`AlbertaRef`
+    instead, which keys it just the same.  Only
     :meth:`CharacterizationEngine.replay_run` builds a cell without
-    one, because a replay never executes the benchmark.
+    either, because a replay never executes the benchmark.
     """
 
     benchmark_id: str
     workload_name: str
     machine: MachineConfig | None
-    workload: Workload | None
+    workload: Workload | AlbertaRef | None
 
 
 @dataclass(frozen=True)
@@ -500,6 +509,7 @@ class CharacterizationEngine:
                 to_run.append(i)
 
         if to_run:
+            self._materialize(cells, to_run)
             self._execute(cells, to_run, outcomes, cache_state, "replay")
             for i in to_run:
                 oc = outcomes[i]
@@ -549,6 +559,40 @@ class CharacterizationEngine:
         done = [oc for oc in outcomes if oc is not None]
         self._emit_spans(done)
         return done
+
+    def alberta_members(self, benchmark_id: str, base_seed: int) -> "list[Workload | AlbertaRef]":
+        """The members of a benchmark's Alberta set, in set order.
+
+        With a store attached, a set-store hit gives their recipes and
+        generates nothing; a miss generates the set and writes its entry.
+        Without a store the set is generated.
+        """
+        if self.store is None:
+            return list(alberta_workloads(benchmark_id, base_seed))
+        key = set_key(benchmark_id, base_seed)
+        with self._counting_quarantines():
+            names = self.store.sets.get(key, benchmark_id, base_seed)
+        if names is not None:
+            return [AlbertaRef(benchmark_id, base_seed, name) for name in names]
+        workloads = list(alberta_workloads(benchmark_id, base_seed))
+        self.store.sets.put(key, benchmark_id, base_seed, [w.name for w in workloads])
+        return workloads
+
+    @staticmethod
+    def _materialize(cells: list[_Cell], indices: list[int]) -> None:
+        """Give each of ``cells[indices]`` that holds a recipe its workload.
+
+        Generates each Alberta set involved once.  A recipe its set does
+        not contain raises :class:`~repro.core.errors.UnknownScenarioError`.
+        """
+        sets: dict[tuple[str, int], WorkloadSet] = {}
+        for i in indices:
+            ref = cells[i].workload
+            if isinstance(ref, AlbertaRef):
+                at = (ref.benchmark, ref.base_seed)
+                if at not in sets:
+                    sets[at] = alberta_workloads(*at)
+                cells[i] = replace(cells[i], workload=sets[at][ref.name])
 
     @contextmanager
     def _counting_quarantines(self) -> Iterator[None]:
@@ -912,7 +956,7 @@ class CharacterizationEngine:
 
     def _assemble(
         self,
-        benchmarks: "list[tuple[str, list[Workload], list[list[CellOutcome]]]]",
+        benchmarks: "list[tuple[str, list[Workload | AlbertaRef], list[list[CellOutcome]]]]",
         *,
         keep_profiles: bool = False,
     ) -> "list[list[BenchmarkCharacterization | None]]":
@@ -993,6 +1037,7 @@ class CharacterizationEngine:
                 yield i, capture, "hit", None
         if not to_run:
             return
+        self._materialize(cells, to_run)
         scratch: list[CellOutcome | None] = [None] * len(cells)
         self._execute(cells, to_run, scratch, "-", "capture")
         for i in to_run:
@@ -1121,6 +1166,8 @@ class CharacterizationEngine:
         of real benchmark executions.  Stored captures are decoded and
         replayed one workload at a time, before the misses execute as
         one batch, so a warm sweep holds one decoded capture at a time.
+        With a store, the Alberta set's members come from the set store
+        (:meth:`alberta_members`), so a warm sweep generates nothing.
 
         Replays additionally share *one pass* over the capture columns:
         all pending configs for a workload go through
@@ -1142,11 +1189,13 @@ class CharacterizationEngine:
         if not machines:
             raise WorkloadError("characterize_sweep: need at least one machine config")
         _require_capability(benchmark_id, CAP_SWEEPABLE, stage="characterize_sweep")
-        if workloads is None:
-            workloads = alberta_workloads(benchmark_id, base_seed)
-        if len(workloads) == 0:
+        wl = (
+            self.alberta_members(benchmark_id, base_seed)
+            if workloads is None
+            else list(workloads)
+        )
+        if not wl:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
-        wl = list(workloads)
         cache_state = "off" if self.store is None else "miss"
 
         grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
@@ -1315,6 +1364,8 @@ class CharacterizationEngine:
         ``ids`` restricts the run to an explicit benchmark subset
         (overriding ``suite`` / ``table2_only``).  ``workloads`` replaces
         the Alberta set with a custom one and needs exactly one id.
+        Alberta sets come from :meth:`alberta_members`, so a benchmark
+        whose cells all hit the store is never generated.
 
         Returns the characterizations (assembled per benchmark from the
         surviving cells; benchmarks with zero survivors are omitted)
@@ -1325,7 +1376,7 @@ class CharacterizationEngine:
         if workloads is not None and len(ids) != 1:
             raise WorkloadError("characterize: a custom workload set needs exactly one benchmark")
         sets = {
-            bid: list(alberta_workloads(bid, base_seed) if workloads is None else workloads)
+            bid: self.alberta_members(bid, base_seed) if workloads is None else list(workloads)
             for bid in ids
         }
         cells: list[_Cell] = []

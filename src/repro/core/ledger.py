@@ -313,6 +313,8 @@ class RunLedger:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise LedgerError(f"ledger dir {self.root} is not a directory")
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / _RUNS_FILE
         self.index_path = self.root / _INDEX_FILE
@@ -630,7 +632,13 @@ def diff_records(
     report = DiffReport(
         run_a=str(a.get("run_id")), run_b=str(b.get("run_id")), tolerance=tolerance
     )
-    sa, sb = _diff_series(a), _diff_series(b)
+    try:
+        sa, sb = _diff_series(a), _diff_series(b)
+        ignored = max(_count_info(a), _count_info(b))
+    except (AttributeError, TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
+        raise LedgerError(
+            f"diff: malformed record ({type(exc).__name__}: {exc})"
+        ) from exc
     for key in sorted(set(sa) | set(sb)):
         cls, metric, labels = key
         va, vb = sa.get(key), sb.get(key)
@@ -649,7 +657,7 @@ def diff_records(
                 or abs(va - vb) / max(abs(va), abs(vb)) <= tolerance
             )
         report.entries.append(DiffEntry(metric, labels, cls, va, vb, ok=ok))
-    report.ignored = max(_count_info(a), _count_info(b))
+    report.ignored = ignored
     return report
 
 

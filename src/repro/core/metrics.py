@@ -623,12 +623,18 @@ def merge_snapshot(snapshot: "Mapping[str, Any] | MetricsRegistry") -> None:
 
 
 def load_snapshot(path: str | Path) -> MetricsRegistry:
-    """Load a ``--metrics`` JSON snapshot back into a registry."""
+    """Load a ``--metrics`` JSON snapshot back into a registry.
+
+    Any defect of the document raises ``ValueError``.
+    """
     with Path(path).open(encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
-    return MetricsRegistry.from_dict(data)
+    try:
+        return MetricsRegistry.from_dict(data)
+    except (AttributeError, TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed snapshot ({type(exc).__name__}: {exc})") from exc
 
 
 # -------------------------------------------------------------- exporters

@@ -25,12 +25,13 @@ Three registration paths feed the same :class:`Registry`:
 Cache identity: each descriptor carries a ``version`` and a content
 :meth:`Descriptor.fingerprint`.  At ``version=1`` (every built-in
 today) :meth:`Descriptor.cache_token` is ``None`` and the descriptor
-contributes *nothing* to cache keys — keys are byte-identical to the
-pre-registry era, so warm caches stay warm across the refactor.
-Bumping a descriptor's version makes its token non-``None``, which
-:func:`repro.core.cache.cache_key` folds into the key — invalidating
-exactly that scenario's cached artifacts while every untouched
-descriptor keeps hitting.
+contributes *nothing* to cache keys.  Bumping a descriptor's version
+makes its token non-``None``, which :func:`repro.core.cache.cache_key`
+folds into the key — invalidating exactly that scenario's cached
+artifacts while every untouched descriptor keeps hitting.  Keys also
+hash the source of each benchmark's and generator's factory module
+(:func:`repro.core.cache.capture_fingerprint`), so an edit misses its
+artifacts without a bump.
 
 Validation is eager: malformed descriptors and id collisions raise
 :class:`~repro.core.errors.RegistrationError` at registration (plugin
@@ -187,8 +188,7 @@ class Descriptor:
         """The descriptor's contribution to cache keys, or ``None``.
 
         ``None`` at ``version=1`` — the baseline declaration hashes to
-        nothing, so cache keys written before the registry existed stay
-        valid.  Any version bump yields a token, which
+        nothing.  Any version bump yields a token, which
         :func:`repro.core.cache.cache_key` folds into the key: a clean
         miss for exactly this descriptor's artifacts.
         """
@@ -649,7 +649,11 @@ def get_generator(benchmark_id: str) -> Any:
 
 
 def alberta_workloads(benchmark_id: str, base_seed: int = 0) -> Any:
-    """The default Alberta workload set for a benchmark."""
+    """The default Alberta workload set for a benchmark.
+
+    Each member is stamped with its recipe (``Workload.alberta``), so
+    stored artifacts key it by base seed and name instead of by content.
+    """
     try:
         generator = get_generator(benchmark_id)
     except UnknownScenarioError:
@@ -660,7 +664,13 @@ def alberta_workloads(benchmark_id: str, base_seed: int = 0) -> Any:
                 "benchmark", benchmark_id, REGISTRY.ids("benchmark")
             ) from None
         raise
-    return generator.alberta_set(base_seed)
+    from .workload import AlbertaRef
+
+    workloads = generator.alberta_set(base_seed)
+    for w in workloads:
+        # A frozen dataclass: set the way its own __init__ sets fields.
+        object.__setattr__(w, "alberta", AlbertaRef(benchmark_id, base_seed, w.name))
+    return workloads
 
 
 def refrate_workload(benchmark_id: str, name: str | None = None) -> Any:

@@ -175,6 +175,16 @@ class Session:
         max_pool_restarts: int = 3,
         ledger: "RunLedger | str | Path | None" = None,
     ):
+        # Opened first: an unusable ledger dir raises LedgerError before
+        # anything else is set up.
+        if ledger is None:
+            env_dir = os.environ.get(LEDGER_ENV, "").strip()
+            ledger = env_dir or None
+        if ledger is not None and not isinstance(ledger, RunLedger):
+            ledger = RunLedger(ledger)
+        #: Run-history store this session appends to on close (opt-in via
+        #: the ``ledger`` argument or ``REPRO_LEDGER_DIR``).
+        self.ledger = ledger
         if not isinstance(trace, TraceWriter):
             trace = TraceWriter(trace)
         self._writer = trace
@@ -204,14 +214,6 @@ class Session:
         #: The session-wide metrics aggregate; every call records into a
         #: write-through child of this registry.
         self.metrics = MetricsRegistry()
-        if ledger is None:
-            env_dir = os.environ.get(LEDGER_ENV, "").strip()
-            ledger = env_dir or None
-        if ledger is not None and not isinstance(ledger, RunLedger):
-            ledger = RunLedger(ledger)
-        #: Run-history store this session appends to on close (opt-in via
-        #: the ``ledger`` argument or ``REPRO_LEDGER_DIR``).
-        self.ledger = ledger
         self._grids: set[str] = set()
         self._closed = False
 
@@ -336,10 +338,11 @@ class Session:
         one execution per workload however many times it is
         re-requested: a repeat is decoded from the capture store, or,
         in a session without one, served from the engine's in-process
-        memo.
+        memo.  With a store, a repeat of the Alberta set reads its
+        member names from the set store and generates nothing.
         """
         if workloads is None:
-            workloads = alberta_workloads(benchmark_id, base_seed)
+            workloads = self.engine.alberta_members(benchmark_id, base_seed)
         cells = [_Cell(benchmark_id, w.name, None, w) for w in workloads]
         with self._collect():
             outcomes = self.engine.capture_run(cells)

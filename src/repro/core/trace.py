@@ -59,8 +59,10 @@ from pathlib import Path
 from typing import IO, Any, Iterable
 
 from . import metrics
+from .errors import ReproError
 
 __all__ = [
+    "TraceError",
     "CellSpan",
     "StageSpan",
     "RunSummary",
@@ -76,6 +78,16 @@ __all__ = [
     "RUN_SPAN_ID",
     "STAGE_NAMES",
 ]
+
+
+class TraceError(ReproError):
+    """A journal record of a known type that lacks a member or has one of
+    the wrong type."""
+
+    @classmethod
+    def malformed(cls, kind: str, exc: Exception) -> "TraceError":
+        return cls(f"malformed {kind} record ({type(exc).__name__}: {exc})")
+
 
 #: Span outcomes that count as failures in summaries.
 FAILURE_OUTCOMES = ("failed", "timeout", "crashed")
@@ -124,22 +136,26 @@ class CellSpan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CellSpan":
-        return cls(
-            benchmark=data["benchmark"],
-            workload=data["workload"],
-            cache=data.get("cache", "off"),
-            attempts=int(data.get("attempts", 1)),
-            duration_s=float(data.get("duration_s", 0.0)),
-            outcome=data.get("outcome", "ok"),
-            error=data.get("error"),
-            capture=data.get("capture", "-"),
-            replay=data.get("replay", "-"),
-            build=data.get("build"),
-            span_id=data.get("span_id", ""),
-            parent_id=data.get("parent_id", ""),
-            start_s=float(data.get("start_s", 0.0)),
-            batched=bool(data.get("batched", False)),
-        )
+        """Decode a span record; raises :class:`TraceError` when malformed."""
+        try:
+            return cls(
+                benchmark=data["benchmark"],
+                workload=data["workload"],
+                cache=data.get("cache", "off"),
+                attempts=int(data.get("attempts", 1)),
+                duration_s=float(data.get("duration_s", 0.0)),
+                outcome=data.get("outcome", "ok"),
+                error=data.get("error"),
+                capture=data.get("capture", "-"),
+                replay=data.get("replay", "-"),
+                build=data.get("build"),
+                span_id=data.get("span_id", ""),
+                parent_id=data.get("parent_id", ""),
+                start_s=float(data.get("start_s", 0.0)),
+                batched=bool(data.get("batched", False)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError.malformed("span", exc) from exc
 
 
 @dataclass(frozen=True)
@@ -172,17 +188,21 @@ class StageSpan:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StageSpan":
+        """Decode a stage record; raises :class:`TraceError` when malformed."""
         res = data.get("resources")
-        return cls(
-            name=data["name"],
-            benchmark=data.get("benchmark", "-"),
-            workload=data.get("workload", "-"),
-            start_s=float(data.get("start_s", 0.0)),
-            duration_s=float(data.get("duration_s", 0.0)),
-            span_id=data.get("span_id", ""),
-            parent_id=data.get("parent_id", ""),
-            resources=dict(res) if isinstance(res, dict) else None,
-        )
+        try:
+            return cls(
+                name=data["name"],
+                benchmark=data.get("benchmark", "-"),
+                workload=data.get("workload", "-"),
+                start_s=float(data.get("start_s", 0.0)),
+                duration_s=float(data.get("duration_s", 0.0)),
+                span_id=data.get("span_id", ""),
+                parent_id=data.get("parent_id", ""),
+                resources=dict(res) if isinstance(res, dict) else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError.malformed("stage", exc) from exc
 
 
 @dataclass(frozen=True)
@@ -409,18 +429,19 @@ class TraceWriter:
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a journal into raw records, skipping truncated tail lines
-    and lines that are JSON but not objects."""
+    """Parse a journal into raw records, skipping lines that are JSON but
+    not objects.  The first line that is not UTF-8 JSON ends the
+    journal: it is the truncated final line of a killed run, or damage."""
     records: list[dict[str, Any]] = []
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # truncated final line from a killed run
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:  # includes UnicodeDecodeError
+                break
             if isinstance(record, dict):
                 records.append(record)
     return records

@@ -6,6 +6,9 @@ Alberta Workloads a workload is a directory of input files plus control
 parameters; here it is a :class:`Workload` carrying a payload object
 (whatever the mini-benchmark consumes) plus provenance metadata
 (generator name, seed, parameters) so every workload is reproducible.
+An Alberta workload is also named by its recipe: an :class:`AlbertaRef`
+(benchmark, base seed, name) stands for it wherever the payload itself
+is not needed, such as in the keys of stored artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Workload", "WorkloadSet", "WorkloadKind"]
+__all__ = ["AlbertaRef", "Workload", "WorkloadSet", "WorkloadKind"]
 
 
 class WorkloadKind:
@@ -37,6 +40,20 @@ class WorkloadKind:
 
 
 @dataclass(frozen=True)
+class AlbertaRef:
+    """One member of a benchmark's generated Alberta set, by recipe.
+
+    The generator's code, the set's base seed and the member's name
+    determine the payload, so this stands for the workload without
+    generating it.
+    """
+
+    benchmark: str
+    base_seed: int
+    name: str
+
+
+@dataclass(frozen=True)
 class Workload:
     """One benchmark input with reproducibility metadata.
 
@@ -47,6 +64,10 @@ class Workload:
         kind: one of :class:`WorkloadKind`.
         seed: RNG seed used by the generator, if procedural.
         params: generator parameters for the manifest.
+        alberta: the recipe, stamped by
+            :func:`~repro.core.registry.alberta_workloads` on each member
+            of the set it generates; ``None`` on any other workload.  It
+            is not an init argument, so ``dataclasses.replace`` drops it.
     """
 
     name: str
@@ -55,6 +76,7 @@ class Workload:
     kind: str = WorkloadKind.PROCEDURAL
     seed: int | None = None
     params: Mapping[str, Any] = field(default_factory=dict)
+    alberta: AlbertaRef | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:

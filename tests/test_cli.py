@@ -150,7 +150,7 @@ class TestObservability:
 
     def test_metrics_garbage_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        for document in ("{broken", "null", "3", "[1,2]"):
+        for document in ("{broken", "null", "3", "[1,2]", '{"schema":1,"metrics":[1]}'):
             path.write_text(document)
             for action in ("show", "prom"):
                 assert main(["metrics", action, str(path)]) == 2
@@ -257,6 +257,31 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"{argv[0]}: ledger dir {path} is not a directory\n"
+        assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "505.mcf_r", "--no-cache"],
+            ["report", "505.mcf_r", "--no-cache"],
+            ["fig1", "505.mcf_r", "--no-cache"],
+            ["fig2", "505.mcf_r", "--no-cache"],
+            ["export", "OUT", "505.mcf_r", "--no-cache"],
+            ["fdo", "505.mcf_r"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_ledger_env_that_is_a_file_exits_2_wherever_a_session_opens_it(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        path = tmp_path / "not-a-dir"
+        path.write_text("keep\n")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(path))
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        assert main(argv) == 2
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert last == f"{argv[0]}: ledger dir {path} is not a directory"
+        assert all(line.startswith("characterizing ") for line in progress)
         assert path.read_text() == "keep\n"
 
     @pytest.mark.parametrize(

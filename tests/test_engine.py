@@ -88,7 +88,9 @@ class TestInlineWorkloads:
             stores[workers] = {
                 p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
             }
-        assert len(stores[1]) == 2 * sum(len(alberta_workloads(b)) for b in FAST_IDS)
+        # A profile and a capture per workload, a set entry per benchmark.
+        n_workloads = sum(len(alberta_workloads(b)) for b in FAST_IDS)
+        assert len(stores[1]) == 2 * n_workloads + len(FAST_IDS)
         assert stores[1] == stores[2]
 
 

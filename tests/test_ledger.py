@@ -364,6 +364,25 @@ class TestDiff:
         assert main(["runs", "diff", "fast", "slow", "--ledger", root]) == 1
         assert "throughput.eps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"metrics": [1]},
+            {"metrics": {"metrics": {"repro_cells_total": 1}}},
+            {"throughput": {"505.mcf_r": 3}},
+            {"counts": {"cells": "many"}},
+        ],
+        ids=["metrics-list", "family-not-object", "throughput-not-object", "count-not-number"],
+    )
+    def test_cli_diff_of_a_malformed_record_exits_2(self, tmp_path, capsys, record):
+        led = tmp_path / "led"
+        led.mkdir()
+        lines = [{"run_id": "x", "metrics": {}}, {"run_id": "y", **record}]
+        (led / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines))
+        assert main(["runs", "diff", "x", "y", "--ledger", str(led)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runs: diff: malformed record (") and err.count("\n") == 1
+
     def test_injected_slowdown_run_is_flagged(self, monkeypatch):
         fast = make_record("a", eps=5e6)
         monkeypatch.setenv("REPRO_INJECT_SLOWDOWN", "2")

@@ -319,6 +319,26 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err == f"trace: journal {path} has no records\n"
 
+    def test_span_record_without_members_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"type":"span"}\n')
+        for action in ("summary", "show", "chrome"):
+            assert main(["trace", action, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "trace: malformed span record (KeyError: 'benchmark')\n"
+
+    def test_non_utf8_line_ends_the_journal(self, tmp_path, capsys):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b'\xff\xfe{"type":"span"}\n')
+        assert read_trace(path) == []
+        assert main(["trace", "summary", str(path)]) == 2
+        assert capsys.readouterr().err == f"trace: journal {path} has no records\n"
+        # Records before the damage survive, as before a torn tail.
+        write_journal(path)
+        good = read_trace(path)
+        path.write_bytes(path.read_bytes() + b'{"type":"sp\xc3"}\n')
+        assert read_trace(path) == good
+
     def test_trace_chrome_writes_perfetto_json(self, journal, tmp_path, capsys):
         out = tmp_path / "chrome.json"
         assert main(["trace", "chrome", str(journal), "--out", str(out)]) == 0
