@@ -561,15 +561,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table2":
         from .analysis.sensitivity import sensitivity_report
         from .analysis.tables import render_table2
-        from .core.characterize import characterize
         from .core.registry import benchmark_ids
+        from .core.run import Session
 
-        kwargs = _engine_kwargs(args)
         ids = args.benchmarks or sorted(benchmark_ids(table2_only=True))
         chars = []
-        for bid in ids:
-            print(f"characterizing {bid} ...", file=sys.stderr)
-            chars.append(characterize(bid, **kwargs))
+        # One session for the whole table: one journal, one ledger record.
+        with Session(**_engine_kwargs(args)) as session:
+            for bid in ids:
+                print(f"characterizing {bid} ...", file=sys.stderr)
+                chars.append(session.characterize(bid).characterization)
         print(render_table2(chars))
         print()
         print(sensitivity_report(chars))

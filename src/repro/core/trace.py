@@ -239,10 +239,22 @@ class RunSummary:
 
         Journals and ledger records outlive the fields they were written
         with, so a retired counter in an old record is dropped rather
-        than failing the read.
+        than failing the read.  A kept member of the wrong type raises
+        :class:`TraceError`: counts must be integers, ``duration_s`` a
+        number (booleans are neither).
         """
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
+        kept = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            v = data[f.name]
+            want = (int, float) if isinstance(f.default, float) else int
+            if isinstance(v, bool) or not isinstance(v, want):
+                raise TraceError(
+                    f"malformed summary record ({f.name} is {type(v).__name__})"
+                )
+            kept[f.name] = v
+        return cls(**kept)
 
     @classmethod
     def from_spans(

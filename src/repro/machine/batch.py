@@ -8,11 +8,11 @@ are independent per set), so the N replays collapse into *one* pass
 with a config axis:
 
 * **branch side** — configs are grouped by predictor signature
-  ``(kind, table_bits, history_bits)``; each distinct signature
-  contributes one row to a single
-  :func:`~repro.machine.kernel.counter_scan_batched` call over
-  concatenated per-signature tables.  Gshare history columns are
-  computed once per distinct history depth.
+  ``(kind, table_bits, history_bits)``; each distinct signature runs
+  one :func:`~repro.machine.kernel.counter_miss_counts` scan, which
+  returns per-method mispredict counts, never per-event flags.  One
+  gshare history column, at the deepest history in the grid, serves
+  every signature, masked to its depth.
 * **memory side** — each cache level is memoized by the geometry
   fields it actually reads, not the whole
   :class:`~repro.machine.cache.CacheGeometry`: the dTLB result depends
@@ -52,7 +52,7 @@ from .cost import (
     _account,
     _replay_code_bursts,
 )
-from .kernel import counter_scan_batched, gshare_history, lru_filter
+from .kernel import counter_miss_counts, gshare_history, lru_filter
 from .profiler import ExecutionProfile
 from .telemetry import EV_BRANCH, EV_DATA
 
@@ -68,25 +68,27 @@ def _predictor_sig(cfg: MachineConfig) -> tuple:
 
 
 def _branch_miss_rows(
-    sigs: list[tuple], pc: np.ndarray, tak: np.ndarray
-) -> np.ndarray:
-    """Per-signature mispredict rows from one batched counter scan."""
-    idx_rows: list[np.ndarray] = []
-    tables: list[np.ndarray] = []
-    hist_cache: dict[int, np.ndarray] = {}
+    sigs: list[tuple], pc: np.ndarray, tak: np.ndarray, b_midx: np.ndarray, nm: int
+) -> list[np.ndarray]:
+    """Per-signature, per-method mispredict counts of fresh predictors.
+
+    Fresh predictors start from history 0, so the low ``h`` bits of the
+    deepest gshare history column in the grid are exactly the
+    ``h``-bit column: one column serves every signature.
+    """
+    deepest = max((h for kind, _t, h in sigs if kind == "gshare"), default=0)
+    hist = gshare_history(tak, 0, deepest) if deepest else None
+    rows: list[np.ndarray] = []
     for kind, tbits, hbits in sigs:
         mask = (1 << tbits) - 1
         if kind == "gshare" and hbits:
-            h = hist_cache.get(hbits)
-            if h is None:
-                h = hist_cache[hbits] = gshare_history(tak, 0, hbits)
-            idx = (pc ^ h) & mask
+            idx = (pc ^ (hist & ((1 << hbits) - 1))) & mask
         else:
             idx = pc & mask
-        idx_rows.append(idx)
         # fresh predictors: every counter starts weakly not-taken (1)
-        tables.append(np.full(1 << tbits, 1, dtype=np.uint8))
-    return counter_scan_batched(idx_rows, tak, tables)
+        table = np.full(1 << tbits, 1, dtype=np.uint8)
+        rows.append(counter_miss_counts(idx, tak, table, b_midx, nm))
+    return rows
 
 
 class _GeoReplay:
@@ -386,11 +388,7 @@ def replay_capture_batched(
         pc = a_col[branch_sel]
         tak = (b_col[branch_sel] != 0).astype(np.int64)
         branches = np.bincount(b_midx, minlength=nm)
-        miss = _branch_miss_rows(sigs, pc, tak)
-        mis_rows = [
-            np.bincount(b_midx, weights=miss[i], minlength=nm).astype(np.int64)
-            for i in range(len(sigs))
-        ]
+        mis_rows = _branch_miss_rows(sigs, pc, tak, b_midx, nm)
 
     # --- memory side: one batched pass over distinct geometries
     mem_sel = ~branch_sel

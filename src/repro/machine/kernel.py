@@ -9,7 +9,9 @@ admit exact reformulations that vectorize:
   monotone clamp function ``s -> min(u, max(l, s + d))``, and that
   family is closed under composition, so a whole outcome stream per
   table slot collapses to one composed function via an associative
-  (segmented, Hillis-Steele) parallel-prefix scan — :func:`counter_scan`.
+  (segmented, Hillis-Steele) parallel-prefix scan — :func:`counter_scan`
+  returns mispredict flags, :func:`counter_miss_counts` per-group
+  mispredict counts from the same scan.
 
 * **LRU hit/miss** is a stack-distance test: an access hits iff fewer
   than ``associativity`` distinct lines touched its set since the
@@ -29,15 +31,6 @@ admit exact reformulations that vectorize:
   residue is large, so conflict-heavy streams (omnetpp's pointer webs,
   xalancbmk's DOM walks) stay vectorized end to end.
 
-* **Configs batch along an extra axis.**  Counter tables are
-  independent per slot and LRU sets are independent per set, so N
-  machine configs replaying the *same* event stream collapse into one
-  kernel invocation over a disjoint union of slot/set spaces:
-  :func:`counter_scan_batched` concatenates per-config tables,
-  :func:`lru_hits_batched` / :func:`lru_filter_batched` embed the
-  config index into composite set/line ids.  Each config's flags are
-  bit-identical to its own single-config call.
-
 Every function here is bit-exact against the scalar dict/bytearray
 implementations; ``tests/test_kernel.py`` fuzzes them against brute
 force and ``tests/test_golden_equivalence.py`` checks whole reports.
@@ -52,10 +45,8 @@ __all__ = [
     "lru_hits",
     "lru_filter",
     "counter_scan",
+    "counter_miss_counts",
     "gshare_history",
-    "counter_scan_batched",
-    "lru_hits_batched",
-    "lru_filter_batched",
 ]
 
 # Below this block size, cross-counts are cheaper by broadcast compare
@@ -206,7 +197,7 @@ def _window_distinct_hits(
     same_tag: np.ndarray,
     V: np.ndarray,
     queries: np.ndarray,
-    q_assoc: "int | np.ndarray",
+    assoc: int,
 ) -> "np.ndarray | None":
     """Hit flags by counting distinct lines in reuse windows directly.
 
@@ -226,12 +217,11 @@ def _window_distinct_hits(
     # — on associative levels that is usually almost every query.
     wq = queries - V[queries] - 1
     hits = np.ones(queries.size, dtype=bool)
-    hard = np.flatnonzero(wq >= q_assoc)
+    hard = np.flatnonzero(wq >= assoc)
     if not hard.size:
         return hits
     hq = queries[hard]
     hV = V[hq]
-    aw = q_assoc[hard] if isinstance(q_assoc, np.ndarray) else q_assoc
     ws = wq[hard]
     total_win = int(ws.sum())
     if total_win <= _FLAT_MAX_OPS and int(ws.min()) > 0:
@@ -247,7 +237,7 @@ def _window_distinct_hits(
         idx = np.repeat(hV + 1, ws) + ramp
         firsts = (V[idx] <= np.repeat(hV, ws)).astype(np.int32)
         distinct = np.add.reduceat(firsts, starts)
-        hits[hard] = distinct < aw
+        hits[hard] = distinct < assoc
         return hits
     if hard.size * k <= _DIRECT_MAX_OPS:
         # A handful of long-window queries (pointer chasers through a
@@ -265,7 +255,7 @@ def _window_distinct_hits(
             V32[None, :] <= hV[:, None].astype(np.int32)
         )
         distinct = inwin.sum(axis=1, dtype=np.int64) - hV - 1
-        hits[hard] = distinct < aw
+        hits[hard] = distinct < assoc
         return hits
     if not hasattr(np, "bitwise_count"):  # numpy < 2.0
         return None
@@ -339,23 +329,21 @@ def _window_distinct_hits(
                 tabs[ell, k - half :] = prev[k - half :]
             flat = tabs.reshape(-1)
             distinct += np.bitwise_count(flat[lo] | flat[hi]).astype(np.int64)
-    hits[hard] = distinct < aw
+    hits[hard] = distinct < assoc
     return hits
 
 
 def _lru_hits_core(
     sets: np.ndarray,
     lines: np.ndarray,
-    assoc: "int | np.ndarray",
+    assoc: int,
     tag_order: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Exact LRU hit flags over explicit (set, line) id streams.
 
-    ``sets``/``lines`` are parallel int64 arrays in access order; set
-    and line ids may be arbitrary composites (equal line id implies
-    equal set id).  ``assoc`` is the associativity — a scalar, or a
-    per-event array for streams mixing cache configs (every event of
-    one set must carry the same value).  Starts from an empty cache.
+    ``sets``/``lines`` are parallel int64 arrays in access order (equal
+    line id implies equal set id); ``assoc`` is the associativity.
+    Starts from an empty cache.
 
     ``tag_order``, when given, is a permutation of stream positions
     grouping equal line ids contiguously, stable within each group —
@@ -397,23 +385,13 @@ def _lru_hits_core(
     V = np.full(k, -1, dtype=np.int64)
     V[by_tag[1:][same_tag]] = by_tag[:-1][same_tag]
 
-    kept_assoc = (
-        np.asarray(assoc, dtype=np.int64)[order][keep]
-        if isinstance(assoc, np.ndarray)
-        else assoc
-    )
     # Only accesses with a previous occurrence can hit; first touches
     # are misses outright and need no rank query.
     queries = np.flatnonzero(V >= 0)
     kept_hits = np.zeros(k, dtype=bool)
     if queries.size:
-        q_assoc = (
-            kept_assoc[queries]
-            if isinstance(kept_assoc, np.ndarray)
-            else kept_assoc
-        )
         hits_q = _window_distinct_hits(
-            sets[order][keep], kt, by_tag, same_tag, V, queries, q_assoc
+            sets[order][keep], kt, by_tag, same_tag, V, queries, assoc
         )
         if hits_q is None:
             # Distinct lines touched since the previous access to this
@@ -426,7 +404,7 @@ def _lru_hits_core(
             # stream when the carve-out is dominated by cold misses.
             firsts_before = np.cumsum(V < 0)
             d = firsts_before[queries] + left_rank(V[queries]) - V[queries]
-            hits_q = d <= q_assoc
+            hits_q = d <= assoc
         kept_hits[queries] = hits_q
 
     sorted_hits = np.empty(n, dtype=bool)
@@ -590,8 +568,8 @@ def _build_counter_luts() -> tuple[np.ndarray, np.ndarray]:
 _COMPOSE_LUT, _EVAL_LUT = _build_counter_luts()
 
 
-def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Replay 2-bit saturating counters; returns mispredict flags.
+def _counter_misses(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Replay 2-bit saturating counters; returns the mispredicted positions.
 
     ``idx`` is the table slot per event, ``taken`` the outcome (0/1),
     ``table`` the uint8 counter table updated in place.  A taken update
@@ -599,20 +577,22 @@ def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.nd
     are clip functions, and that family is closed under composition, so
     each slot's event run reduces by a segmented parallel-prefix scan.
 
-    Two structural compressions make the scan cheap: a run of ``k``
+    Three structural facts make the scan cheap.  A run of ``k``
     same-direction outcomes is itself one clip function (``k`` takens
     are ``min(3, s + min(k, 3))``), so the scan runs over outcome
-    *runs*, not events; and every clip function canonicalizes to a
+    *runs*, not events, and every clip function canonicalizes to a
     7-bit code (:func:`_build_counter_luts`), so one composition is one
-    table gather.  Per-event flags come back from the run level in
-    closed form: a taken-run entered at state ``x`` mispredicts exactly
-    its first ``max(0, 2 - x)`` events, a not-taken-run its first
-    ``max(0, x - 1)``.
+    table gather.  A run of 3 or more is a constant function (it
+    saturates from any state), so it absorbs everything before it and
+    the scan restarts there.  And a taken-run entered at state ``x``
+    mispredicts exactly its first ``max(0, 2 - x)`` events, a
+    not-taken-run its first ``max(0, x - 1)``: at most its first two,
+    so the mispredicted events are gathered from run starts.
+    Returns their stream positions, in no particular order.
     """
     n = idx.size
-    miss = np.empty(n, dtype=np.uint8)
     if n == 0:
-        return miss
+        return np.zeros(0, dtype=np.int64)
     order = _stable_order(idx)
     sidx = idx[order]
     tk = taken[order] != 0
@@ -636,11 +616,12 @@ def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.nd
     k3 = np.minimum(run_len, 3)
     code = np.where(run_tak, (k3 + 3) * 16 + k3 * 4 + 3, (3 - k3) * 17)
 
-    # Segmented Hillis-Steele over runs; active sets are nested, so each
-    # pass filters the shrinking index list instead of rescanning.
+    # Segmented Hillis-Steele over runs, restarting at every slot head
+    # and every saturating run; active sets are nested, so each pass
+    # filters the shrinking index list instead of rescanning.
     rpos = np.arange(r, dtype=np.int64)
-    rseg_head = np.maximum.accumulate(np.where(run_head, rpos, 0))
-    rrun = rpos - rseg_head
+    restart = run_head | (k3 == 3)
+    rrun = rpos - np.maximum.accumulate(np.where(restart, rpos, 0))
     active = np.flatnonzero(rrun >= 1)
     shift = 1
     while active.size:
@@ -656,148 +637,44 @@ def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.nd
     x_before[inner] = _EVAL_LUT[code[np.flatnonzero(inner) - 1] * 4 + c0[inner]]
 
     thresh = np.where(run_tak, 2 - x_before, x_before - 1)
-    np.maximum(thresh, 0, out=thresh)
-    pos = np.arange(n, dtype=np.int64)
-    miss[order] = (pos - np.repeat(run_start, run_len)) < np.repeat(thresh, run_len)
+    first = run_start[thresh >= 1]
+    second = run_start[(thresh >= 2) & (run_len >= 2)] + 1
 
     last = np.empty(r, dtype=bool)
     last[:-1] = run_head[1:]
     last[-1] = True
     table[sidx[run_start[last]]] = _EVAL_LUT[code[last] * 4 + c0[last]]
+    return order[np.concatenate([first, second])]
+
+
+def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Replay 2-bit saturating counters; returns uint8 mispredict flags.
+
+    ``idx`` is the table slot per event, ``taken`` the outcome (0/1),
+    ``table`` the uint8 counter table updated in place; the scan is
+    :func:`_counter_misses`.
+    """
+    miss = np.zeros(idx.size, dtype=np.uint8)
+    miss[_counter_misses(idx, taken, table)] = 1
     return miss
 
 
-# ------------------------------------------------------- config-axis kernels
-
-
-def counter_scan_batched(
-    idx_rows: "list[np.ndarray]", taken: np.ndarray, tables: "list[np.ndarray]"
+def counter_miss_counts(
+    idx: np.ndarray,
+    taken: np.ndarray,
+    table: np.ndarray,
+    groups: np.ndarray,
+    n_groups: int,
 ) -> np.ndarray:
-    """Replay N independent counter tables over one outcome stream.
+    """:func:`counter_scan`'s mispredicts counted per group.
 
-    ``idx_rows[c]`` is config ``c``'s table slot per event (configs
-    index the *same* events differently — table size and history depth
-    vary), ``taken`` the shared outcome column, ``tables[c]`` config
-    ``c``'s uint8 table, updated in place.  Slots are disjoint across
-    configs once offset by the table sizes, and :func:`counter_scan` is
-    independent per slot with stable per-slot event order, so one scan
-    over the concatenated stream is bit-identical to N separate scans.
-    Returns an ``(N, n_events)`` uint8 mispredict matrix.
+    ``groups`` is each event's group (the batched replay passes the
+    method index); returns ``n_groups`` int64 counts, equal to summing
+    :func:`counter_scan`'s flags per group, without building them.
     """
-    c = len(tables)
-    n = taken.size
-    miss = np.empty((c, n), dtype=np.uint8)
-    # Tables are independent, so per-config scans are bit-identical to
-    # one scan over the offset-concatenated stream — and cheaper: the
-    # slot sort inside counter_scan is superlinear in stream length,
-    # so c short sorts beat one c-times-longer composite sort.
-    for i in range(c):
-        miss[i] = counter_scan(idx_rows[i], taken, tables[i])
-    return miss
-
-
-def _batch_ids(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-):
-    """Composite (set, line, assoc) id streams for a config batch.
-
-    Embeds the config index into the low bits of set and line ids so
-    configs occupy disjoint id spaces; returns ``None`` when the
-    composite line id would overflow int64 (callers fall back to the
-    per-config loop).
-    """
-    c = len(tag_rows)
-    lens = np.array([t.size for t in tag_rows], dtype=np.int64)
-    t = np.concatenate(tag_rows) if tag_rows else np.zeros(0, dtype=np.int64)
-    if t.size and (int(t.min()) < 0 or int(t.max()) > (1 << 62) // c - 1):
-        return None
-    cfg = np.repeat(np.arange(c, dtype=np.int64), lens)
-    masks = np.asarray(set_masks, dtype=np.int64)[cfg]
-    gline = t * c + cfg
-    gset = (t & masks) * c + cfg
-    assoc_e = np.asarray(assocs, dtype=np.int64)[cfg]
-    return t, cfg, lens, gline, gset, assoc_e
-
-
-def _split_rows(flat: np.ndarray, lens: np.ndarray) -> "list[np.ndarray]":
-    bounds = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=bounds[1:])
-    return [flat[bounds[i] : bounds[i + 1]] for i in range(lens.size)]
-
-
-def lru_hits_batched(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-) -> "list[np.ndarray]":
-    """:func:`lru_hits` for N configs in one kernel invocation.
-
-    ``tag_rows[i]`` is config ``i``'s line-tag stream (streams may
-    differ in content and length — an L2 sees each config's own L1
-    misses), ``set_masks[i]``/``assocs[i]`` its geometry.  Sets are
-    independent under LRU and the composite ids keep configs in
-    disjoint sets, so any interleaving that preserves each config's
-    order — here config-major concatenation — replays all of them
-    exactly at once.  Returns per-config hit-flag arrays, each
-    bit-identical to its own :func:`lru_hits` call.
-    """
-    ids = _batch_ids(tag_rows, set_masks, assocs)
-    if ids is None:
-        return [
-            lru_hits(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    _t, _cfg, lens, gline, gset, assoc_e = ids
-    return _split_rows(_lru_hits_core(gset, gline, assoc_e), lens)
-
-
-def lru_filter_batched(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-) -> "list[np.ndarray]":
-    """:func:`lru_filter` for N configs in one pass.
-
-    The eviction-free fast path generalizes: first touches and per-set
-    distinct-line counts are computed once over the composite id
-    stream, and the conflict residue of *all* configs — each config's
-    conflicting sets carved as a subsequence — resolves in a single
-    :func:`_lru_hits_core` call.  Per-config results are bit-identical
-    to :func:`lru_filter`.
-    """
-    total = sum(t.size for t in tag_rows)
-    if len(tag_rows) == 1 or total < _FILTER_SCALAR_MAX:
-        return [
-            lru_filter(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    ids = _batch_ids(tag_rows, set_masks, assocs)
-    if ids is None:
-        return [
-            lru_filter(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    _t, _cfg, lens, gline, gset, assoc_e = ids
-    n = gline.size
-
-    order = _stable_order(gline)
-    st = gline[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    head[1:] = st[1:] != st[:-1]
-    first = order[head]  # first touch of each distinct (config, line)
-
-    # distinct-line count per (config, set); the set id space is sparse,
-    # so group via unique rather than bincount.  Every event of one set
-    # belongs to one config, so any member's associativity represents
-    # the set — take the first occurrence's.
-    uset = gset[first]
-    us, us_idx, cnt = np.unique(uset, return_index=True, return_counts=True)
-    bad_us = cnt > assoc_e[first[us_idx]]
-
-    hits = np.ones(n, dtype=bool)
-    set_of_first = np.searchsorted(us, uset)
-    hits[first[~bad_us[set_of_first]]] = False
-    bad_e = bad_us[np.searchsorted(us, gset)]
-    conflict = np.flatnonzero(bad_e)
-    if conflict.size:
-        hits[conflict] = _lru_hits_core(
-            gset[conflict], gline[conflict], assoc_e[conflict]
-        )
-    return _split_rows(hits, lens)
+    return np.bincount(
+        groups[_counter_misses(idx, taken, table)], minlength=n_groups
+    )
 
 
 def gshare_history(taken: np.ndarray, history0: int, history_bits: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -303,6 +304,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("sweep: " + message.format(path=path))
         assert err.count("\n") == 1
+
+    def test_table2_is_one_run_in_the_ledger(self, tmp_path, capsys, monkeypatch):
+        from repro.analysis.sensitivity import sensitivity_report
+        from repro.analysis.tables import render_table2
+        from repro.core.characterize import characterize
+
+        ids = ["505.mcf_r", "557.xz_r"]
+        ledger = tmp_path / "ledger"
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger))
+        assert main(["table2", *ids, "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        records = (ledger / "runs.jsonl").read_text().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["benchmarks"] == ids
+        # The same table as characterizing each row on its own.
+        monkeypatch.delenv("REPRO_LEDGER_DIR")
+        chars = [characterize(bid) for bid in ids]
+        assert out == f"{render_table2(chars)}\n\n{sensitivity_report(chars)}\n"
 
     def test_table2_cache_line_counts_this_command_only(self, tmp_path, capsys):
         argv = ["table2", "505.mcf_r", "--cache-dir", str(tmp_path)]

@@ -19,14 +19,12 @@ from repro.machine.cache import Cache, CacheConfig
 from repro.machine.cost import _ORDER_STRIDE, _replay_code_bursts
 from repro.machine.kernel import (
     _lru_scalar,
+    counter_miss_counts,
     counter_scan,
-    counter_scan_batched,
     gshare_history,
     left_rank,
     lru_filter,
-    lru_filter_batched,
     lru_hits,
-    lru_hits_batched,
 )
 
 
@@ -145,6 +143,85 @@ class TestCounterScan:
         assert np.array_equal(table, np.ones(4, dtype=np.uint8))
 
 
+#: Run lengths drawn for a slot: exactly 1, 2 and 3, and at least 4.
+RUN_LENGTHS = (1, 2, 3, 4, 7)
+
+
+@st.composite
+def counter_streams(draw):
+    """``(idx, taken, table, groups, n_groups)`` for one table replay.
+
+    Each slot's outcomes are drawn as alternating runs of exact lengths,
+    then the slots' streams are interleaved in a drawn order that keeps
+    each slot's own order.  Shapes: runs of every length in
+    :data:`RUN_LENGTHS`, strict alternation (all runs of 1), a single
+    slot, and all-distinct slots (one event each).  Slots sit spread
+    over a table whose counters start anywhere in 0-3.
+    """
+    shape = draw(st.sampled_from(("runs", "alternating", "one slot", "distinct")))
+    if shape == "distinct":
+        runs = [[1]] * draw(st.integers(1, 40))
+    else:
+        n_slots = 1 if shape == "one slot" else draw(st.integers(2, 8))
+        length = st.just(1) if shape == "alternating" else st.sampled_from(RUN_LENGTHS)
+        runs = [draw(st.lists(length, min_size=1, max_size=12)) for _ in range(n_slots)]
+    per_slot = []
+    for lengths in runs:
+        outcome = draw(st.integers(0, 1))
+        seq = []
+        for k in lengths:
+            seq += [outcome] * k
+            outcome ^= 1
+        per_slot.append(seq)
+    order = draw(st.permutations([s for s, seq in enumerate(per_slot) for _ in seq]))
+    stride = draw(st.integers(1, 3))
+    size = len(per_slot) * stride
+    table = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    cursor = [0] * len(per_slot)
+    idx, taken = [], []
+    for s in order:
+        idx.append(s * stride)
+        taken.append(per_slot[s][cursor[s]])
+        cursor[s] += 1
+    n_groups = draw(st.integers(1, 4))
+    groups = draw(
+        st.lists(st.integers(0, n_groups - 1), min_size=len(idx), max_size=len(idx))
+    )
+    return (
+        np.array(idx, dtype=np.int64),
+        np.array(taken, dtype=np.int64),
+        np.array(table, dtype=np.uint8),
+        np.array(groups, dtype=np.int64),
+        n_groups,
+    )
+
+
+class TestCounterMissCounts:
+    """The batched replay's counts kernel against the bytearray walk."""
+
+    @given(counter_streams())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    def test_counts_match_brute_force_per_method(self, stream):
+        idx, taken, table, groups, n_groups = stream
+        want_table = table.copy()
+        flags = brute_counters(idx, taken, want_table)
+        want = np.bincount(groups, weights=flags, minlength=n_groups).astype(np.int64)
+        counted, flagged = table.copy(), table.copy()
+        assert np.array_equal(
+            counter_miss_counts(idx, taken, counted, groups, n_groups), want
+        )
+        assert np.array_equal(counted, want_table)
+        assert np.array_equal(counter_scan(idx, taken, flagged), flags)
+        assert np.array_equal(flagged, want_table)
+
+    def test_empty(self):
+        table = np.ones(4, dtype=np.uint8)
+        empty = np.zeros(0, dtype=np.int64)
+        got = counter_miss_counts(empty, empty, table, empty, 3)
+        assert got.tolist() == [0, 0, 0]
+        assert np.array_equal(table, np.ones(4, dtype=np.uint8))
+
+
 class TestGshareHistory:
     def test_matches_scalar_shift_register(self):
         rng = np.random.default_rng(7)
@@ -159,6 +236,18 @@ class TestGshareHistory:
             for i in range(n):
                 assert got[i] == h, f"event {i}"
                 h = ((h << 1) | int(taken[i])) & mask
+
+    def test_deeper_column_masked_is_the_shallower_column(self):
+        # From history 0, a shallower predictor's history is the low
+        # bits of a deeper one's, so one column serves every depth.
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            n = int(rng.integers(0, 200))
+            deep = int(rng.integers(0, 17))
+            shallow = int(rng.integers(0, deep + 1))
+            taken = rng.integers(0, 2, n).astype(np.int64)
+            masked = gshare_history(taken, 0, deep) & ((1 << shallow) - 1)
+            assert np.array_equal(masked, gshare_history(taken, 0, shallow))
 
 
 class TestCodeBursts:
@@ -215,91 +304,3 @@ class TestCodeBursts:
             assert np.array_equal(miss_addr[o1], np.asarray(b_addr, dtype=np.int64)[o2])
             assert np.array_equal(miss_attr[o1], np.asarray(b_attr, dtype=np.int64)[o2])
         assert exact >= 40  # the fast path must actually engage
-
-
-class TestBatchedKernels:
-    """Property: an N-config batched kernel call == N single-config calls.
-
-    Hypothesis drives the config count, per-config geometry/table
-    shapes, and stream character; a dedicated flag forces
-    conflict-heavy streams (distinct lines per set well above the
-    associativity) so the eviction/carve-out paths are exercised, not
-    just the first-touch fast path.
-    """
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_lru_batched_match_single_config_runs(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n_cfg = data.draw(st.integers(1, 5))
-        conflict_heavy = data.draw(st.booleans())
-        rows, masks, assocs = [], [], []
-        for _ in range(n_cfg):
-            n = data.draw(st.integers(0, 700))
-            set_bits = data.draw(st.integers(0, 3))
-            assoc = data.draw(st.integers(1, 8))
-            capacity = (1 << set_bits) * assoc
-            if conflict_heavy:
-                span = data.draw(st.integers(capacity + 1, 4 * capacity + 4))
-            else:
-                span = data.draw(st.integers(1, 4 * capacity + 4))
-            rows.append(rng.integers(0, span, n).astype(np.int64))
-            masks.append((1 << set_bits) - 1)
-            assocs.append(assoc)
-        for batched, single in (
-            (lru_hits_batched, lru_hits),
-            (lru_filter_batched, lru_filter),
-        ):
-            got = batched([r.copy() for r in rows], masks, assocs)
-            assert len(got) == n_cfg
-            for i in range(n_cfg):
-                want = single(rows[i], masks[i], assocs[i])
-                assert np.array_equal(got[i], want), f"{single.__name__} cfg {i}"
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_counter_scan_batched_matches_single_config_runs(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n_cfg = data.draw(st.integers(1, 4))
-        n = data.draw(st.integers(0, 500))
-        bias = data.draw(st.sampled_from([0.5, 0.9, 0.98]))
-        taken = (rng.random(n) < bias).astype(np.int64)
-        idx_rows, tables_batched, tables_single = [], [], []
-        for _ in range(n_cfg):
-            bits = data.draw(st.integers(0, 6))
-            t0 = rng.integers(0, 4, 1 << bits).astype(np.uint8)
-            idx_rows.append(rng.integers(0, 1 << bits, n).astype(np.int64))
-            tables_batched.append(t0.copy())
-            tables_single.append(t0.copy())
-        miss = counter_scan_batched(idx_rows, taken, tables_batched)
-        assert miss.shape == (n_cfg, n)
-        for i in range(n_cfg):
-            want = counter_scan(idx_rows[i], taken, tables_single[i])
-            assert np.array_equal(miss[i], want), f"miss row {i}"
-            assert np.array_equal(tables_batched[i], tables_single[i]), f"table {i}"
-
-    def test_lru_batched_overflow_guard_falls_back(self):
-        # composite line ids would overflow int64: the per-config
-        # fallback must produce the same (correct) answers
-        huge = np.array([1 << 61, (1 << 61) + 1, 1 << 61], dtype=np.int64)
-        small = np.array([0, 1, 0, 1, 2], dtype=np.int64)
-        got = lru_hits_batched([huge, small], [0, 1], [1, 1])
-        assert np.array_equal(got[0], lru_hits(huge, 0, 1))
-        assert np.array_equal(got[1], lru_hits(small, 1, 1))
-        got = lru_filter_batched([huge, small], [0, 1], [1, 1])
-        assert np.array_equal(got[0], lru_filter(huge, 0, 1))
-        assert np.array_equal(got[1], lru_filter(small, 1, 1))
-
-    def test_lru_batched_conflict_heavy_large_stream(self):
-        # above _FILTER_SCALAR_MAX with guaranteed evictions in every
-        # config: the batched carve-out path must engage and agree
-        rng = np.random.default_rng(11)
-        rows = [
-            (rng.integers(0, 64, 3000) * 4).astype(np.int64),  # set 0 thrashes
-            rng.integers(0, 24, 2500).astype(np.int64),  # 8 sets, 3 lines each
-        ]
-        masks = [3, 7]
-        assocs = [4, 2]
-        got = lru_filter_batched(rows, masks, assocs)
-        for i in range(2):
-            assert np.array_equal(got[i], lru_filter(rows[i], masks[i], assocs[i]))

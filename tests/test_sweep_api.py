@@ -28,7 +28,8 @@ from repro.core.sweep import (
 )
 from repro.core.trace import summarize_trace
 from repro.machine.cache import CacheGeometry
-from repro.machine.capture import capture_execution
+from repro.machine.batch import replay_capture_batched
+from repro.machine.capture import capture_execution, replay_capture
 from repro.machine.cost import MachineConfig
 
 TIER1_TRIO = ["505.mcf_r", "519.lbm_r", "557.xz_r"]
@@ -218,6 +219,24 @@ class TestGoldenSweepIdentity:
                 assert_reports_identical(
                     pa.report, pb.report, f"{bid}/{name}/{pa.workload}"
                 )
+
+
+class TestBranchSideHistoryDepths:
+    """One gshare history column, at the deepest depth, serves a batch."""
+
+    def test_mixed_depths_match_per_config_replay(self):
+        capture = capture_execution(get_benchmark("505.mcf_r"), _refrate("505.mcf_r"))
+        machines = [
+            MachineConfig(predictor_table_bits=t, predictor_history_bits=h)
+            for t, h in ((12, 0), (12, 4), (12, 8), (14, 12), (16, 14), (16, 16))
+        ] + [MachineConfig(predictor="bimodal", predictor_table_bits=10)]
+        for cfg, got in zip(machines, replay_capture_batched(capture, machines)):
+            want = replay_capture(capture, machine=cfg)
+            assert_reports_identical(
+                got.report,
+                want.report,
+                f"{cfg.predictor}/{cfg.predictor_table_bits}/{cfg.predictor_history_bits}",
+            )
 
 
 class TestSweepResultOrdering:

@@ -327,6 +327,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "trace: malformed span record (KeyError: 'benchmark')\n"
 
+    def test_summary_record_with_wrong_types_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        for record, member in (
+            ('{"type":"summary","cells":"x","duration_s":"y"}', "cells is str"),
+            ('{"type":"summary","cells":1,"duration_s":"y"}', "duration_s is str"),
+            ('{"type":"summary","ok":true}', "ok is bool"),
+            ('{"type":"summary","replays":1.5}', "replays is float"),
+        ):
+            path.write_text(record + "\n")
+            for argv in (["trace", "summary", str(path)], ["top", "--once", str(path)]):
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err == f"{argv[0]}: malformed summary record ({member})\n"
+
+    def test_summary_duration_may_be_an_integer(self):
+        summary = RunSummary.from_dict({"type": "summary", "cells": 2, "duration_s": 3})
+        assert (summary.cells, summary.duration_s) == (2, 3)
+
     def test_non_utf8_line_ends_the_journal(self, tmp_path, capsys):
         path = tmp_path / "bytes.jsonl"
         path.write_bytes(b'\xff\xfe{"type":"span"}\n')
