@@ -1,8 +1,12 @@
 """Tests for the FDO framework: profiles, optimizer, evaluation, clustering."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import alberta_workloads, get_benchmark
+from repro.core.cache import profile_to_dict
 from repro.fdo import (
     FdoCostModel,
     FdoProfile,
@@ -15,7 +19,14 @@ from repro.fdo import (
     single_workload_methodology,
     train_profile,
 )
-from repro.machine import CostModel, Probe, Profiler
+from repro.machine import (
+    CostModel,
+    MachineConfig,
+    Probe,
+    Profiler,
+    capture_execution,
+    replay_capture,
+)
 
 
 def _xz_workloads():
@@ -132,6 +143,71 @@ class TestFdoCostModel:
         total = sum(report.topdown.as_tuple())
         assert total == pytest.approx(1.0, abs=1e-4)
         assert sum(report.coverage.fractions.values()) == pytest.approx(1.0)
+
+
+#: First 16 hex digits of the SHA-256 of ``profile_to_dict`` (sorted-key
+#: JSON) of every FdoCostModel replay of xz's seed-0 Alberta set, per
+#: predictor, under a profile trained on ``xz.train`` with that predictor.
+#: Recorded from the cost model's own stream walk; any replay rewrite must
+#: reproduce them exactly.  The training profile hints ``lzma_encode``, so
+#: the static-hint rewrite of the event stream is covered too.
+FDO_REPLAY_DIGESTS = {
+    "gshare": {
+        "xz.refrate": "a686d216331f0a05",
+        "xz.train": "b4cc6cb2f9154885",
+        "xz.test": "4f2951fb1a8363f9",
+        "xz.refspeed": "8720078e791430f8",
+        "xz.alberta.text-small": "808feb2ea3ee0832",
+        "xz.alberta.text-large": "b38f8e8e47354d71",
+        "xz.alberta.random-small": "49a14f1c464d84c7",
+        "xz.alberta.random-large": "30ffc06a1da7965d",
+        "xz.alberta.repeated-small": "55a4f2e5634ca218",
+        "xz.alberta.repeated-large": "741031193c011228",
+        "xz.alberta.mixed-large": "27b3b79e7767383d",
+        "xz.alberta.binary-large": "059eaba202c1ee3a",
+    },
+    "bimodal": {
+        "xz.refrate": "5c1ea21d03d15f10",
+        "xz.train": "dc0b5fffb009b71b",
+        "xz.test": "d4c6ee24995e3a1f",
+        "xz.refspeed": "5a47cca8ec80818b",
+        "xz.alberta.text-small": "4a2f4bc7163656b8",
+        "xz.alberta.text-large": "70e04b604d6b3b52",
+        "xz.alberta.random-small": "0b456f031b421b63",
+        "xz.alberta.random-large": "e25b8421f33245d5",
+        "xz.alberta.repeated-small": "e6532a480345ee6e",
+        "xz.alberta.repeated-large": "0024060bcf7286af",
+        "xz.alberta.mixed-large": "f06d7ee0129e91d5",
+        "xz.alberta.binary-large": "cef92730079c876d",
+    },
+}
+
+
+def _profile_digest(profile):
+    blob = json.dumps(profile_to_dict(profile), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestFdoReplayGate:
+    """FDO replays are byte-stable: no frozen reference covers them."""
+
+    @pytest.fixture(scope="class")
+    def captures(self):
+        benchmark = get_benchmark("557.xz_r")
+        return [capture_execution(benchmark, w) for w in _xz_workloads()]
+
+    @pytest.mark.parametrize("predictor", sorted(FDO_REPLAY_DIGESTS))
+    def test_replays_match_recorded_digests(self, captures, predictor):
+        machine = MachineConfig(predictor=predictor)
+        profile = train_profile("557.xz_r", _xz_workloads()["xz.train"], machine=machine)
+        assert profile.branch_hint("lzma_encode") is not None
+        got = {
+            c.workload: _profile_digest(
+                replay_capture(c, cost_model=FdoCostModel(profile, machine))
+            )
+            for c in captures
+        }
+        assert got == FDO_REPLAY_DIGESTS[predictor]
 
 
 class TestEvaluationProtocols:
