@@ -157,7 +157,8 @@ def test_replay_throughput():
 
     from repro.core import metrics
     from repro.core.registry import benchmark_ids, get_benchmark, refrate_workload
-    from repro.machine.capture import capture_execution, replay_capture
+    from repro.machine.batch import replay_capture
+    from repro.machine.capture import capture_execution
     from repro.machine.cost import MachineConfig as Config
 
     full = bool(os.environ.get("REPRO_BENCH_FULL"))
@@ -326,8 +327,8 @@ def test_sweep_batched_throughput():
     """
     from repro.core.registry import get_benchmark, refrate_workload
     from repro.core.sweep import default_sweep_grid
-    from repro.machine.batch import replay_capture_batched
-    from repro.machine.capture import capture_execution, replay_capture
+    from repro.machine.batch import replay_capture, replay_capture_batched
+    from repro.machine.capture import capture_execution
 
     bid = "502.gcc_r"
     workload = refrate_workload(bid)

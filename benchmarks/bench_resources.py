@@ -21,7 +21,8 @@ import time
 
 from repro.core.resources import DEFAULT_HZ, StackSampler
 from repro.core.registry import get_benchmark, refrate_workload
-from repro.machine.capture import capture_execution, replay_capture
+from repro.machine.batch import replay_capture
+from repro.machine.capture import capture_execution
 
 _MAX_OVERHEAD = 0.05
 _MAX_ATTRIBUTION_GAP = 0.10

@@ -22,11 +22,12 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..core.characterize import BenchmarkCharacterization, characterize
+from ..core.characterize import BenchmarkCharacterization
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cache import ResultCache
 from ..core.registry import benchmark_ids
+from ..core.run import Session
 from .figures import render_figure1, render_figure2
 from .paper_baseline import compare_to_paper
 from .sensitivity import sensitivity_report
@@ -47,9 +48,11 @@ def export_bundle(
     """Characterize ``ids`` (default: all Table II rows) and write the
     distribution bundle; returns {artifact kind: count written}.
 
-    ``workers``/``cache`` are forwarded to :func:`characterize` — the
-    bundle is the prime warm-cache beneficiary, since it re-runs the
-    exact Table II matrix that a prior ``table2`` already profiled.
+    Every row runs in one :class:`~repro.core.run.Session` with the
+    given ``workers``/``cache``, so the export is one run: one journal,
+    one ledger record.  The bundle is the prime warm-cache beneficiary,
+    since it re-runs the exact Table II matrix that a prior ``table2``
+    already profiled.
     """
     out = Path(out_dir)
     (out / "reports").mkdir(parents=True, exist_ok=True)
@@ -57,16 +60,10 @@ def export_bundle(
 
     selected = ids or sorted(benchmark_ids(table2_only=True))
     chars: list[BenchmarkCharacterization] = []
-    for bid in selected:
-        chars.append(
-            characterize(
-                bid,
-                base_seed=base_seed,
-                keep_profiles=True,
-                workers=workers,
-                cache=cache,
-            )
-        )
+    with Session(workers=workers, cache=cache) as session:
+        for bid in selected:
+            result = session.characterize(bid, base_seed=base_seed, keep_profiles=True)
+            chars.append(result.characterization)
 
     (out / "table1.txt").write_text(render_table1() + "\n")
     (out / "table2.txt").write_text(render_table2(chars) + "\n")

@@ -289,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON MachineGrid file ({\"configs\": [{\"name\": ..., "
         "<MachineConfig fields>}, ...]}); overrides --machines/--config",
     )
-    p.add_argument(
-        "--per-config",
-        action="store_true",
-        help="force per-config replay instead of the one-pass batched "
-        "kernel (results are bit-identical; for troubleshooting)",
-    )
     _add_engine_options(p)
     p.add_argument(
         "--trace",
@@ -658,11 +652,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             workers=kwargs["workers"], cache=kwargs["cache"], trace=args.trace,
             ledger=args.ledger,
         )
-        request = SweepRequest(
-            benchmark=args.benchmark,
-            grid=grid,
-            batched=False if args.per_config else None,
-        )
+        request = SweepRequest(benchmark=args.benchmark, grid=grid)
         try:
             with session:
                 result = session.characterize_sweep(request)
@@ -874,7 +864,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         from .core.registry import get_benchmark, refrate_workload
         from .core.resources import StackSampler, render_collapsed, top_frames
-        from .machine.capture import capture_execution, replay_capture
+        from .machine.batch import replay_capture
+        from .machine.capture import capture_execution
 
         workload = refrate_workload(args.benchmark, args.workload)
         benchmark = get_benchmark(args.benchmark)

@@ -100,7 +100,6 @@ REPLAY_MODULES = (
     "repro.fdo.optimizer",
     "repro.fdo.profile_data",
     "repro.machine.batch",
-    "repro.machine.branch",
     "repro.machine.cache",
     "repro.machine.capture",
     "repro.machine.cost",

@@ -81,8 +81,8 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from ..machine.batch import replay_capture_batched
-from ..machine.capture import TelemetryCapture, capture_execution, replay_capture
+from ..machine.batch import replay_capture, replay_capture_batched
+from ..machine.capture import TelemetryCapture, capture_execution
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import artifacts, metrics
@@ -1153,7 +1153,6 @@ class CharacterizationEngine:
         *,
         base_seed: int = 0,
         keep_profiles: bool = False,
-        batched: bool | None = None,
     ) -> "tuple[list[BenchmarkCharacterization | None], list[CellOutcome]]":
         """Characterize one benchmark under N machine configs, capturing once.
 
@@ -1170,13 +1169,11 @@ class CharacterizationEngine:
         (:meth:`alberta_members`), so a warm sweep generates nothing.
 
         Replays additionally share *one pass* over the capture columns:
-        all pending configs for a workload go through
-        :func:`~repro.machine.batch.replay_capture_batched`, which
-        carries the config set as an extra kernel dimension and is
-        bit-identical to per-config replay.  ``batched=False`` forces
-        the per-config loop; ``batched=None``/``True`` batch whenever
-        two or more configs are pending.  Batched spans carry
-        ``batched=True`` and cached profiles record
+        a workload with two or more pending configs replays them all
+        through :func:`~repro.machine.batch.replay_capture_batched`,
+        which is bit-identical to per-config replay; a workload with
+        one goes through :func:`~repro.machine.batch.replay_capture`.
+        Batched spans carry ``batched=True`` and cached profiles record
         ``replay_mode="batched"`` provenance.
 
         Returns one characterization per machine config, in ``machines``
@@ -1255,7 +1252,7 @@ class CharacterizationEngine:
                     )
                 continue
 
-            if len(members) > 1 and batched is not False:
+            if len(members) > 1:
                 started = time.perf_counter()
                 try:
                     profiles = replay_capture_batched(
@@ -1303,41 +1300,39 @@ class CharacterizationEngine:
                         )
                 continue
 
-            for j, (mi, cell) in enumerate(members):
-                fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                tracker = StageResourceTracker()
-                reg = metrics.MetricsRegistry()
-                started = time.perf_counter()
-                if fresh and run_oc is not None and run_oc.start_s >= 0:
-                    cell_start = run_oc.start_s
-                else:
-                    cell_start = self.trace.rel(started)
-                try:
-                    with metrics.collector(reg):
-                        profile = replay_capture(capture, machine=cell.machine)
-                except Exception as exc:
-                    grid[mi][wi] = CellOutcome(
-                        cell, None, cache_state, max(1, cap_attempts),
-                        cap_duration + (time.perf_counter() - started), "failed",
-                        f"{type(exc).__name__}: {exc}",
-                        capture="run" if fresh else "hit", replay="run",
-                        start_s=cell_start, stages=cap_stages,
-                    )
-                    continue
-                replay_dur = time.perf_counter() - started
-                res = _replay_resources(tracker, reg, benchmark_id)
+            ((mi, cell),) = members
+            fresh, cap_attempts, cap_duration, cap_stages = _charge(0)
+            tracker = StageResourceTracker()
+            reg = metrics.MetricsRegistry()
+            started = time.perf_counter()
+            if fresh and run_oc is not None and run_oc.start_s >= 0:
+                cell_start = run_oc.start_s
+            else:
+                cell_start = self.trace.rel(started)
+            try:
+                with metrics.collector(reg):
+                    profile = replay_capture(capture, machine=cell.machine)
+            except Exception as exc:
                 grid[mi][wi] = CellOutcome(
-                    cell, profile, cache_state, cap_attempts,
-                    cap_duration + replay_dur, "ok",
+                    cell, None, cache_state, max(1, cap_attempts),
+                    cap_duration + (time.perf_counter() - started), "failed",
+                    f"{type(exc).__name__}: {exc}",
                     capture="run" if fresh else "hit", replay="run",
-                    start_s=cell_start,
-                    stages=cap_stages
-                    + (("replay", self.trace.rel(started) - cell_start, replay_dur, res),),
+                    start_s=cell_start, stages=cap_stages,
                 )
-                if keys[mi][wi] is not None:
-                    self.cache.put(
-                        keys[mi][wi], profile, replay_mode="per-config"
-                    )
+                continue
+            replay_dur = time.perf_counter() - started
+            res = _replay_resources(tracker, reg, benchmark_id)
+            grid[mi][wi] = CellOutcome(
+                cell, profile, cache_state, cap_attempts,
+                cap_duration + replay_dur, "ok",
+                capture="run" if fresh else "hit", replay="run",
+                start_s=cell_start,
+                stages=cap_stages
+                + (("replay", self.trace.rel(started) - cell_start, replay_dur, res),),
+            )
+            if keys[mi][wi] is not None:
+                self.cache.put(keys[mi][wi], profile, replay_mode="per-config")
 
         flat = [oc for row in grid for oc in row]
         self._emit_spans(flat)

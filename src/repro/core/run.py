@@ -48,14 +48,14 @@ from . import metrics as metrics_mod
 from .artifacts import ArtifactStore
 from .cache import ResultCache, payload_digest
 from .engine import CharacterizationEngine, CellOutcome, _Cell
-from .errors import CellFailure
+from .errors import CellFailure, UnknownScenarioError
 from .ledger import LEDGER_ENV, RunLedger, build_record
 from .metrics import MetricsRegistry
-from .registry import REGISTRY, alberta_workloads
+from .registry import REGISTRY
 from .resources import render_collapsed
 from .sweep import MachineGrid, ReplayRequest, SweepRequest
 from .trace import RunSummary, TraceWriter, export_chrome_trace
-from .workload import Workload, WorkloadSet
+from .workload import AlbertaRef, Workload, WorkloadSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .characterize import BenchmarkCharacterization
@@ -291,7 +291,6 @@ class Session:
                 workloads,
                 base_seed=request.base_seed,
                 keep_profiles=request.keep_profiles,
-                batched=request.batched,
             )
         return SweepResult(
             machines=list(request.grid.machines),
@@ -370,10 +369,21 @@ class Session:
 
     def _resolve(
         self, benchmark_id: str, workload: "Workload | str", base_seed: int
-    ) -> Workload:
-        if isinstance(workload, str):
-            return alberta_workloads(benchmark_id, base_seed)[workload]
-        return workload
+    ) -> "Workload | AlbertaRef":
+        """A workload named by its Alberta set member name, else itself.
+
+        Names resolve through the engine's set members, so with a store
+        attached a warm lookup generates nothing.
+        """
+        if not isinstance(workload, str):
+            return workload
+        members = self.engine.alberta_members(benchmark_id, base_seed)
+        for member in members:
+            if member.name == workload:
+                return member
+        raise UnknownScenarioError(
+            f"{benchmark_id} workload", workload, [m.name for m in members]
+        )
 
     def _result(
         self,

@@ -9,8 +9,8 @@ config *names* travel with the configs:
   (``to_dict``/``from_dict`` — the CLI's ``--grid FILE`` is exactly
   this JSON).
 * :class:`SweepRequest` — the whole sweep as one validated value:
-  benchmark, grid, seed, and the ``batched`` override for the one-pass
-  multi-config replay
+  benchmark, grid, seed, and whether to keep per-workload profiles.
+  Its replays share one pass per workload
   (:func:`~repro.machine.batch.replay_capture_batched`).
 * :class:`ReplayRequest` — the single-replay counterpart for
   ``Session.replay`` (machine/build/workload).  Not serializable:
@@ -19,8 +19,8 @@ config *names* travel with the configs:
 Cache identity: each swept *cell* is keyed by its full machine config
 (:func:`~repro.core.cache.cache_key` hashes ``asdict(machine)``,
 geometry included), so grids that contain the same config share cache
-entries — batching never fragments the cache.  ``batched`` is not part
-of any key: batched and per-config replay are bit-identical.
+entries — batching never fragments the cache: batched and per-config
+replay are bit-identical.
 """
 
 from __future__ import annotations
@@ -152,11 +152,8 @@ class MachineGrid:
 class SweepRequest:
     """One machine-config sweep as a validated value.
 
-    ``batched=None`` (the default) lets the engine choose: workloads
-    with two or more pending replays take the one-pass batched kernel,
-    everything else replays per config.  ``False`` forces the
-    per-config path; ``True`` documents intent but still falls back
-    where batching is impossible (a single config) — results are
+    Workloads with two or more pending replays take the one-pass
+    batched replay; a workload with one replays alone.  Results are
     bit-identical either way.
     """
 
@@ -164,7 +161,6 @@ class SweepRequest:
     grid: MachineGrid
     base_seed: int = 0
     keep_profiles: bool = False
-    batched: bool | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.benchmark, str) or not self.benchmark:
@@ -176,8 +172,6 @@ class SweepRequest:
             )
         if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
             raise ValueError("SweepRequest: base_seed must be an int")
-        if self.batched not in (None, True, False):
-            raise ValueError("SweepRequest: batched must be True, False, or None")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Machine model: caches, branch predictors, telemetry, cost accounting."""
+"""Machine model: cache geometry, telemetry, capture, replay, cost accounting."""
 
-from .batch import replay_capture_batched
-from .branch import BimodalPredictor, GsharePredictor
+from .batch import replay_capture, replay_capture_batched
 from .cache import Cache, CacheConfig, CacheGeometry, CacheHierarchy, Tlb
-from .capture import TelemetryCapture, capture_execution, replay_capture
+from .capture import TelemetryCapture, capture_execution
 from .cost import CostModel, MachineConfig, MachineReport, MethodCost
 from .machine import ATOM_LIKE, I7_2600, I7_6700K, PRESETS, preset, preset_names
 from .profiler import ExecutionProfile, Profiler, run_benchmark
@@ -14,8 +13,6 @@ __all__ = [
     "capture_execution",
     "replay_capture",
     "replay_capture_batched",
-    "BimodalPredictor",
-    "GsharePredictor",
     "Cache",
     "CacheConfig",
     "CacheGeometry",

@@ -1,4 +1,4 @@
-"""Set-associative cache and TLB simulation.
+"""Set-associative cache and TLB geometry and counters.
 
 The paper measures benchmarks on an Intel Core i7-2600.  We cannot use
 hardware counters here, so the machine model replays the benchmarks'
@@ -6,6 +6,10 @@ memory address streams through a classical set-associative LRU cache
 hierarchy (L1I, L1D, unified L2, shared LLC) plus a data TLB.  Miss
 counts per level feed the top-down cost model in
 :mod:`repro.machine.cost`.
+
+This module holds the hierarchy's shape and its hit/miss counters; the
+replay in :mod:`repro.machine.cost` decides every hit and miss with the
+LRU kernels of :mod:`repro.machine.kernel` and adds its totals here.
 
 Addresses are abstract byte addresses (plain ints).  Benchmarks lay out
 their data structures in whatever address space they like; only
@@ -117,17 +121,14 @@ class CacheGeometry:
 
 
 class Cache:
-    """One set-associative LRU cache level.
+    """One set-associative LRU cache level: geometry plus hit/miss counts.
 
-    LRU is implemented with per-set insertion-ordered dicts: a hit moves
-    the tag to the back, a fill evicts the front.  This is exact LRU,
-    deterministic, and fast enough for the sampled event streams the
-    harness replays.
+    The replay decides hits and misses with the LRU kernels and adds
+    its totals to :attr:`hits` and :attr:`misses`.
     """
 
     __slots__ = (
         "config",
-        "_sets_store",
         "_set_mask",
         "_line_shift",
         "hits",
@@ -142,43 +143,8 @@ class Cache:
         line = config.line_bytes
         if line & (line - 1):
             raise ValueError(f"{config.name}: line size must be a power of two")
-        # The per-set dicts only serve the scalar walk; vectorized
-        # replay never touches them, so they materialize on first use
-        # (an LLC alone is thousands of dict allocations per level).
-        self._sets_store: "list[dict[int, None]] | None" = None
         self._set_mask = n_sets - 1
         self._line_shift = line.bit_length() - 1
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def _sets(self) -> "list[dict[int, None]]":
-        s = self._sets_store
-        if s is None:
-            s = self._sets_store = [dict() for _ in range(self.config.n_sets)]
-        return s
-
-    def access(self, addr: int) -> bool:
-        """Access one byte address; returns True on hit, False on miss.
-
-        A miss fills the line (allocate-on-miss, for reads and writes
-        alike — the i7 caches are write-allocate).
-        """
-        tag = addr >> self._line_shift
-        line_set = self._sets[tag & self._set_mask]
-        if tag in line_set:
-            # refresh LRU position
-            del line_set[tag]
-            line_set[tag] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(line_set) >= self.config.associativity:
-            line_set.pop(next(iter(line_set)))
-        line_set[tag] = None
-        return False
-
-    def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
 
@@ -186,15 +152,11 @@ class Cache:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
 
 class Tlb:
-    """A fully-associative LRU TLB over fixed-size pages."""
+    """A fully-associative LRU TLB over fixed-size pages: shape plus counts."""
 
-    __slots__ = ("entries", "page_bytes", "_map", "hits", "misses", "_page_shift")
+    __slots__ = ("entries", "page_bytes", "hits", "misses", "_page_shift")
 
     def __init__(self, entries: int = 64, page_bytes: int = 4096):
         if entries <= 0:
@@ -204,26 +166,8 @@ class Tlb:
         self.entries = entries
         self.page_bytes = page_bytes
         self._page_shift = page_bytes.bit_length() - 1
-        self._map: dict[int, None] = {}
         self.hits = 0
         self.misses = 0
-
-    def access(self, addr: int) -> bool:
-        page = addr >> self._page_shift
-        if page in self._map:
-            del self._map[page]
-            self._map[page] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(self._map) >= self.entries:
-            self._map.pop(next(iter(self._map)))
-        self._map[page] = None
-        return False
-
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
 
 @dataclass
@@ -262,30 +206,6 @@ class CacheHierarchy:
         self.l2 = Cache(l2 or CacheConfig(256 * 1024, 64, 8, name="L2"))
         self.llc = Cache(llc or CacheConfig(8 * 1024 * 1024, 64, 16, name="LLC"))
         self.dtlb = Tlb(entries=dtlb_entries)
-
-    def access_data(self, addr: int) -> int:
-        """Replay one data access; returns the level that served it.
-
-        Return codes: 1 = L1D hit, 2 = L2 hit, 3 = LLC hit, 4 = memory.
-        """
-        self.dtlb.access(addr)
-        if self.l1d.access(addr):
-            return 1
-        if self.l2.access(addr):
-            return 2
-        if self.llc.access(addr):
-            return 3
-        return 4
-
-    def access_code(self, addr: int) -> int:
-        """Replay one instruction-fetch access; returns serving level."""
-        if self.l1i.access(addr):
-            return 1
-        if self.l2.access(addr):
-            return 2
-        if self.llc.access(addr):
-            return 3
-        return 4
 
     def stats(self) -> HierarchyStats:
         return HierarchyStats(

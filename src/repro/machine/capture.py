@@ -3,32 +3,37 @@
 A characterize cell used to be one opaque operation: run the benchmark
 under a :class:`~repro.machine.telemetry.Probe` *and* replay the
 telemetry through the cost model, fused inside
-:meth:`~repro.machine.profiler.Profiler.run`.  This module splits the
+:meth:`~repro.machine.profiler.Profiler.run`.  The pipeline splits the
 two stages apart:
 
-* **capture** (:func:`capture_execution`) — execute the benchmark once
-  and snapshot everything the cost model will ever read into a
+* **capture** (:func:`capture_execution`, here) — execute the benchmark
+  once and snapshot everything the cost model will ever read into a
   :class:`TelemetryCapture`.  The capture is *machine-independent*: it
-  depends only on (benchmark, workload, repro version), never on a
+  depends only on (benchmark, workload, capture code), never on a
   :class:`~repro.machine.cost.MachineConfig`.
-* **replay** (:func:`replay_capture`) — materialize a fresh
-  :class:`~repro.machine.telemetry.Probe` from a capture and evaluate
-  it under any cost model.  Replays of the same capture are
-  bit-identical to evaluating the original probe, because the capture
-  copies the exact columns, per-method counters, and decimation state
-  the probe held at the end of the run.
+* **replay** (:func:`~repro.machine.batch.replay_capture` and
+  :func:`~repro.machine.batch.replay_capture_batched`) — run the cost
+  model's replay on the capture's columns under any machine config.
+  Replays of the same capture are bit-identical to evaluating the
+  original probe, because the capture copies the exact columns,
+  per-method counters, and decimation state the probe held at the end
+  of the run.
 
 A machine-config or FDO-build sweep therefore executes each benchmark
 once and replays the captured stream N times — the separation
-SimPoint-style workflows rest on.  Each replay gets its *own*
-materialized probe: the FDO cost model mutates the probe it evaluates
-(layout decisions rewrite per-method counters, branch hints rewrite
-the event stream), so replays must never share one.
+SimPoint-style workflows rest on.  A build's cost model gets its *own*
+probe per replay (:meth:`TelemetryCapture.materialize`): the FDO cost
+model mutates the probe it evaluates (layout decisions rewrite
+per-method counters, branch hints rewrite the event stream), so
+replays must never share one.
+
+This module is one of the capture modules whose source keys every
+stored capture (``CAPTURE_MODULES`` in :mod:`repro.core.cache`), so no
+replay code lives here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -36,14 +41,12 @@ import numpy as np
 
 from ..core import metrics
 from ..core.errors import VerificationError, WorkloadError
-from .cost import CostModel, MachineConfig
-from .profiler import ExecutionProfile
 from .telemetry import MethodCounters, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.workload import Workload
 
-__all__ = ["TelemetryCapture", "capture_execution", "replay_capture"]
+__all__ = ["TelemetryCapture", "capture_execution"]
 
 
 def _copy_counters(mc: MethodCounters) -> MethodCounters:
@@ -58,9 +61,10 @@ class TelemetryCapture:
     The machine-independent artifact of the capture stage: exact
     per-method counters, the four sampled event columns, and the
     decimation state (``sampling_stride``, ``event_cap``, ``tick``).
-    Captures are immutable and reusable — :meth:`materialize` builds a
-    fresh probe per replay, so even mutating cost models (FDO) cannot
-    corrupt the capture.
+    Captures are immutable and reusable: a baseline replay only reads
+    the columns and counters, and :meth:`materialize` builds a fresh
+    probe for each replay through a mutating cost model (FDO), so
+    nothing can corrupt the capture.
     """
 
     benchmark: str
@@ -163,40 +167,3 @@ def capture_execution(
     )
     return capture
 
-
-def replay_capture(
-    capture: TelemetryCapture,
-    *,
-    machine: MachineConfig | None = None,
-    cost_model: CostModel | None = None,
-) -> ExecutionProfile:
-    """Replay a capture under a machine model, without re-executing.
-
-    Pass ``machine`` for a baseline replay, or ``cost_model`` for a
-    build-specific model (e.g. the FDO build's
-    :class:`~repro.fdo.optimizer.FdoCostModel`).  The profile carries
-    ``output=None`` — same as pool workers and cache hits, the replay
-    stage never sees the benchmark output.
-    """
-    if cost_model is None:
-        cost_model = CostModel(machine)
-    probe = capture.materialize()
-    t0 = time.perf_counter_ns()
-    report = cost_model.evaluate(probe)
-    elapsed_ns = max(1, time.perf_counter_ns() - t0)
-    metrics.inc(
-        metrics.REPLAY_EVENTS_TOTAL, capture.n_events, benchmark=capture.benchmark
-    )
-    metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
-    metrics.observe(
-        metrics.REPLAY_EPS,
-        capture.n_events / (elapsed_ns / 1e9),
-        benchmark=capture.benchmark,
-    )
-    return ExecutionProfile(
-        benchmark=capture.benchmark,
-        workload=capture.workload,
-        report=report,
-        output=None,
-        verified=capture.verified,
-    )

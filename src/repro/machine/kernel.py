@@ -9,9 +9,8 @@ admit exact reformulations that vectorize:
   monotone clamp function ``s -> min(u, max(l, s + d))``, and that
   family is closed under composition, so a whole outcome stream per
   table slot collapses to one composed function via an associative
-  (segmented, Hillis-Steele) parallel-prefix scan — :func:`counter_scan`
-  returns mispredict flags, :func:`counter_miss_counts` per-group
-  mispredict counts from the same scan.
+  (segmented, Hillis-Steele) parallel-prefix scan —
+  :func:`counter_miss_counts` returns per-group mispredict counts.
 
 * **LRU hit/miss** is a stack-distance test: an access hits iff fewer
   than ``associativity`` distinct lines touched its set since the
@@ -31,9 +30,11 @@ admit exact reformulations that vectorize:
   residue is large, so conflict-heavy streams (omnetpp's pointer webs,
   xalancbmk's DOM walks) stay vectorized end to end.
 
-Every function here is bit-exact against the scalar dict/bytearray
-implementations; ``tests/test_kernel.py`` fuzzes them against brute
-force and ``tests/test_golden_equivalence.py`` checks whole reports.
+These are the primitives of the machine model's one replay,
+:func:`~repro.machine.cost.replay_columns`.  Every function here is
+bit-exact against a scalar dict/bytearray walk;
+``tests/test_kernel.py`` fuzzes them against brute force and
+``tests/test_golden_equivalence.py`` checks whole reports.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "left_rank",
     "lru_hits",
     "lru_filter",
-    "counter_scan",
     "counter_miss_counts",
     "gshare_history",
 ]
@@ -568,12 +568,20 @@ def _build_counter_luts() -> tuple[np.ndarray, np.ndarray]:
 _COMPOSE_LUT, _EVAL_LUT = _build_counter_luts()
 
 
-def _counter_misses(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Replay 2-bit saturating counters; returns the mispredicted positions.
+def counter_miss_counts(
+    idx: np.ndarray,
+    taken: np.ndarray,
+    table: np.ndarray,
+    groups: np.ndarray,
+    n_groups: int,
+) -> np.ndarray:
+    """Replay 2-bit saturating counters; returns mispredicts per group.
 
     ``idx`` is the table slot per event, ``taken`` the outcome (0/1),
-    ``table`` the uint8 counter table updated in place.  A taken update
-    is ``s -> min(3, s + 1)``, not-taken is ``s -> max(0, s - 1)``; both
+    ``table`` the uint8 counter table updated in place, and ``groups``
+    each event's group (the replay passes the method index); returns
+    ``n_groups`` int64 counts.  A taken update is
+    ``s -> min(3, s + 1)``, not-taken is ``s -> max(0, s - 1)``; both
     are clip functions, and that family is closed under composition, so
     each slot's event run reduces by a segmented parallel-prefix scan.
 
@@ -587,12 +595,12 @@ def _counter_misses(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np
     the scan restarts there.  And a taken-run entered at state ``x``
     mispredicts exactly its first ``max(0, 2 - x)`` events, a
     not-taken-run its first ``max(0, x - 1)``: at most its first two,
-    so the mispredicted events are gathered from run starts.
-    Returns their stream positions, in no particular order.
+    so the mispredicted events are gathered from run starts, and only
+    they are counted: no per-event flag array is built.
     """
     n = idx.size
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(n_groups, dtype=np.int64)
     order = _stable_order(idx)
     sidx = idx[order]
     tk = taken[order] != 0
@@ -644,53 +652,19 @@ def _counter_misses(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np
     last[:-1] = run_head[1:]
     last[-1] = True
     table[sidx[run_start[last]]] = _EVAL_LUT[code[last] * 4 + c0[last]]
-    return order[np.concatenate([first, second])]
+    missed = order[np.concatenate([first, second])]
+    return np.bincount(groups[missed], minlength=n_groups)
 
 
-def counter_scan(idx: np.ndarray, taken: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Replay 2-bit saturating counters; returns uint8 mispredict flags.
-
-    ``idx`` is the table slot per event, ``taken`` the outcome (0/1),
-    ``table`` the uint8 counter table updated in place; the scan is
-    :func:`_counter_misses`.
-    """
-    miss = np.zeros(idx.size, dtype=np.uint8)
-    miss[_counter_misses(idx, taken, table)] = 1
-    return miss
-
-
-def counter_miss_counts(
-    idx: np.ndarray,
-    taken: np.ndarray,
-    table: np.ndarray,
-    groups: np.ndarray,
-    n_groups: int,
-) -> np.ndarray:
-    """:func:`counter_scan`'s mispredicts counted per group.
-
-    ``groups`` is each event's group (the batched replay passes the
-    method index); returns ``n_groups`` int64 counts, equal to summing
-    :func:`counter_scan`'s flags per group, without building them.
-    """
-    return np.bincount(
-        groups[_counter_misses(idx, taken, table)], minlength=n_groups
-    )
-
-
-def gshare_history(taken: np.ndarray, history0: int, history_bits: int) -> np.ndarray:
+def gshare_history(taken: np.ndarray, history_bits: int) -> np.ndarray:
     """Per-event global history column for a gshare replay.
 
     ``history`` before event ``i`` packs outcomes ``i-1, i-2, ...`` into
-    the low bits, seeded with ``history0``; each bit position is one
-    shifted slice of the outcome column.
+    the low bits, starting from the empty history a fresh predictor
+    has; each bit position is one shifted slice of the outcome column.
     """
     n = taken.size
     h = np.zeros(n, dtype=np.int64)
-    if n == 0 or history_bits == 0:
-        return h
-    hmask = (1 << history_bits) - 1
     for bit in range(min(history_bits, n - 1) if n > 1 else 0):
         h[bit + 1 :] |= taken[: n - 1 - bit] << bit
-    for i in range(min(n, history_bits)):
-        h[i] |= (history0 << i) & hmask
     return h

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.coverage import CoverageProfile
 from repro.core.topdown import TopDownVector
-from repro.machine.cache import CacheHierarchy
+from repro.machine.cache import CacheConfig, HierarchyStats
 from repro.machine.cost import MachineConfig, MachineReport, MethodCost
 from repro.machine.telemetry import EV_BRANCH, EV_CALL, EV_DATA, MethodCounters
 
@@ -209,6 +209,180 @@ class _LegacyGshare:
                 self._counters[idx] = counter - 1
         self._history = ((self._history << 1) | (1 if taken else 0)) & self._history_mask
         return correct
+
+
+# The scalar cache hierarchy, copied verbatim from repro.machine.cache
+# as it was before the replay moved onto the LRU kernels.
+
+
+class Cache:
+    """One set-associative LRU cache level.
+
+    LRU is implemented with per-set insertion-ordered dicts: a hit moves
+    the tag to the back, a fill evicts the front.  This is exact LRU,
+    deterministic, and fast enough for the sampled event streams the
+    harness replays.
+    """
+
+    __slots__ = (
+        "config",
+        "_sets_store",
+        "_set_mask",
+        "_line_shift",
+        "hits",
+        "misses",
+    )
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        n_sets = config.n_sets
+        if n_sets & (n_sets - 1):
+            raise ValueError(f"{config.name}: set count must be a power of two")
+        line = config.line_bytes
+        if line & (line - 1):
+            raise ValueError(f"{config.name}: line size must be a power of two")
+        # The per-set dicts only serve the scalar walk; vectorized
+        # replay never touches them, so they materialize on first use
+        # (an LLC alone is thousands of dict allocations per level).
+        self._sets_store: "list[dict[int, None]] | None" = None
+        self._set_mask = n_sets - 1
+        self._line_shift = line.bit_length() - 1
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def _sets(self) -> "list[dict[int, None]]":
+        s = self._sets_store
+        if s is None:
+            s = self._sets_store = [dict() for _ in range(self.config.n_sets)]
+        return s
+
+    def access(self, addr: int) -> bool:
+        """Access one byte address; returns True on hit, False on miss.
+
+        A miss fills the line (allocate-on-miss, for reads and writes
+        alike — the i7 caches are write-allocate).
+        """
+        tag = addr >> self._line_shift
+        line_set = self._sets[tag & self._set_mask]
+        if tag in line_set:
+            # refresh LRU position
+            del line_set[tag]
+            line_set[tag] = None
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(line_set) >= self.config.associativity:
+            line_set.pop(next(iter(line_set)))
+        line_set[tag] = None
+        return False
+
+    def reset_stats(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    def miss_rate(self) -> float:
+        total = self.accesses
+        return self.misses / total if total else 0.0
+
+
+class Tlb:
+    """A fully-associative LRU TLB over fixed-size pages."""
+
+    __slots__ = ("entries", "page_bytes", "_map", "hits", "misses", "_page_shift")
+
+    def __init__(self, entries: int = 64, page_bytes: int = 4096):
+        if entries <= 0:
+            raise ValueError("Tlb: entries must be positive")
+        if page_bytes <= 0 or page_bytes & (page_bytes - 1):
+            raise ValueError("Tlb: page size must be a positive power of two")
+        self.entries = entries
+        self.page_bytes = page_bytes
+        self._page_shift = page_bytes.bit_length() - 1
+        self._map: dict[int, None] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr: int) -> bool:
+        page = addr >> self._page_shift
+        if page in self._map:
+            del self._map[page]
+            self._map[page] = None
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(self._map) >= self.entries:
+            self._map.pop(next(iter(self._map)))
+        self._map[page] = None
+        return False
+
+    def miss_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
+
+
+class CacheHierarchy:
+    """A three-level hierarchy modelled on the i7-2600.
+
+    Defaults: 32 KiB 8-way L1D and L1I, 256 KiB 8-way unified L2, 8 MiB
+    16-way LLC, 64-entry DTLB.  Data and instruction accesses share the
+    L2 and LLC, as on the real part.
+    """
+
+    def __init__(
+        self,
+        l1d: CacheConfig | None = None,
+        l1i: CacheConfig | None = None,
+        l2: CacheConfig | None = None,
+        llc: CacheConfig | None = None,
+        dtlb_entries: int = 64,
+    ):
+        self.l1d = Cache(l1d or CacheConfig(32 * 1024, 64, 8, name="L1D"))
+        self.l1i = Cache(l1i or CacheConfig(32 * 1024, 64, 8, name="L1I"))
+        self.l2 = Cache(l2 or CacheConfig(256 * 1024, 64, 8, name="L2"))
+        self.llc = Cache(llc or CacheConfig(8 * 1024 * 1024, 64, 16, name="LLC"))
+        self.dtlb = Tlb(entries=dtlb_entries)
+
+    def access_data(self, addr: int) -> int:
+        """Replay one data access; returns the level that served it.
+
+        Return codes: 1 = L1D hit, 2 = L2 hit, 3 = LLC hit, 4 = memory.
+        """
+        self.dtlb.access(addr)
+        if self.l1d.access(addr):
+            return 1
+        if self.l2.access(addr):
+            return 2
+        if self.llc.access(addr):
+            return 3
+        return 4
+
+    def access_code(self, addr: int) -> int:
+        """Replay one instruction-fetch access; returns serving level."""
+        if self.l1i.access(addr):
+            return 1
+        if self.l2.access(addr):
+            return 2
+        if self.llc.access(addr):
+            return 3
+        return 4
+
+    def stats(self) -> HierarchyStats:
+        return HierarchyStats(
+            l1d_accesses=self.l1d.accesses,
+            l1d_misses=self.l1d.misses,
+            l1i_accesses=self.l1i.accesses,
+            l1i_misses=self.l1i.misses,
+            l2_accesses=self.l2.accesses,
+            l2_misses=self.l2.misses,
+            llc_accesses=self.llc.accesses,
+            llc_misses=self.llc.misses,
+            dtlb_misses=self.dtlb.misses,
+        )
 
 
 class _Replay:

@@ -305,6 +305,29 @@ class TestCommands:
         assert err.startswith("sweep: " + message.format(path=path))
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [{"name": "default"}, {"name": "zero-table", "predictor_table_bits": 0}],
+            [{"name": "zero-table", "predictor_table_bits": 0}],
+            [{"name": "default"}, {"name": "neg-history", "predictor_history_bits": -1}],
+        ],
+        ids=["two-configs", "one-config", "negative-history"],
+    )
+    def test_sweep_grid_with_a_bad_predictor_shape_exits_2(
+        self, tmp_path, capsys, configs
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"configs": configs}))
+        store = tmp_path / "store"
+        argv = ["sweep", "505.mcf_r", "--grid", str(path), "--cache-dir", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"sweep: {path}: bad grid (predictor_")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(store.rglob("*.json"))  # no profile was stored
+
     def test_table2_is_one_run_in_the_ledger(self, tmp_path, capsys, monkeypatch):
         from repro.analysis.sensitivity import sensitivity_report
         from repro.analysis.tables import render_table2
@@ -332,6 +355,36 @@ class TestCommands:
             r"cache: 7 hits, 0 misses, [1-9]\d* B read, 0 B written",
             capsys.readouterr().err,
         )
+
+    def test_export_is_one_run_in_the_ledger(self, tmp_path, capsys, monkeypatch):
+        from repro.analysis.figures import render_figure1, render_figure2
+        from repro.analysis.tables import render_table2
+        from repro.core.characterize import characterize
+        from repro.core.reports import benchmark_report
+
+        ids = ["505.mcf_r", "557.xz_r"]
+        ledger = tmp_path / "ledger"
+        out = tmp_path / "bundle"
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger))
+        assert main(["export", str(out), *ids, "--no-cache"]) == 0
+        records = (ledger / "runs.jsonl").read_text().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["benchmarks"] == ids
+        # The same bundle as characterizing each row on its own.
+        monkeypatch.delenv("REPRO_LEDGER_DIR")
+        chars = [characterize(bid, keep_profiles=True) for bid in ids]
+        assert (out / "table2.txt").read_text() == render_table2(chars) + "\n"
+        for char in chars:
+            stem = char.benchmark_id
+            assert (out / "reports" / f"{stem}.txt").read_text() == (
+                benchmark_report(char) + "\n"
+            )
+            assert (out / "figures" / f"{stem}.fig1.txt").read_text() == (
+                render_figure1(char) + "\n"
+            )
+            assert (out / "figures" / f"{stem}.fig2.txt").read_text() == (
+                render_figure2(char) + "\n"
+            )
 
     @pytest.mark.slow
     def test_export_bundle(self, tmp_path, capsys):

@@ -22,6 +22,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,12 +30,15 @@ from hypothesis import strategies as st
 from repro.core import engine, metrics
 from repro.core.artifacts import ArtifactStore, SetStore, decode_set, encode_set
 from repro.core.cache import CAPTURE_MODULES, cache_key, capture_key, set_key
-from repro.core.errors import CacheCorruption
+from repro.core.errors import CacheCorruption, UnknownScenarioError
 from repro.core.metrics import CACHE_EVENTS_TOTAL
 from repro.core.registry import REGISTRY, alberta_workloads, benchmark_ids
 from repro.core.run import Session
 from repro.core.sweep import MachineGrid, SweepRequest
 from repro.core.workload import AlbertaRef, Workload
+
+# ``repro.core`` re-exports functions named like some of its modules.
+run_module = importlib.import_module("repro.core.run")
 
 ROOT = Path(__file__).resolve().parents[1]
 PLUGIN_SRC = ROOT / "examples" / "repro-plugin-demo" / "src"
@@ -246,6 +250,7 @@ def test_damaged_set_entry_is_quarantined_and_the_set_regenerated(tmp_path, monk
 
 
 def _counting_generation(monkeypatch) -> list[str]:
+    """Count set generations by the engine and by ``Session`` itself."""
     calls: list[str] = []
     generate = engine.alberta_workloads
 
@@ -254,6 +259,7 @@ def _counting_generation(monkeypatch) -> list[str]:
         return generate(benchmark_id, base_seed)
 
     monkeypatch.setattr(engine, "alberta_workloads", counted)
+    monkeypatch.setattr(run_module, "alberta_workloads", counted, raising=False)
     return calls
 
 
@@ -277,6 +283,23 @@ def test_fully_warm_suite_generates_nothing_and_matches_cold(tmp_path, monkeypat
     assert reg.value(CACHE_EVENTS_TOTAL, store="set", event="hit") == len(FAST_IDS)
     n_workloads = sum(len(alberta_workloads(b)) for b in FAST_IDS)
     assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="hit") == n_workloads
+
+
+def test_warm_capture_by_name_generates_nothing(tmp_path, monkeypatch):
+    store = ArtifactStore(tmp_path)
+    with Session(cache=store) as s:
+        cold = s.capture_set("505.mcf_r")  # captures and a set entry
+    calls = _counting_generation(monkeypatch)
+    with Session(cache=store) as s:
+        warm = s.capture("505.mcf_r", "mcf.refrate")
+        with pytest.raises(UnknownScenarioError, match="mcf.nope") as unknown:
+            s.capture("505.mcf_r", "mcf.nope")
+    assert calls == []
+    assert s.summary.captures == 0
+    (want,) = [c for c in cold if c.workload == "mcf.refrate"]
+    assert warm.methods == want.methods
+    assert all(np.array_equal(a, b) for a, b in zip(warm.columns, want.columns))
+    assert set(unknown.value.known) == set(alberta_workloads("505.mcf_r").names())
 
 
 def test_warm_sweep_generates_nothing(tmp_path, monkeypatch):

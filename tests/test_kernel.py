@@ -20,7 +20,6 @@ from repro.machine.cost import _ORDER_STRIDE, _replay_code_bursts
 from repro.machine.kernel import (
     _lru_scalar,
     counter_miss_counts,
-    counter_scan,
     gshare_history,
     left_rank,
     lru_filter,
@@ -34,6 +33,12 @@ def brute_left_rank(values):
         [sum(1 for p in range(q) if v[p] < v[q]) for q in range(len(v))],
         dtype=np.int64,
     )
+
+
+def counter_flags(idx, taken, table):
+    """Per-event mispredict flags: one group per event."""
+    n = idx.size
+    return counter_miss_counts(idx, taken, table, np.arange(n), n).astype(np.uint8)
 
 
 def brute_counters(idx, taken, table):
@@ -107,6 +112,9 @@ class TestLruKernels:
 
 
 class TestCounterScan:
+    """The counter scan's per-event mispredicts (one group per event)
+    and final table against the bytearray walk."""
+
     def test_fuzz_against_bytearray_walk(self):
         rng = np.random.default_rng(5)
         for trial in range(120):
@@ -118,7 +126,7 @@ class TestCounterScan:
             t0 = rng.integers(0, 4, nslots).astype(np.uint8)
             ta, tb = t0.copy(), t0.copy()
             assert np.array_equal(
-                counter_scan(idx, taken, ta), brute_counters(idx, taken, tb)
+                counter_flags(idx, taken, ta), brute_counters(idx, taken, tb)
             ), f"miss flags trial {trial}"
             assert np.array_equal(ta, tb), f"table trial {trial}"
 
@@ -131,13 +139,13 @@ class TestCounterScan:
         ta = np.ones(256, dtype=np.uint8)
         tb = ta.copy()
         assert np.array_equal(
-            counter_scan(idx, taken, ta), brute_counters(idx, taken, tb)
+            counter_flags(idx, taken, ta), brute_counters(idx, taken, tb)
         )
         assert np.array_equal(ta, tb)
 
     def test_empty(self):
         table = np.ones(4, dtype=np.uint8)
-        assert counter_scan(
+        assert counter_flags(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), table
         ).size == 0
         assert np.array_equal(table, np.ones(4, dtype=np.uint8))
@@ -211,7 +219,7 @@ class TestCounterMissCounts:
             counter_miss_counts(idx, taken, counted, groups, n_groups), want
         )
         assert np.array_equal(counted, want_table)
-        assert np.array_equal(counter_scan(idx, taken, flagged), flags)
+        assert np.array_equal(counter_flags(idx, taken, flagged), flags)
         assert np.array_equal(flagged, want_table)
 
     def test_empty(self):
@@ -228,11 +236,10 @@ class TestGshareHistory:
         for _ in range(40):
             n = int(rng.integers(1, 200))
             bits = int(rng.integers(0, 13))
-            h0 = int(rng.integers(0, 1 << bits)) if bits else 0
             taken = rng.integers(0, 2, n).astype(np.int64)
-            got = gshare_history(taken, h0, bits)
+            got = gshare_history(taken, bits)
             mask = (1 << bits) - 1
-            h = h0
+            h = 0  # a fresh predictor's history
             for i in range(n):
                 assert got[i] == h, f"event {i}"
                 h = ((h << 1) | int(taken[i])) & mask
@@ -246,8 +253,8 @@ class TestGshareHistory:
             deep = int(rng.integers(0, 17))
             shallow = int(rng.integers(0, deep + 1))
             taken = rng.integers(0, 2, n).astype(np.int64)
-            masked = gshare_history(taken, 0, deep) & ((1 << shallow) - 1)
-            assert np.array_equal(masked, gshare_history(taken, 0, shallow))
+            masked = gshare_history(taken, deep) & ((1 << shallow) - 1)
+            assert np.array_equal(masked, gshare_history(taken, shallow))
 
 
 class TestCodeBursts:
@@ -270,7 +277,7 @@ class TestCodeBursts:
                     name="L1I",
                 )
             )
-            n_sets = len(l1i._sets)
+            n_sets = l1i.config.n_sets
             res = _replay_code_bursts(c_midx, c_key, code_base, code_blocks, l1i)
 
             sets: dict = {}

@@ -31,7 +31,8 @@ from repro.core.registry import alberta_workloads, get_benchmark
 from repro.core.sweep import MachineGrid, ReplayRequest, SweepRequest
 from repro.core.trace import summarize_trace
 from repro.fdo.evaluation import cross_validate, evaluate_pair, train_profile
-from repro.machine.capture import TelemetryCapture, capture_execution, replay_capture
+from repro.machine.batch import replay_capture
+from repro.machine.capture import TelemetryCapture, capture_execution
 from repro.machine.cost import MachineConfig
 from repro.machine.profiler import Profiler
 from repro.machine.telemetry import Probe

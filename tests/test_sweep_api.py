@@ -27,9 +27,9 @@ from repro.core.sweep import (
     default_sweep_grid,
 )
 from repro.core.trace import summarize_trace
+from repro.machine.batch import replay_capture, replay_capture_batched
 from repro.machine.cache import CacheGeometry
-from repro.machine.batch import replay_capture_batched
-from repro.machine.capture import capture_execution, replay_capture
+from repro.machine.capture import capture_execution
 from repro.machine.cost import MachineConfig
 
 TIER1_TRIO = ["505.mcf_r", "519.lbm_r", "557.xz_r"]
@@ -111,8 +111,6 @@ class TestSweepRequest:
             SweepRequest(benchmark="505.mcf_r", grid=[None])
         with pytest.raises(ValueError, match="base_seed"):
             SweepRequest(benchmark="505.mcf_r", grid=grid, base_seed="0")
-        with pytest.raises(ValueError, match="batched"):
-            SweepRequest(benchmark="505.mcf_r", grid=grid, batched="yes")
 
 
 class TestReplayRequest:
@@ -165,24 +163,20 @@ class TestRequestForms:
                 s.replay(capture, ReplayRequest(), machine=None)
 
 
-def _sweep_pair(bid, tmp_path, grid):
-    """One batched and one per-config sweep of ``bid`` over ``grid``."""
-    results = {}
-    for mode, batched in (("batched", None), ("per-config", False)):
-        trace = tmp_path / f"{bid}.{mode}.jsonl"
-        with Session(
-            cache=tmp_path / f"{bid}.{mode}", trace=trace
-        ) as s:
-            results[mode] = s.characterize_sweep(
-                SweepRequest(
-                    benchmark=bid,
-                    grid=grid,
-                    keep_profiles=True,
-                    batched=batched,
-                )
-            )
-        results[mode + ".trace"] = summarize_trace(trace)
-    return results
+def _batched_sweep(bid, tmp_path, grid):
+    """A sweep of ``bid`` over ``grid``, its trace summary, and the
+    per-config ``replay_capture`` profiles it must equal bit for bit."""
+    trace = tmp_path / f"{bid}.jsonl"
+    with Session(cache=tmp_path / bid, trace=trace) as s:
+        result = s.characterize_sweep(
+            SweepRequest(benchmark=bid, grid=grid, keep_profiles=True)
+        )
+        captures = s.capture_set(bid)
+    per_config = {
+        name: [replay_capture(c, machine=m) for c in captures]
+        for name, m in zip(grid.names, grid.machines)
+    }
+    return result, summarize_trace(trace), per_config
 
 
 class TestGoldenSweepIdentity:
@@ -190,32 +184,29 @@ class TestGoldenSweepIdentity:
 
     @pytest.mark.parametrize("bid", TIER1_TRIO)
     def test_trio_bit_identical(self, bid, tmp_path):
-        res = _sweep_pair(bid, tmp_path, TEST_GRID)
-        batched, per_config = res["batched"], res["per-config"]
-        assert batched.ok and per_config.ok
-        assert batched.config_names == per_config.config_names
+        batched, summary, per_config = _batched_sweep(bid, tmp_path, TEST_GRID)
+        assert batched.ok
         for name in TEST_GRID.names:
-            a = batched.profile_for(name)
-            b = per_config.profile_for(name)
-            assert a.table2_row() == b.table2_row()
-            for pa, pb in zip(a.profiles, b.profiles):
+            profiles = batched.profile_for(name).profiles
+            assert [p.workload for p in profiles] == [
+                p.workload for p in per_config[name]
+            ]
+            for pa, pb in zip(profiles, per_config[name]):
                 assert_reports_identical(
                     pa.report, pb.report, f"{bid}/{name}/{pa.workload}"
                 )
-        # the batched run actually batched; the forced run did not
-        assert res["batched.trace"].replays_batched == res["batched.trace"].replays
-        assert res["per-config.trace"].replays_batched == 0
+        # the sweep actually batched every replay
+        assert summary.replays_batched == summary.replays > 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bid", sorted(benchmark_ids()))
     def test_full_suite_bit_identical(self, bid, tmp_path):
-        res = _sweep_pair(bid, tmp_path, default_sweep_grid())
-        batched, per_config = res["batched"], res["per-config"]
-        assert batched.ok and per_config.ok
-        for name in default_sweep_grid().names:
-            a = batched.profile_for(name)
-            b = per_config.profile_for(name)
-            for pa, pb in zip(a.profiles, b.profiles):
+        grid = default_sweep_grid()
+        batched, _, per_config = _batched_sweep(bid, tmp_path, grid)
+        assert batched.ok
+        for name in grid.names:
+            profiles = batched.profile_for(name).profiles
+            for pa, pb in zip(profiles, per_config[name], strict=True):
                 assert_reports_identical(
                     pa.report, pb.report, f"{bid}/{name}/{pa.workload}"
                 )
@@ -259,15 +250,21 @@ class TestSweepResultOrdering:
 
 class TestReplayModeProvenance:
     def test_cache_envelopes_record_replay_mode(self, tmp_path):
-        res = _sweep_pair("519.lbm_r", tmp_path, TEST_GRID)
-        assert res["batched"].ok and res["per-config"].ok
-        n_cells = len(TEST_GRID) * len(alberta_workloads("519.lbm_r"))
-        batched_modes = ResultCache(tmp_path / "519.lbm_r.batched").replay_modes()
-        assert batched_modes["batched"] == n_cells
+        n_workloads = len(alberta_workloads("519.lbm_r"))
+        batched, _, _ = _batched_sweep("519.lbm_r", tmp_path, TEST_GRID)
+        assert batched.ok
+        batched_modes = ResultCache(tmp_path / "519.lbm_r").replay_modes()
+        assert batched_modes["batched"] == len(TEST_GRID) * n_workloads
         assert batched_modes["per-config"] == 0
-        forced_modes = ResultCache(tmp_path / "519.lbm_r.per-config").replay_modes()
-        assert forced_modes["batched"] == 0
-        assert forced_modes["per-config"] == n_cells
+        # a workload with one pending config replays on its own
+        with Session(cache=tmp_path / "single") as s:
+            single = s.characterize_sweep(
+                SweepRequest(benchmark="519.lbm_r", grid=MachineGrid.from_presets("default"))
+            )
+        assert single.ok
+        single_modes = ResultCache(tmp_path / "single").replay_modes()
+        assert single_modes["batched"] == 0
+        assert single_modes["per-config"] == n_workloads
 
     def test_profiles_round_trip_from_labeled_envelopes(self, tmp_path):
         """A replay_mode-labeled cache entry must still deserialize."""
