@@ -942,6 +942,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"cache dir : {store.root}")
             print("stage: replay (machine-dependent profiles)")
             print(f"  entries : {len(profiles)}")
+            print(f"  profiles: {sum(modes.values())}")
             print(f"  bytes   : {profiles.total_bytes()}")
             print(f"  corrupt : {profiles.quarantined_entries()} (quarantined *.corrupt)")
             print(
@@ -986,11 +987,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if args.command == "fdo":
+        from .core.run import Session
         from .fdo import cross_validate, single_workload_methodology
 
-        single = single_workload_methodology(args.benchmark)
-        print(f"single train->refrate speedup: {single.speedup:.4f}")
-        cv = cross_validate(args.benchmark, max_workloads=args.max_workloads)
+        # One session for both protocols: one ledger record, and each
+        # workload executes once.
+        with Session() as session:
+            single = single_workload_methodology(args.benchmark, session=session)
+            print(f"single train->refrate speedup: {single.speedup:.4f}")
+            cv = cross_validate(
+                args.benchmark, max_workloads=args.max_workloads, session=session
+            )
         s = cv.summary()
         print(
             f"cross-validated ({s['n']} pairs): mean={s['mean']:.4f} "

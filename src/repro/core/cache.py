@@ -15,9 +15,11 @@ function of its inputs and of the code that made it.  Keys name both:
   workload by its content (name, seed, params and a digest of the
   payload itself);
 * :func:`capture_key` adds the capture codec to the identity;
-* :func:`cache_key`, a profile's key, adds the machine configuration,
-  the build digest, :data:`CACHE_FORMAT` and the replay code fingerprint
-  (:func:`replay_fingerprint`, over :data:`REPLAY_MODULES`);
+* :func:`cache_key` names one capture's profile entry: it adds the
+  entry layout, the build digest and the replay code fingerprint
+  (:func:`replay_fingerprint`, over :data:`REPLAY_MODULES`).  The
+  machine config is not in it: every config the capture was replayed
+  on is a member of that one entry, named by the config's digest;
 * :func:`set_key` names one Alberta set's member list by the capture
   code fingerprint, the benchmark and the base seed.
 
@@ -25,11 +27,12 @@ Module sources are read once per process, and each machine config is
 hashed once.  An edit to any module a stage depends on turns that
 stage's artifacts cold; nothing is bumped by hand.
 
-:class:`ResultCache` stores a profile (minus the benchmark output,
-which the summaries never read) as JSON under
-``<root>/<key[:2]>/<key>.json``.  JSON floats round-trip exactly
-(``repr`` is shortest-round-trip), so a cached profile reconstructs the
-summaries bit-identically.
+:class:`ResultCache` stores each capture's profiles (minus the
+benchmark output, which the summaries never read) as one
+:class:`ProfileEntry` under ``<root>/<key[:2]>/<key>.prof``: a length
+and a CRC-32, checked before anything is parsed, then a JSON body.
+JSON floats round-trip exactly (``repr`` is shortest-round-trip), so a
+cached profile reconstructs the summaries bit-identically.
 
 Cache traffic (hits / misses / bytes / quarantines) is recorded in the
 metrics registry (:mod:`repro.core.metrics`) under ``store="profile"``;
@@ -44,9 +47,11 @@ import importlib
 import json
 import os
 import secrets
+import struct
 import sys
 import time
-from collections.abc import Callable, Iterator, Mapping, Set
+import zlib
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -73,11 +78,27 @@ __all__ = [
     "set_key",
     "profile_to_dict",
     "profile_from_dict",
+    "PROFILE_MAGIC",
+    "ProfileEntry",
+    "encode_profiles",
+    "decode_profiles",
     "ResultCache",
 ]
 
-#: Bump when the serialized profile layout changes; part of every key.
+#: The format of every stored document; part of every key.  A new profile
+#: entry layout revs :data:`PROFILE_MAGIC` instead, which leaves capture
+#: and set keys as they are.
 CACHE_FORMAT = 1
+
+#: Leading bytes of every profile entry; rev with the layout.  Profile
+#: keys carry it too (:func:`cache_key`), so a new layout is never asked
+#: to read an old one's entries.
+PROFILE_MAGIC = b"RPG1"
+_PROFILE_PREFIX = struct.Struct("<4sII")  # magic, body length, CRC-32 of the body
+
+#: The ``replay_mode`` a member may record: one-pass multi-config replay,
+#: single-config replay, or none (Table II cells).
+_REPLAY_MODES = ("batched", "per-config", None)
 
 #: The modules every capture runs through besides its benchmark's and its
 #: generator's own.  A benchmark or generator module may import only
@@ -276,21 +297,22 @@ def _capture_identity(benchmark_id: str, workload: Workload | AlbertaRef) -> dic
 def cache_key(
     benchmark_id: str,
     workload: Workload | AlbertaRef,
-    machine: MachineConfig | None = None,
     *,
     build: str | None = None,
 ) -> str:
-    """Stable key for one stored profile: a capture replayed on one machine.
+    """Stable key for one capture's profile entry (:class:`ProfileEntry`).
 
-    The capture's identity plus the machine config, ``build`` (an
-    optional digest of a build transformation such as an FDO profile —
-    see :meth:`repro.fdo.optimizer.FdoBuild.digest` — that changes the
-    replay but not the capture), :data:`CACHE_FORMAT` and the replay
-    code fingerprint.
+    The capture's identity plus a stage marker, the entry layout's
+    magic, the replay code fingerprint and ``build`` (an optional
+    digest of a build transformation such as an FDO profile — see
+    :meth:`repro.fdo.optimizer.FdoBuild.digest` — that changes the
+    replay but not the capture).  The machine config is not part of
+    it: the entry holds every config the capture was replayed on.
     """
     ident = _capture_identity(benchmark_id, workload)
+    ident["stage"] = "profile"
+    ident["entry"] = PROFILE_MAGIC.decode()
     ident["replay"] = replay_fingerprint()
-    ident["machine"] = _machine_digest(machine)
     if build is not None:
         ident["build"] = build
     return payload_digest(ident)
@@ -330,6 +352,36 @@ def _scalars(obj: Any) -> dict[str, Any]:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+def _report_to_dict(report: MachineReport) -> dict[str, Any]:
+    td = report.topdown
+    return {
+        "topdown": [td.front_end, td.back_end, td.bad_speculation, td.retiring],
+        "coverage": dict(report.coverage.fractions),
+        "cycles": report.cycles,
+        "seconds": report.seconds,
+        "per_method": {name: _scalars(mc) for name, mc in report.per_method.items()},
+        "cache_stats": _scalars(report.cache_stats),
+        "branch_misprediction_rate": report.branch_misprediction_rate,
+        "sampling_stride": report.sampling_stride,
+        "counters": dict(report.counters),
+    }
+
+
+def _report_from_dict(rep: Any) -> MachineReport:
+    f, b, s, r = rep["topdown"]
+    return MachineReport(
+        topdown=TopDownVector(front_end=f, back_end=b, bad_speculation=s, retiring=r),
+        coverage=CoverageProfile(dict(rep["coverage"])),
+        cycles=rep["cycles"],
+        seconds=rep["seconds"],
+        per_method={name: MethodCost(**mc) for name, mc in rep["per_method"].items()},
+        cache_stats=HierarchyStats(**rep["cache_stats"]),
+        branch_misprediction_rate=rep["branch_misprediction_rate"],
+        sampling_stride=rep["sampling_stride"],
+        counters=dict(rep["counters"]),
+    )
+
+
 def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
     """Serialize a profile (minus its benchmark ``output``) to plain JSON.
 
@@ -337,24 +389,12 @@ def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
     machine report, and outputs can be arbitrarily large.  A profile
     restored from the cache therefore has ``output=None``.
     """
-    report = profile.report
-    td = report.topdown
     return {
         "format": CACHE_FORMAT,
         "benchmark": profile.benchmark,
         "workload": profile.workload,
         "verified": profile.verified,
-        "report": {
-            "topdown": [td.front_end, td.back_end, td.bad_speculation, td.retiring],
-            "coverage": dict(report.coverage.fractions),
-            "cycles": report.cycles,
-            "seconds": report.seconds,
-            "per_method": {name: _scalars(mc) for name, mc in report.per_method.items()},
-            "cache_stats": _scalars(report.cache_stats),
-            "branch_misprediction_rate": report.branch_misprediction_rate,
-            "sampling_stride": report.sampling_stride,
-            "counters": dict(report.counters),
-        },
+        "report": _report_to_dict(profile.report),
     }
 
 
@@ -369,45 +409,130 @@ def profile_from_dict(data: Any) -> ExecutionProfile:
         raise CacheCorruption(f"cache entry is a JSON {type(data).__name__}, not an object")
     if data.get("format") != CACHE_FORMAT:
         raise CacheCorruption(f"unsupported cache entry format {data.get('format')!r}")
-    rep = data["report"]
-    f, b, s, r = rep["topdown"]
-    report = MachineReport(
-        topdown=TopDownVector(front_end=f, back_end=b, bad_speculation=s, retiring=r),
-        coverage=CoverageProfile(dict(rep["coverage"])),
-        cycles=rep["cycles"],
-        seconds=rep["seconds"],
-        per_method={name: MethodCost(**mc) for name, mc in rep["per_method"].items()},
-        cache_stats=HierarchyStats(**rep["cache_stats"]),
-        branch_misprediction_rate=rep["branch_misprediction_rate"],
-        sampling_stride=rep["sampling_stride"],
-        counters=dict(rep["counters"]),
-    )
     return ExecutionProfile(
         benchmark=data["benchmark"],
         workload=data["workload"],
-        report=report,
+        report=_report_from_dict(data["report"]),
         output=None,
         verified=data["verified"],
     )
 
 
+class ProfileEntry:
+    """The stored profiles of one capture, one member per machine config.
+
+    ``members`` maps each config's digest to its profile and the
+    ``replay_mode`` it was written with; :meth:`profile` and :meth:`add`
+    take the config itself (``None`` for the default).  Every member
+    replays the same capture, so all share its benchmark, workload and
+    ``verified``.
+    """
+
+    def __init__(self) -> None:
+        self.members: dict[str, tuple[ExecutionProfile, str | None]] = {}
+
+    def profile(self, machine: MachineConfig | None) -> ExecutionProfile | None:
+        """The stored profile of ``machine``, or ``None``."""
+        member = self.members.get(_machine_digest(machine))
+        return None if member is None else member[0]
+
+    def add(
+        self, machine: MachineConfig | None, profile: ExecutionProfile, replay_mode: str | None
+    ) -> None:
+        """Store (or replace) the member of ``machine``."""
+        self.members[_machine_digest(machine)] = (profile, replay_mode)
+
+
+def encode_profiles(entry: ProfileEntry) -> bytes:
+    """Serialize a non-empty entry: :data:`PROFILE_MAGIC`, two u32s (body
+    length and CRC-32 of the body), then the JSON body.
+
+    The body holds ``format``, ``benchmark``, ``workload`` and
+    ``verified`` once, and ``profiles``, which maps each member's config
+    digest to its ``report`` and ``replay_mode``.
+    """
+    first, _ = next(iter(entry.members.values()))
+    body = json.dumps(
+        {
+            "format": CACHE_FORMAT,
+            "benchmark": first.benchmark,
+            "workload": first.workload,
+            "verified": first.verified,
+            "profiles": {
+                digest: {"report": _report_to_dict(profile.report), "replay_mode": mode}
+                for digest, (profile, mode) in entry.members.items()
+            },
+        },
+        separators=(",", ":"),
+    ).encode()
+    return _PROFILE_PREFIX.pack(PROFILE_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def decode_profiles(blob: bytes) -> ProfileEntry:
+    """Reconstruct an entry; raises :class:`CacheCorruption` on any damage.
+
+    The magic, the length and the CRC are checked before the body is
+    parsed, as :func:`~repro.core.artifacts.decode_set` does; past them
+    every member is decoded, so a defect anywhere fails the whole entry.
+    """
+    if len(blob) < _PROFILE_PREFIX.size:
+        raise CacheCorruption("profile entry: truncated prefix")
+    magic, length, crc = _PROFILE_PREFIX.unpack_from(blob)
+    body = blob[_PROFILE_PREFIX.size :]
+    if magic != PROFILE_MAGIC or len(body) != length or zlib.crc32(body) != crc:
+        raise CacheCorruption("profile entry: bad magic, length or CRC")
+    try:
+        doc = json.loads(body)
+        if doc["format"] != CACHE_FORMAT:
+            raise CacheCorruption(f"profile entry: unsupported format {doc['format']!r}")
+        entry = ProfileEntry()
+        for digest, member in doc["profiles"].items():
+            mode = member["replay_mode"]
+            if mode not in _REPLAY_MODES:
+                raise CacheCorruption(f"profile entry: unknown replay_mode {mode!r}")
+            profile = ExecutionProfile(
+                benchmark=doc["benchmark"],
+                workload=doc["workload"],
+                report=_report_from_dict(member["report"]),
+                output=None,
+                verified=doc["verified"],
+            )
+            entry.members[digest] = (profile, mode)
+    except CacheCorruption:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CacheCorruption(
+            f"profile entry: undecodable ({type(exc).__name__}: {exc})"
+        ) from exc
+    if not entry.members:
+        raise CacheCorruption("profile entry: no profiles")
+    return entry
+
+
 # ----------------------------------------------------------------- cache
 
 
+def _one_event(value: Any) -> tuple[int, int]:
+    """A lookup's (hits, misses): one of either."""
+    return (0, 1) if value is None else (1, 0)
+
+
 class _EntryStore:
-    """Content-addressed on-disk entries: the code both stage stores share.
+    """Content-addressed on-disk entries: the code every stage store shares.
 
     Entries live at ``<root>/<key[:2]>/<key><suffix>`` and are written
-    atomically (temp file + ``os.replace``), so concurrent writers of
-    the *same* key are safe — last writer wins with identical content.
-    An entry that exists but cannot be decoded is quarantined (renamed
-    to ``*<suffix>.corrupt``) and reads as a miss.  Every lookup, write
+    atomically (temp file + ``os.replace``), so a reader never sees a
+    torn entry and the last writer of a key wins.  An entry that exists
+    but cannot be decoded is quarantined (renamed to
+    ``*<suffix>.corrupt``) and reads as a miss.  Every lookup, write
     and quarantine is recorded in the metrics registry under the
     subclass's ``store`` label, each at exactly one call site below.
     """
 
     suffix: str
     store: str
+    #: Suffixes an older layout wrote here: never read, but wiped.
+    legacy: tuple[str, ...] = ()
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -416,35 +541,44 @@ class _EntryStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self.suffix}"
 
-    def _lookup(self, key: str, decode: Callable[[bytes], Any]) -> Any:
-        """Read and decode one entry; ``None`` on a miss or a quarantine."""
+    def _lookup(
+        self,
+        key: str,
+        decode: Callable[[bytes], Any],
+        served: Callable[[Any], tuple[int, int]] = _one_event,
+    ) -> Any:
+        """Read and decode one entry; ``None`` on a miss or a quarantine.
+
+        Records the lookup's latency and ``served(value)`` hit and miss
+        events: by default one of either.
+        """
         path = self._path(key)
         started = time.perf_counter()
+        value = None
         try:
             raw = path.read_bytes()
         except OSError:
-            self._settle("miss", started)
-            return None
-        try:
-            value = decode(raw)
-        except (ValueError, KeyError, TypeError):
-            # Includes json.JSONDecodeError and CacheCorruption.
-            self._quarantine(path)
-            self._settle("miss", started)
-            return None
-        self._settle("hit", started)
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.store, direction="read")
-        return value
-
-    def _settle(self, result: str, started: float) -> None:
-        """Record one lookup's latency and its hit/miss event."""
+            pass
+        else:
+            try:
+                value = decode(raw)
+            except (ValueError, KeyError, TypeError):
+                # Includes json.JSONDecodeError and CacheCorruption.
+                self._quarantine(path)
+            else:
+                metrics.inc(
+                    metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.store, direction="read"
+                )
         metrics.observe(
             metrics.CACHE_LOOKUP_SECONDS,
             time.perf_counter() - started,
             store=self.store,
-            result=result,
+            result="miss" if value is None else "hit",
         )
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.store, event=result)
+        for event, n in zip(("hit", "miss"), served(value)):
+            if n:
+                metrics.inc(metrics.CACHE_EVENTS_TOTAL, n, store=self.store, event=event)
+        return value
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (best effort) and count it."""
@@ -478,14 +612,15 @@ class _EntryStore:
         return sum(1 for _ in self.root.glob(f"*/*{self.suffix}.corrupt"))
 
     def wipe(self) -> int:
-        """Delete every entry (and quarantined ``*.corrupt`` remains);
-        returns the number of live entries removed."""
+        """Delete every entry, an older layout's too, and quarantined
+        ``*.corrupt`` remains; returns the number of live entries removed."""
         n = 0
-        for path in self.root.glob(f"*/*{self.suffix}.corrupt"):
-            path.unlink(missing_ok=True)
-        for path in self._entries():
-            path.unlink(missing_ok=True)
-            n += 1
+        for suffix in (self.suffix, *self.legacy):
+            for path in self.root.glob(f"*/*{suffix}.corrupt"):
+                path.unlink(missing_ok=True)
+            for path in self.root.glob(f"*/*{suffix}"):
+                path.unlink(missing_ok=True)
+                n += 1
         for shard in self.root.glob("*"):
             if shard.is_dir():
                 try:
@@ -495,75 +630,71 @@ class _EntryStore:
         return n
 
 
-def _decode_profile(raw: bytes) -> ExecutionProfile:
-    return profile_from_dict(json.loads(raw))
-
-
 class ResultCache(_EntryStore):
     """Content-addressed on-disk store of serialized execution profiles.
 
-    Entries live at ``<root>/<key[:2]>/<key>.json``; a corrupt or
-    truncated entry is quarantined to ``*.json.corrupt``, reads as a
-    miss, and is re-created by the next :meth:`put`.  Traffic is
-    recorded under ``store="profile"``.
+    One :class:`ProfileEntry` per capture (and build) at
+    ``<root>/<key[:2]>/<key>.prof``, holding the profile of every
+    machine config that capture was replayed on; a corrupt or
+    truncated entry is quarantined to ``*.prof.corrupt``, reads as a
+    miss for every config it held, and is re-created by the next
+    :meth:`put`.  Traffic is recorded under ``store="profile"``, one hit
+    or miss per config looked up.
 
-    Invalidation is purely key-based: any change to the workload
-    content, machine config, serialization format, or repro version
+    Invalidation is purely key-based: any change to the workload, the
+    build, the entry layout or the code that captures or replays it
     produces a different key, and stale entries are simply never read
-    again.  :meth:`wipe` removes everything under the root.
+    again.  Entries of the older one-profile-per-file layout (``*.json``)
+    are never read either.  :meth:`wipe` removes everything under the
+    root.
+
+    A put replaces the whole entry with what its writer holds: the
+    members it read plus the ones it added.  Two processes that fill
+    one entry at once can each drop the other's new members.  That
+    costs a later miss, never a wrong profile.
     """
 
-    suffix = ".json"
+    suffix = ".prof"
     store = "profile"
+    legacy = (".json",)
 
-    def get(self, key: str) -> ExecutionProfile | None:
-        """Look up a profile; a miss (or unreadable entry) returns None.
+    def get(
+        self, key: str, machines: "Iterable[MachineConfig | None]" = (None,)
+    ) -> ProfileEntry | None:
+        """Look up one capture's entry; ``None`` on a miss or unreadable entry.
 
-        An entry that exists but cannot be decoded — truncated write,
-        bit rot, foreign format — is *quarantined*: renamed to
-        ``<key>.json.corrupt`` so the evidence survives for inspection,
-        counted as ``repro_cache_events_total{event="quarantined"}``,
-        and reported as a miss so the cell is simply re-profiled (and
+        Records one hit for each of ``machines`` the entry holds and one
+        miss for each it lacks.  An entry that exists but cannot be
+        decoded — truncated write, bit rot, foreign format — is
+        *quarantined*: renamed to ``<key>.prof.corrupt`` so the evidence
+        survives for inspection, counted as
+        ``repro_cache_events_total{event="quarantined"}``, and reported
+        as a miss, so each of its configs is simply re-profiled (and
         re-cached) instead of crashing the run.
         """
-        return self._lookup(key, _decode_profile)
+        digests = [_machine_digest(m) for m in machines]
 
-    def put(
-        self,
-        key: str,
-        profile: ExecutionProfile,
-        *,
-        replay_mode: str | None = None,
-    ) -> None:
-        """Store a profile under ``key`` (atomic replace).
+        def served(entry: ProfileEntry | None) -> tuple[int, int]:
+            hits = 0 if entry is None else sum(d in entry.members for d in digests)
+            return hits, len(digests) - hits
 
-        ``replay_mode`` records provenance in the envelope — whether the
-        profile came from a ``"batched"`` multi-config replay or a
-        ``"per-config"`` one.  The two are bit-identical, so the key is
-        purely informational (``repro cache info`` reports the counts)
-        and readers ignore it.
-        """
-        payload = profile_to_dict(profile)
-        if replay_mode is not None:
-            payload["replay_mode"] = replay_mode
-        self._write(key, json.dumps(payload, separators=(",", ":")).encode())
+        return self._lookup(key, decode_profiles, served)
+
+    def put(self, key: str, entry: ProfileEntry) -> None:
+        """Store ``entry`` under ``key`` (atomic replace)."""
+        self._write(key, encode_profiles(entry))
 
     def replay_modes(self) -> dict[str, int]:
-        """Provenance counts over stored entries: how many profiles were
-        written by a ``"batched"`` multi-config replay, a ``"per-config"``
-        replay, or predate the envelope key (``"unlabeled"``).  An entry
-        that is not a JSON object is counted in none of them."""
+        """Provenance counts over stored profiles: how many were written by
+        a ``"batched"`` multi-config replay, a ``"per-config"`` one, or
+        carry no label (``"unlabeled"``: Table II cells).  An entry that
+        does not decode is counted in none of them."""
         counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
         for path in self._entries():
             try:
-                entry = json.loads(path.read_bytes())
-            except (OSError, ValueError):
+                entry = decode_profiles(path.read_bytes())
+            except (OSError, CacheCorruption):
                 continue
-            if not isinstance(entry, Mapping):
-                continue
-            mode = entry.get("replay_mode")
-            if mode in ("batched", "per-config"):
-                counts[mode] += 1
-            else:
-                counts["unlabeled"] += 1
+            for _, mode in entry.members.values():
+                counts[mode or "unlabeled"] += 1
         return counts

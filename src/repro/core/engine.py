@@ -20,9 +20,11 @@ deterministic.  The engine exploits both properties:
   FDO-build sweep (:meth:`CharacterizationEngine.characterize_sweep_run`)
   executes each benchmark once and replays the stored stream N times.
 * **Caching** — each cell is looked up in the profile store before
-  being scheduled, keyed by the cell's full content (see
-  :func:`repro.core.cache.cache_key`), so warm re-runs of Table II,
-  the figures, and the studies skip the profiling entirely; a profile
+  being scheduled: one entry per capture (see
+  :func:`repro.core.cache.cache_key`) holds the profile of every
+  machine config that capture was replayed on, so warm re-runs of
+  Table II, the figures, and the studies skip the profiling entirely
+  and a sweep reads and writes each capture's entry once; a profile
   miss next consults the capture store (keyed machine-independently by
   :func:`repro.core.cache.capture_key`) to skip at least the
   benchmark execution.
@@ -87,7 +89,7 @@ from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import artifacts, metrics
 from .artifacts import ArtifactStore
-from .cache import ResultCache, cache_key, capture_key, set_key
+from .cache import ProfileEntry, ResultCache, cache_key, capture_key, set_key
 from .errors import CellFailure, WorkloadError
 from .registry import (
     CAP_CAPTURE_ONLY,
@@ -479,12 +481,17 @@ class CharacterizationEngine:
 
         Never raises for per-cell failures — inspect ``outcome.ok``.
         Cache lookups and stores happen in the parent process only;
-        workers never touch the cache directory.  Spans are emitted to
-        the trace writer in matrix order once all cells settle.
+        workers never touch the cache directory.  Each cell reads its
+        capture's profile entry once and writes it back with its own
+        profile added; cells that share an entry share one
+        :class:`ProfileEntry`, so a later write keeps an earlier one's
+        member.  Spans are emitted to the trace writer in matrix order
+        once all cells settle.
         """
         outcomes: list[CellOutcome | None] = [None] * len(cells)
         keys: list[str | None] = [None] * len(cells)
         cap_keys: list[str | None] = [None] * len(cells)
+        entries: dict[str, ProfileEntry] = {}
         to_run: list[int] = []
         replays: list[tuple[int, TelemetryCapture]] = []
         cache_state = "off" if self.store is None else "miss"
@@ -493,8 +500,9 @@ class CharacterizationEngine:
             for i, cell in enumerate(cells):
                 if self.store is not None:
                     looked_up = self.trace.now()
-                    keys[i] = cache_key(cell.benchmark_id, cell.workload, cell.machine)
-                    cached = self.cache.get(keys[i])
+                    keys[i] = key = cache_key(cell.benchmark_id, cell.workload)
+                    found = self.cache.get(key, [cell.machine])
+                    cached = entries.setdefault(key, found or ProfileEntry()).profile(cell.machine)
                     if cached is not None:
                         outcomes[i] = CellOutcome(
                             cell, cached, "hit", 0, 0.0, "ok", replay="hit",
@@ -527,7 +535,7 @@ class CharacterizationEngine:
                 )
                 if keys[i] is not None:
                     self.store.captures.put(cap_keys[i], blob)
-                    self.cache.put(keys[i], profile)
+                    self._put_profiles(keys[i], entries[keys[i]], [(cells[i].machine, profile)])
 
         for i, capture in replays:
             cell = cells[i]
@@ -554,11 +562,23 @@ class CharacterizationEngine:
                 start_s=self.trace.rel(started),
                 stages=(("replay", 0.0, duration, res),),
             )
-            self.cache.put(keys[i], profile)
+            self._put_profiles(keys[i], entries[keys[i]], [(cell.machine, profile)])
 
         done = [oc for oc in outcomes if oc is not None]
         self._emit_spans(done)
         return done
+
+    def _put_profiles(
+        self,
+        key: str,
+        entry: ProfileEntry,
+        profiles: "list[tuple[MachineConfig | None, ExecutionProfile]]",
+        replay_mode: str | None = None,
+    ) -> None:
+        """Add ``profiles`` to one capture's entry and write it once."""
+        for machine, profile in profiles:
+            entry.add(machine, profile, replay_mode)
+        self.cache.put(key, entry)
 
     def alberta_members(self, benchmark_id: str, base_seed: int) -> "list[Workload | AlbertaRef]":
         """The members of a benchmark's Alberta set, in set order.
@@ -1086,9 +1106,10 @@ class CharacterizationEngine:
         :class:`repro.fdo.optimizer.FdoBuild` — and changes the replay
         without touching the capture.  When the originating
         ``request.workload`` is provided and a store is attached, the
-        finished profile is cached under the machine+build key (the full
-        workload content cannot be reconstructed from a capture, so
-        profile-level caching requires it).  Under ``strict=True`` a
+        finished profile joins the entry of that capture and build, as
+        the member of its machine config (the full workload content
+        cannot be reconstructed from a capture, so profile-level
+        caching requires it).  Under ``strict=True`` a
         failed replay raises its :class:`CellFailure` after the span
         is journaled.
         """
@@ -1099,10 +1120,12 @@ class CharacterizationEngine:
         if build_name is not None and build_digest is not None:
             self.builds_used[str(build_name)] = str(build_digest)
         cell = _Cell(capture.benchmark, capture.workload, m, request.workload)
-        key = None
+        key, entry = None, ProfileEntry()
         if self.store is not None and request.workload is not None:
-            key = cache_key(capture.benchmark, request.workload, m, build=build_digest)
-            cached = self.cache.get(key)
+            key = cache_key(capture.benchmark, request.workload, build=build_digest)
+            with self._counting_quarantines():
+                entry = self.cache.get(key, [m]) or entry
+            cached = entry.profile(m)
             if cached is not None:
                 oc = CellOutcome(
                     cell, cached, "hit", 0, 0.0, "ok",
@@ -1140,7 +1163,7 @@ class CharacterizationEngine:
                 stages=(("replay", 0.0, duration, res),),
             )
             if key is not None:
-                self.cache.put(key, profile, replay_mode="per-config")
+                self._put_profiles(key, entry, [(m, profile)], "per-config")
         self._emit_spans([oc])
         self._raise_first_failure([oc])
         return oc
@@ -1176,6 +1199,10 @@ class CharacterizationEngine:
         Batched spans carry ``batched=True`` and cached profiles record
         ``replay_mode="batched"`` provenance.
 
+        With a store, each workload's profile entry is read once for all
+        configs; the configs it lacks are replayed and the entry is
+        written once, holding its old members and the new ones.
+
         Returns one characterization per machine config, in ``machines``
         order (``None`` where no cell survived), plus the flat outcome
         list in machine-major order.  Under ``strict=True`` the first
@@ -1196,33 +1223,29 @@ class CharacterizationEngine:
         cache_state = "off" if self.store is None else "miss"
 
         grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
-        keys: list[list[str | None]] = [[None] * len(wl) for _ in machines]
-        need: list[tuple[int, int, _Cell]] = []
-        with self._counting_quarantines():
-            for mi, m in enumerate(machines):
-                for wi, w in enumerate(wl):
-                    cell = _Cell(benchmark_id, w.name, m, w)
-                    if self.store is not None:
-                        looked_up = self.trace.now()
-                        keys[mi][wi] = cache_key(benchmark_id, w, m)
-                        cached = self.cache.get(keys[mi][wi])
-                        if cached is not None:
-                            grid[mi][wi] = CellOutcome(
-                                cell, cached, "hit", 0, 0.0, "ok", replay="hit",
-                                start_s=looked_up,
-                            )
-                            continue
-                    need.append((mi, wi, cell))
-
-        # Group pending cells by workload: within one workload every
-        # config replays the same capture, so exact replays can share a
-        # single batched pass.  Member order is machine-major (``need``
-        # order), so the first member of each group is the cell the
-        # capture cost is charged to — same charging as the old
-        # per-cell loop.
+        keys: list[str | None] = [None] * len(wl)
+        entries = [ProfileEntry() for _ in wl]
+        # Pending cells grouped by workload: within one workload every
+        # config replays the same capture, so they share a single
+        # batched pass.  Members are in machine order, so the first
+        # member of each group is the cell the capture cost is charged to.
         by_w: dict[int, list[tuple[int, _Cell]]] = {}
-        for mi, wi, cell in need:
-            by_w.setdefault(wi, []).append((mi, cell))
+        with self._counting_quarantines():
+            for wi, w in enumerate(wl):
+                if self.store is not None:
+                    looked_up = self.trace.now()
+                    keys[wi] = cache_key(benchmark_id, w)
+                    entries[wi] = self.cache.get(keys[wi], machines) or entries[wi]
+                for mi, m in enumerate(machines):
+                    cell = _Cell(benchmark_id, w.name, m, w)
+                    cached = entries[wi].profile(m)
+                    if cached is not None:
+                        grid[mi][wi] = CellOutcome(
+                            cell, cached, "hit", 0, 0.0, "ok", replay="hit",
+                            start_s=looked_up,
+                        )
+                        continue
+                    by_w.setdefault(wi, []).append((mi, cell))
         need_w = sorted(by_w)
 
         for k, capture, state, run_oc in self._captures(
@@ -1294,10 +1317,12 @@ class CharacterizationEngine:
                         + (("replay", self.trace.rel(started) - cell_start, per_dur),),
                         batched=True,
                     )
-                    if keys[mi][wi] is not None:
-                        self.cache.put(
-                            keys[mi][wi], profiles[j], replay_mode="batched"
-                        )
+                if keys[wi] is not None:
+                    self._put_profiles(
+                        keys[wi], entries[wi],
+                        [(cell.machine, p) for (_, cell), p in zip(members, profiles)],
+                        "batched",
+                    )
                 continue
 
             ((mi, cell),) = members
@@ -1331,8 +1356,8 @@ class CharacterizationEngine:
                 stages=cap_stages
                 + (("replay", self.trace.rel(started) - cell_start, replay_dur, res),),
             )
-            if keys[mi][wi] is not None:
-                self.cache.put(keys[mi][wi], profile, replay_mode="per-config")
+            if keys[wi] is not None:
+                self._put_profiles(keys[wi], entries[wi], [(cell.machine, profile)], "per-config")
 
         flat = [oc for row in grid for oc in row]
         self._emit_spans(flat)

@@ -16,11 +16,12 @@ config *names* travel with the configs:
   ``Session.replay`` (machine/build/workload).  Not serializable:
   ``build`` and ``workload`` are live objects.
 
-Cache identity: each swept *cell* is keyed by its full machine config
-(:func:`~repro.core.cache.cache_key` hashes ``asdict(machine)``,
-geometry included), so grids that contain the same config share cache
-entries — batching never fragments the cache: batched and per-config
-replay are bit-identical.
+Cache identity: each swept *cell* is the member of its capture's
+profile entry (:func:`~repro.core.cache.cache_key`) named by a digest
+of its full machine config (``asdict(machine)``, geometry included),
+so grids that contain the same config share stored profiles — batching
+never fragments the cache: batched and per-config replay are
+bit-identical.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -102,6 +102,12 @@ _RUN_SERIAL = itertools.count(1)
 STAGE_NAMES = ("generate", "capture", "replay", "summarize")
 
 
+def _record_fields(record: Any) -> dict[str, Any]:
+    """A record's fields in order: ``asdict`` without its recursive deep
+    copy, which a sweep pass would pay on thousands of spans."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class CellSpan:
     """The trace record for one (benchmark, workload) matrix cell.
@@ -132,7 +138,7 @@ class CellSpan:
         return self.outcome == "ok"
 
     def to_dict(self) -> dict[str, Any]:
-        return {"type": "span", **asdict(self)}
+        return {"type": "span", **_record_fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CellSpan":
@@ -181,9 +187,11 @@ class StageSpan:
     resources: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        data = {"type": "stage", **asdict(self)}
-        if data.get("resources") is None:
+        data = {"type": "stage", **_record_fields(self)}
+        if self.resources is None:
             del data["resources"]  # keep pre-resource journals byte-stable
+        else:
+            data["resources"] = dict(self.resources)
         return data
 
     @classmethod
@@ -231,7 +239,7 @@ class RunSummary:
     replays_batched: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {"type": "summary", **asdict(self)}
+        return {"type": "summary", **_record_fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunSummary":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..core.errors import MachineMismatch, RegistrationError, StudyError
 from ..core.run import ReplayRequest, Session
-from ..core.registry import REGISTRY, alberta_workloads
+from ..core.registry import REGISTRY
 from ..core.workload import Workload, WorkloadSet
 from ..machine.cost import MachineConfig
 from .optimizer import FdoBuild
@@ -217,12 +217,23 @@ def single_workload_methodology(
     machine: MachineConfig | None = None,
     session: Session | None = None,
 ) -> FdoResult:
-    """The criticized protocol: train on .train, evaluate on .refrate."""
-    if workloads is None:
-        workloads = alberta_workloads(benchmark_id)
-    train = next(w for w in workloads if w.name.endswith(".train"))
-    ref = next(w for w in workloads if w.name.endswith(".refrate"))
-    return evaluate_pair(benchmark_id, train, ref, machine=machine, session=session)
+    """The criticized protocol: train on .train, evaluate on .refrate.
+
+    The Alberta set's members come from the session's engine, so with a
+    store attached a warm call generates nothing.
+    """
+    own = session is None
+    if own:
+        session = Session(machine=machine)
+    try:
+        if workloads is None:
+            workloads = session.engine.alberta_members(benchmark_id, 0)
+        train = next(w for w in workloads if w.name.endswith(".train"))
+        ref = next(w for w in workloads if w.name.endswith(".refrate"))
+        return evaluate_pair(benchmark_id, train, ref, machine=machine, session=session)
+    finally:
+        if own:
+            session.close()
 
 
 def cross_validate(
@@ -256,7 +267,7 @@ def cross_validate(
                 f"cross_validate: max_workloads must be at least 2, got {max_workloads}"
             )
         if workloads is None:
-            workloads = alberta_workloads(benchmark_id)
+            workloads = session.engine.alberta_members(benchmark_id, 0)
         wl = list(workloads)
         if max_workloads is not None:
             wl = wl[:max_workloads]

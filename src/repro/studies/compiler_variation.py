@@ -81,9 +81,7 @@ def compiler_variation(
         session = Session(machine=machine)
     try:
         if workloads is None:
-            from ..core.registry import alberta_workloads
-
-            workloads = alberta_workloads(benchmark_id)
+            workloads = session.engine.alberta_members(benchmark_id, 0)
         wl = list(workloads)
         if max_workloads is not None:
             wl = wl[:max_workloads]

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..core.errors import StudyError
 from ..core.run import Session
-from ..core.registry import alberta_workloads
 from ..machine.capture import TelemetryCapture
 
 __all__ = [
@@ -66,13 +65,13 @@ def collect_features(
     and the features are computed from the captured telemetry — the
     replay stage never runs because nothing here needs a cost model.
     """
-    if workload is None:
-        workloads = alberta_workloads(benchmark_id)
-        workload = next(w for w in workloads if w.name.endswith(".refrate"))
     own = session is None
     if own:
         session = Session()
     try:
+        if workload is None:
+            members = session.engine.alberta_members(benchmark_id, 0)
+            workload = next(w for w in members if w.name.endswith(".refrate"))
         capture = session.capture(benchmark_id, workload)
     finally:
         if own:

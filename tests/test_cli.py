@@ -2,10 +2,14 @@
 
 import json
 import re
+import struct
+import zlib
+from collections import Counter
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.cache import PROFILE_MAGIC, ResultCache
 
 
 class TestParser:
@@ -212,17 +216,27 @@ class TestCommands:
             re.MULTILINE,
         ), err
 
-    @pytest.mark.parametrize("document", ["null", "[1,2]", "3", '"x"'])
+    @pytest.mark.parametrize("document", [b"null", b"[1,2]", b"3", b'"x"'])
     def test_cache_info_skips_an_entry_that_is_not_an_object(
         self, tmp_path, capsys, document
     ):
         shard = tmp_path / "ab"
         shard.mkdir()
-        (shard / ("ab" + "0" * 62 + ".json")).write_text(document)
+        # A valid envelope around the document, so its shape is what is read.
+        envelope = PROFILE_MAGIC + struct.pack("<II", len(document), zlib.crc32(document))
+        (shard / ("ab" + "0" * 62 + ResultCache.suffix)).write_bytes(envelope + document)
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "  entries : 1\n" in out
+        assert "  entries : 1\n  profiles: 0\n" in out
         assert "  source  : 0 batched, 0 per-config, 0 unlabeled replays\n" in out
+
+    def test_cache_info_counts_one_entry_per_capture(self, tmp_path, capsys):
+        argv = ["sweep", "505.mcf_r", "--machines", "default,atom-like"]
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  entries : 7\n  profiles: 14\n" in out
+        assert "  source  : 14 batched, 0 per-config, 0 unlabeled replays\n" in out
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     @pytest.mark.parametrize(
@@ -326,7 +340,7 @@ class TestCommands:
         assert captured.err.startswith(f"sweep: {path}: bad grid (predictor_")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
-        assert not list(store.rglob("*.json"))  # no profile was stored
+        assert not list(store.rglob("*" + ResultCache.suffix))  # no profile was stored
 
     def test_table2_is_one_run_in_the_ledger(self, tmp_path, capsys, monkeypatch):
         from repro.analysis.sensitivity import sensitivity_report
@@ -345,6 +359,30 @@ class TestCommands:
         monkeypatch.delenv("REPRO_LEDGER_DIR")
         chars = [characterize(bid) for bid in ids]
         assert out == f"{render_table2(chars)}\n\n{sensitivity_report(chars)}\n"
+
+    def test_fdo_is_one_run(self, tmp_path, capsys, monkeypatch):
+        from repro.core import engine
+        from repro.core.registry import alberta_workloads
+
+        executed: Counter = Counter()
+        run_cell = engine._run_cell
+
+        def counted(cell, *args):
+            executed[cell.workload_name] += 1
+            return run_cell(cell, *args)
+
+        monkeypatch.setattr(engine, "_run_cell", counted)
+        ledger = tmp_path / "ledger"
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger))
+        assert main(["fdo", "505.mcf_r", "--max-workloads", "3"]) == 0
+        assert len((ledger / "runs.jsonl").read_text().splitlines()) == 1
+        first3 = alberta_workloads("505.mcf_r").names()[:3]
+        assert executed == Counter({*first3, "mcf.train", "mcf.refrate"})
+        # What each protocol printed in its own session.
+        assert capsys.readouterr().out == (
+            "single train->refrate speedup: 1.0418\n"
+            "cross-validated (6 pairs): mean=1.0884 range=[1.0418, 1.1908] regressions=0\n"
+        )
 
     def test_table2_cache_line_counts_this_command_only(self, tmp_path, capsys):
         argv = ["table2", "505.mcf_r", "--cache-dir", str(tmp_path)]

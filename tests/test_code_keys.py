@@ -39,6 +39,16 @@ from repro.core.workload import AlbertaRef, Workload
 
 # ``repro.core`` re-exports functions named like some of its modules.
 run_module = importlib.import_module("repro.core.run")
+#: Modules that resolve Alberta members, counted by _counting_generation.
+RESOLVERS = [run_module] + [
+    importlib.import_module(name)
+    for name in (
+        "repro.core.registry",
+        "repro.fdo.evaluation",
+        "repro.studies.compiler_variation",
+        "repro.studies.similarity",
+    )
+]
 
 ROOT = Path(__file__).resolve().parents[1]
 PLUGIN_SRC = ROOT / "examples" / "repro-plugin-demo" / "src"
@@ -250,7 +260,9 @@ def test_damaged_set_entry_is_quarantined_and_the_set_regenerated(tmp_path, monk
 
 
 def _counting_generation(monkeypatch) -> list[str]:
-    """Count set generations by the engine and by ``Session`` itself."""
+    """Count set generations by the engine, by ``Session`` itself, and by
+    the FDO and study modules (a function-level import reads the
+    registry's attribute)."""
     calls: list[str] = []
     generate = engine.alberta_workloads
 
@@ -259,7 +271,8 @@ def _counting_generation(monkeypatch) -> list[str]:
         return generate(benchmark_id, base_seed)
 
     monkeypatch.setattr(engine, "alberta_workloads", counted)
-    monkeypatch.setattr(run_module, "alberta_workloads", counted, raising=False)
+    for module in RESOLVERS:
+        monkeypatch.setattr(module, "alberta_workloads", counted, raising=False)
     return calls
 
 
@@ -321,6 +334,28 @@ def test_warm_sweep_generates_nothing(tmp_path, monkeypatch):
     with Session() as s:
         fresh = s.characterize_sweep(request)
     assert rows[0] == [c.table2_row() for c in fresh.characterizations]
+
+
+def test_warm_fdo_and_studies_generate_nothing(tmp_path, monkeypatch):
+    from repro.fdo.evaluation import cross_validate, single_workload_methodology
+    from repro.studies.compiler_variation import compiler_variation
+    from repro.studies.similarity import collect_features
+
+    store = ArtifactStore(tmp_path)
+    with Session(cache=store) as s:
+        s.capture_set("505.mcf_r")  # captures and a set entry
+    calls = _counting_generation(monkeypatch)
+    with Session(cache=store) as s:
+        single = single_workload_methodology("505.mcf_r", session=s)
+        cv = cross_validate("505.mcf_r", max_workloads=3, session=s)
+        compiler_variation("505.mcf_r", max_workloads=3, session=s)
+        features = collect_features("505.mcf_r", session=s)
+    assert calls == []
+    assert s.summary.captures == 0
+    with Session() as s:
+        assert single == single_workload_methodology("505.mcf_r", session=s)
+        assert cv.results == cross_validate("505.mcf_r", max_workloads=3, session=s).results
+        assert features.as_dict() == collect_features("505.mcf_r", session=s).as_dict()
 
 
 def test_a_cell_that_executes_generates_its_set_once(tmp_path, monkeypatch):

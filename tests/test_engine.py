@@ -8,12 +8,16 @@ registered benchmark (run with ``pytest -m slow``).
 """
 
 import os
+import struct
+import zlib
 
 import pytest
 
 from repro.core import metrics
 from repro.core.artifacts import ArtifactStore
 from repro.core.cache import (
+    PROFILE_MAGIC,
+    ProfileEntry,
     ResultCache,
     cache_key,
     payload_digest,
@@ -137,13 +141,15 @@ class TestResultCache:
         assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == 1
         assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined") == 1
 
-    @pytest.mark.parametrize("document", ["null", "[1,2]", "3", '"x"'])
+    @pytest.mark.parametrize("document", [b"null", b"[1,2]", b"3", b'"x"'])
     def test_entry_that_is_not_an_object_reads_as_miss(self, tmp_path, document):
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
         path = cache._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(document)
+        # A valid envelope, so the body's shape is what gets checked.
+        length, crc = len(document), zlib.crc32(document)
+        path.write_bytes(PROFILE_MAGIC + struct.pack("<II", length, crc) + document)
         with metrics.collector(metrics.MetricsRegistry()) as reg:
             assert cache.get(key) is None
         assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="quarantined") == 1
@@ -158,7 +164,8 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_key_sensitivity(self, tmp_path):
-        """Key changes with workload content and machine config."""
+        """The key changes with workload content and build; machine
+        configs are members of one entry."""
         from repro.machine.cost import MachineConfig
 
         w0 = alberta_workloads("505.mcf_r", 0)[0]
@@ -166,9 +173,11 @@ class TestResultCache:
         w1 = alberta_workloads("505.mcf_r", 1)[0]
         assert cache_key("505.mcf_r", w0) == cache_key("505.mcf_r", w0_again)
         assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w1)
-        assert cache_key("505.mcf_r", w0) != cache_key(
-            "505.mcf_r", w0, MachineConfig(width=2)
-        )
+        assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w0, build="b")
+        entry = ProfileEntry()
+        entry.add(MachineConfig(width=2), "wide", None)
+        assert entry.profile(MachineConfig(width=2)) == "wide"
+        assert entry.profile(None) is None and entry.profile(MachineConfig()) is None
 
     def test_telemetry_counters_surface_cache_traffic(self, tmp_path):
         with metrics.collector(metrics.MetricsRegistry()) as cold:

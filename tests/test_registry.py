@@ -408,7 +408,7 @@ class TestPlugins:
             "    result = s.characterize_sweep(req, workloads=wl)\n"
             "summary = summarize_trace(base / 't.jsonl')\n"
             "print(summary.captures, summary.replays)\n"
-            "print(len(list((base / 'store').rglob('*.json*'))) > 0)\n"
+            "print(len(list((base / 'store').rglob('*.prof'))) > 0)\n"
         )
         out = self._run(code, pythonpath)
         captures_replays, has_artifacts = out.splitlines()
@@ -438,12 +438,10 @@ class TestPlugins:
             "    digest = s.engine.builds_used.get('demo-boost')\n"
             "print(r.speedup > 0)\n"
             "print(digest is not None and len(digest) > 0)\n"
-            "m = s.engine.machine\n"
-            "key = cache_key('901.collatz_x', wl['collatz.test'], m,"
-            " build=digest)\n"
-            "bare = cache_key('901.collatz_x', wl['collatz.test'], m)\n"
+            "key = cache_key('901.collatz_x', wl['collatz.test'], build=digest)\n"
+            "bare = cache_key('901.collatz_x', wl['collatz.test'])\n"
             "print(key != bare)\n"
-            "print((base / 'store' / key[:2] / (key + '.json')).exists())\n"
+            "print((base / 'store' / key[:2] / (key + '.prof')).exists())\n"
             "record = RunLedger(base / 'led').resolve('latest')\n"
             "print(record['builds'].get('demo-boost') == digest)\n"
         )

@@ -1,6 +1,7 @@
 """Run-trace journal tests: writer, readers, CLI, per-session metrics."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cli import main
 from repro.core.trace import (
     CellSpan,
     RunSummary,
+    StageSpan,
     TraceWriter,
     read_trace,
     summarize_trace,
@@ -78,6 +80,36 @@ class TestWriter:
         writer.quarantine(2)
         assert writer.finish().quarantined == 2
         writer.close()
+
+
+class TestRecordDicts:
+    """``to_dict`` is ``asdict`` without its deep copy: the same journal
+    bytes, and ``resources`` copied as a plain dict."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            *SPANS,
+            RunSummary(cells=4, ok=2, failed=2, duration_s=0.5),
+            StageSpan("replay", "505.mcf_r", "mcf.test", 0.1, 0.2, "s2", "s1"),
+            StageSpan("capture", "505.mcf_r", "mcf.test", 0.1, 0.2, "s3", "s1",
+                      resources={"cpu_user_s": 0.1, "max_rss_kb": 9, "samples": 2}),
+        ],
+    )
+    def test_to_dict_equals_the_asdict_form(self, record):
+        kind = {CellSpan: "span", StageSpan: "stage", RunSummary: "summary"}[type(record)]
+        want = {"type": kind, **asdict(record)}
+        if want.get("resources", 0) is None:
+            del want["resources"]
+        assert json.dumps(record.to_dict()) == json.dumps(want)
+
+    def test_resources_are_copied_but_not_deep_copied(self):
+        nested = [1, 2]
+        span = StageSpan("replay", "b", "w", 0.0, 1.0, resources={"nested": nested})
+        data = span.to_dict()
+        assert data["resources"] == {"nested": nested}
+        assert data["resources"] is not span.resources
+        assert data["resources"]["nested"] is nested
 
 
 class TestTruncatedJournal:
