@@ -45,8 +45,12 @@ ENGINE_MACHINE: Any = object()
 
 def _config_from_dict(data: Mapping[str, Any]) -> MachineConfig:
     kwargs = dict(data)
-    geometry = kwargs.pop("geometry", None)
-    if geometry is not None:
+    if "geometry" in kwargs:
+        geometry = kwargs["geometry"]
+        if not isinstance(geometry, Mapping):
+            raise ValueError(
+                f"geometry must be an object, got {type(geometry).__name__}"
+            )
         kwargs["geometry"] = CacheGeometry.from_dict(geometry)
     return MachineConfig(**kwargs)
 

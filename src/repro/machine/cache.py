@@ -78,6 +78,9 @@ class CacheGeometry:
     dtlb_entries: int = 64
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"CacheGeometry: {name} must be an int, got {value!r}")
         # CacheConfig/Cache validate sizes, multiples, and powers of two;
         # building the configs eagerly surfaces bad geometry at
         # construction instead of first replay.

@@ -38,9 +38,10 @@ one:
   instruction-fetch bursts are deduplicated to unique
   (callee, footprint-window) pairs and resolved once per pair
   (:func:`_replay_code_bursts`); L1 misses are merged back into
-  program order for the shared L2 and LLC.  Each level is memoized by
-  the geometry fields it reads, so configs that differ only below a
-  level share that level's work.
+  program order for the shared L2 and LLC.  Each level is keyed by its
+  input stream and the geometry fields it reads, so configs that
+  differ only below a level share that level's work, and levels that
+  differ only in associativity (or dTLB reach) share one filter pass.
 * **accounting** — :func:`_account` extrapolates sampled rates to
   exact counts, vectorized over methods.
 
@@ -99,6 +100,10 @@ class MachineConfig:
     geometry: CacheGeometry = CacheGeometry()
 
     def __post_init__(self) -> None:
+        for name in ("width", "predictor_table_bits", "predictor_history_bits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.clock_ghz <= 0:
@@ -332,19 +337,15 @@ def _branch_miss_rows(
 
 
 class _GeoReplay:
-    """One cache geometry's per-level streams and tallies in the batch."""
+    """One cache geometry's hierarchy and per-method tallies in the batch."""
 
     __slots__ = (
-        "hier", "nm", "data", "calls", "d_tlb", "d_l2", "d_llc", "d_mem",
-        "c_l2", "c_llc", "c_mem", "r_midx", "r_addr", "r_pos", "d_hit1",
-        "i_miss_addr", "i_miss_attr", "i_miss_key",
-        "l2_addr", "l2_attr", "l2_from_data", "llc_addr", "llc_attr",
-        "llc_from_data",
+        "hier", "data", "calls", "d_tlb", "d_l2", "d_llc", "d_mem",
+        "c_l2", "c_llc", "c_mem",
     )
 
     def __init__(self, geometry: CacheGeometry, nm: int):
         self.hier = geometry.hierarchy()
-        self.nm = nm
         z = np.zeros(nm, dtype=np.int64)
         self.data = z.copy()
         self.calls = z.copy()
@@ -370,6 +371,42 @@ class _GeoReplay:
         }
 
 
+def _drop_repeats(keys: np.ndarray, *cols: np.ndarray) -> tuple:
+    """``cols`` without the entries whose key equals the previous key,
+    then the number of entries dropped."""
+    dup = np.zeros(keys.size, dtype=bool)
+    dup[1:] = keys[1:] == keys[:-1]
+    n_dup = int(dup.sum())
+    if not n_dup:
+        return (*cols, 0)
+    keep = ~dup
+    return (*(c[keep] for c in cols), n_dup)
+
+
+def _lru_groups(keys: Sequence[tuple], tags_of) -> dict[tuple, np.ndarray]:
+    """LRU hit flags for every ``(stream, set mask, assoc)`` in ``keys``.
+
+    Keys that share a stream and a set mask differ only in
+    associativity, so one :func:`~repro.machine.kernel.lru_filter` pass
+    answers all of them; ``tags_of(stream)`` gives the stream's line
+    tags.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for stream, mask, assoc in dict.fromkeys(keys):
+        groups.setdefault((stream, mask), []).append(assoc)
+    hits: dict[tuple, np.ndarray] = {}
+    for (stream, mask), assocs in groups.items():
+        for assoc, h in zip(assocs, lru_filter(tags_of(stream), mask, assocs)):
+            hits[stream, mask, assoc] = h
+    return hits
+
+
+def _level_key(stream, level) -> tuple:
+    """A cache level's ``(stream, set mask, assoc)`` key; the stream
+    key carries the input stream's identity and the level's line shift."""
+    return ((stream, level._line_shift), level._set_mask, level.config.associativity)
+
+
 def _mem_replay_batched(
     geos: list[CacheGeometry],
     nm: int,
@@ -384,217 +421,175 @@ def _mem_replay_batched(
     Data events repeating the previous data event's cache line are MRU
     hits in both the dTLB and the L1D with no state change, so they are
     dropped up front; pages repeat even more often, and the dTLB drops
-    those the same way.  Each private level (dTLB, L1D) then filters its
-    residual stream with one :func:`~repro.machine.kernel.lru_filter`
-    call; the L1I replays call bursts at burst granularity
+    those the same way.  The dTLB and the L1D then filter their
+    residual streams; the L1I replays call bursts at burst granularity
     (:func:`_replay_code_bursts`) when its preconditions hold, and
     expands them to fetch blocks otherwise.  L1 misses are merged back
     into original program order (data and code share the L2/LLC) and
     cascaded through L2 then LLC.
 
-    Each level's result is memoized on the geometry fields that level
-    actually reads, so geometries differing only *below* a level share
-    that level's work.  A level's memo key folds in the keys of the
-    levels feeding it: an L2 filters the miss stream of one particular
-    (L1D, L1I) pair, so its key is ``(stream key, own parameters)``.
-    Replayed per distinct key — not per distinct geometry — the
-    full-length dTLB/L1D/L1I streams typically resolve once or twice
-    per sweep, and only the short residual miss streams fan out.
+    The replay runs level by level across the batch, and each level's
+    result is keyed by its input stream and its own parameters.  An L2
+    filters the miss stream of one particular (L1D, L1I) pair, so its
+    stream key folds in their keys, and an LLC's folds in its L2's.
+    Levels that share a stream, a line size and a set count differ only
+    in associativity (or dTLB reach); under LRU an access that hits
+    with ``a`` ways also hits with more, and :func:`_lru_groups`
+    answers all of them with one
+    :func:`~repro.machine.kernel.lru_filter` pass.  So the full-length
+    dTLB/L1D/L1I streams typically resolve once per sweep, and only
+    the short residual miss streams fan out.
     """
     states = [_GeoReplay(g, nm) for g in geos]
+    hiers = [s.hier for s in states]
     pos = np.arange(m_a.size, dtype=np.int64)
     d_midx = m_midx[data_sel]
     d_addr = m_a[data_sel]
     d_pos = pos[data_sel]
     c_midx = m_a[~data_sel]
     c_key0 = pos[~data_sel] * _ORDER_STRIDE
-    nd = d_addr.size
     data_count = np.bincount(d_midx, minlength=nm)
     calls_count = np.bincount(c_midx, minlength=nm)
-
-    kept_memo: dict = {}  # line shift -> (r_midx, r_addr, r_pos, n_dup)
-    tlb_memo: dict = {}  # (line shift, page shift, entries) -> tallies
-    l1d_memo: dict = {}  # (line shift, set mask, assoc) -> (d_hit1, n_hit)
-    l1i_memo: dict = {}  # (line shift, set mask, assoc) -> burst result
-    stream_memo: dict = {}  # (l1d key, l1i key) -> merged L2 input
-    l2_memo: dict = {}  # (stream key, l2 params) -> tallies + LLC input
-    llc_memo: dict = {}  # (l2 key, llc params) -> tallies
-
-    empty_bool = np.zeros(0, dtype=bool)
     for s in states:
         s.data = data_count.copy()
         s.calls = calls_count.copy()
-        l1d, l1i, l2, llc, dtlb = (
-            s.hier.l1d, s.hier.l1i, s.hier.l2, s.hier.llc, s.hier.dtlb
-        )
+    empty = np.zeros(0, dtype=np.int64)
 
-        # consecutive same-line dedup depends only on the line size
-        line_key = l1d._line_shift
-        kept = kept_memo.get(line_key)
-        if kept is None:
-            if nd:
-                d_lines = d_addr >> line_key
-                dup = np.zeros(nd, dtype=bool)
-                dup[1:] = d_lines[1:] == d_lines[:-1]
-                n_dup = int(dup.sum())
-                if n_dup:
-                    keep = ~dup
-                    kept = (d_midx[keep], d_addr[keep], d_pos[keep], n_dup)
+    # --- data side: dTLB and L1D over the line-deduplicated stream
+    kept: dict = {}  # line shift -> (r_midx, r_addr, r_pos, n_dup)
+    for h in hiers:
+        shift = h.l1d._line_shift
+        if shift not in kept:
+            kept[shift] = _drop_repeats(d_addr >> shift, d_midx, d_addr, d_pos)
+    dkeys: list = [None] * len(hiers)
+    if d_addr.size:
+        pages: dict = {}  # (line shift, page shift) -> (pages, midx, n_pdup)
+        for h in hiers:
+            pkey = (h.l1d._line_shift, h.dtlb._page_shift)
+            if pkey not in pages:
+                r_midx, r_addr = kept[pkey[0]][:2]
+                p = r_addr >> pkey[1]
+                pages[pkey] = _drop_repeats(p, p, r_midx)
+        tkeys = [
+            ((h.l1d._line_shift, h.dtlb._page_shift), 0, h.dtlb.entries)
+            for h in hiers
+        ]
+        t_res = {
+            key: (int(hit.sum()), np.bincount(pages[key[0]][1][~hit], minlength=nm))
+            for key, hit in _lru_groups(tkeys, lambda pk: pages[pk][0]).items()
+        }
+        dkeys = [_level_key("data", h.l1d) for h in hiers]
+        d_hits = _lru_groups(dkeys, lambda st: kept[st[1]][1] >> st[1])
+        for s, h, tkey, dkey in zip(states, hiers, tkeys, dkeys):
+            nr = kept[h.l1d._line_shift][1].size
+            n_dup = kept[h.l1d._line_shift][3]
+            n_pdup = pages[tkey[0]][2]
+            t_hits, s.d_tlb = t_res[tkey]
+            h.dtlb.hits += n_dup + n_pdup + t_hits
+            h.dtlb.misses += (nr - n_pdup) - t_hits
+            n_hit = int(d_hits[dkey].sum())
+            h.l1d.hits += n_dup + n_hit
+            h.l1d.misses += nr - n_hit
+
+    # --- L1I: burst-granular, falling back to the per-line filter
+    ikeys: list = [None] * len(hiers)
+    i_res: dict = {}  # L1I key -> (hits, misses, miss addr, attr, key)
+    if c_midx.size:
+        ikeys = [_level_key("code", h.l1i) for h in hiers]
+        fallback = []
+        for ikey, h in zip(ikeys, hiers):
+            if ikey not in i_res and ikey not in fallback:
+                res = _replay_code_bursts(c_midx, c_key0, code_base, code_blocks, h.l1i)
+                if res is None:
+                    fallback.append(ikey)
                 else:
-                    kept = (d_midx, d_addr, d_pos, 0)
-            else:
-                kept = (d_midx, d_addr, d_pos, 0)
-            kept_memo[line_key] = kept
-        r_midx, r_addr, r_pos, n_dup = kept
-        s.r_midx, s.r_addr, s.r_pos = r_midx, r_addr, r_pos
-        nr = r_addr.size
-
-        dkey = ikey = None
-        if nd:
-            tkey = (line_key, dtlb._page_shift, dtlb.entries)
-            tres = tlb_memo.get(tkey)
-            if tres is None:
-                pages = r_addr >> dtlb._page_shift
-                pdup = np.zeros(nr, dtype=bool)
-                pdup[1:] = pages[1:] == pages[:-1]
-                n_pdup = int(pdup.sum())
-                if n_pdup:
-                    pkeep = ~pdup
-                    t_hit = lru_filter(pages[pkeep], 0, dtlb.entries)
-                    t_miss_midx = r_midx[pkeep][~t_hit]
-                else:
-                    t_hit = lru_filter(pages, 0, dtlb.entries)
-                    t_miss_midx = r_midx[~t_hit]
-                tres = (
-                    n_pdup,
-                    int(t_hit.sum()),
-                    np.bincount(t_miss_midx, minlength=nm),
+                    i_res[ikey] = res
+        if fallback:
+            blocks = code_blocks[c_midx]
+            total_blocks = int(blocks.sum())
+            starts = np.zeros(c_midx.size, dtype=np.int64)
+            np.cumsum(blocks[:-1], out=starts[1:])
+            within = np.arange(total_blocks, dtype=np.int64) - np.repeat(starts, blocks)
+            i_addr = np.repeat(code_base[c_midx], blocks) + within * 64
+            i_attr = np.repeat(c_midx, blocks)
+            i_key = np.repeat(c_key0, blocks) + 1 + within
+            i_hits = _lru_groups(fallback, lambda st: i_addr >> st[1])
+            for ikey, hit in i_hits.items():
+                n_hit = int(hit.sum())
+                miss = ~hit
+                i_res[ikey] = (
+                    n_hit, total_blocks - n_hit, i_addr[miss], i_attr[miss], i_key[miss]
                 )
-                tlb_memo[tkey] = tres
-            n_pdup, t_hits, d_tlb = tres
-            dtlb.hits += n_dup + n_pdup + t_hits
-            dtlb.misses += (nr - n_pdup) - t_hits
-            s.d_tlb = d_tlb
+        for h, ikey in zip(hiers, ikeys):
+            h.l1i.hits += i_res[ikey][0]
+            h.l1i.misses += i_res[ikey][1]
 
-            dkey = (line_key, l1d._set_mask, l1d.config.associativity)
-            dres = l1d_memo.get(dkey)
-            if dres is None:
-                d_hit1 = lru_filter(
-                    r_addr >> line_key, l1d._set_mask, l1d.config.associativity
-                )
-                dres = (d_hit1, int(d_hit1.sum()))
-                l1d_memo[dkey] = dres
-            s.d_hit1, n_hit = dres
-            l1d.hits += n_dup + n_hit
-            l1d.misses += nr - n_hit
+    # --- L2: each L1 pair's misses merged back to program order
+    streams: dict = {}  # (L1D key, L1I key) -> (addr, attr, from_data)
+    for skey in zip(dkeys, ikeys):
+        if skey in streams:
+            continue
+        dkey, ikey = skey
+        dm_addr = dm_attr = dm_key = empty
+        if dkey is not None:
+            r_midx, r_addr, r_pos, _ = kept[dkey[0][1]]
+            miss = ~d_hits[dkey]
+            dm_addr, dm_attr, dm_key = r_addr[miss], r_midx[miss], r_pos[miss] * _ORDER_STRIDE
+        im_addr, im_attr, im_key = i_res[ikey][2:] if ikey is not None else (empty,) * 3
+        l2_addr = np.concatenate([dm_addr, im_addr])
+        if l2_addr.size:
+            from_data = np.zeros(l2_addr.size, dtype=bool)
+            from_data[: dm_addr.size] = True
+            order = np.argsort(np.concatenate([dm_key, im_key]))
+            l2_attr = np.concatenate([dm_attr, im_attr])
+            streams[skey] = (l2_addr[order], l2_attr[order], from_data[order])
         else:
-            s.d_hit1 = empty_bool
-
-        # --- L1I: burst-granular, falling back to the per-line filter
-        s.i_miss_addr = s.i_miss_attr = s.i_miss_key = np.zeros(0, dtype=np.int64)
-        if c_midx.size:
-            ikey = (l1i._line_shift, l1i._set_mask, l1i.config.associativity)
-            ires = l1i_memo.get(ikey)
-            if ires is None:
-                ires = _replay_code_bursts(c_midx, c_key0, code_base, code_blocks, l1i)
-                if ires is None:
-                    blocks = code_blocks[c_midx]
-                    total_blocks = int(blocks.sum())
-                    starts = np.zeros(c_midx.size, dtype=np.int64)
-                    np.cumsum(blocks[:-1], out=starts[1:])
-                    within = (
-                        np.arange(total_blocks, dtype=np.int64)
-                        - np.repeat(starts, blocks)
-                    )
-                    i_addr = np.repeat(code_base[c_midx], blocks) + within * 64
-                    i_hit1 = lru_filter(
-                        i_addr >> l1i._line_shift,
-                        l1i._set_mask,
-                        l1i.config.associativity,
-                    )
-                    n_hit = int(i_hit1.sum())
-                    i_miss = ~i_hit1
-                    ires = (
-                        n_hit,
-                        total_blocks - n_hit,
-                        i_addr[i_miss],
-                        np.repeat(c_midx, blocks)[i_miss],
-                        (np.repeat(c_key0, blocks) + 1 + within)[i_miss],
-                    )
-                l1i_memo[ikey] = ires
-            n_hits, n_misses, s.i_miss_addr, s.i_miss_attr, s.i_miss_key = ires
-            l1i.hits += n_hits
-            l1i.misses += n_misses
-
-        # --- L2: this L1 pair's misses merged back to program order
-        skey = (dkey, ikey)
-        sres = stream_memo.get(skey)
-        if sres is None:
-            d_miss = ~s.d_hit1
-            l2_addr = np.concatenate([r_addr[d_miss], s.i_miss_addr])
-            if l2_addr.size:
-                l2_attr = np.concatenate([r_midx[d_miss], s.i_miss_attr])
-                l2_from_data = np.zeros(l2_addr.size, dtype=bool)
-                l2_from_data[: int(d_miss.sum())] = True
-                l2_keys = np.concatenate(
-                    [r_pos[d_miss] * _ORDER_STRIDE, s.i_miss_key]
-                )
-                order = np.argsort(l2_keys)
-                sres = (l2_addr[order], l2_attr[order], l2_from_data[order])
-            else:
-                sres = (l2_addr, l2_addr, l2_addr)
-            stream_memo[skey] = sres
-        s.l2_addr, s.l2_attr, s.l2_from_data = sres
-
-        l2key = (skey, l2._line_shift, l2._set_mask, l2.config.associativity)
-        l2res = l2_memo.get(l2key)
-        if l2res is None:
-            hit2 = lru_filter(
-                s.l2_addr >> l2._line_shift, l2._set_mask, l2.config.associativity
+            streams[skey] = (l2_addr, l2_addr, l2_addr)
+    l2keys = [_level_key(skey, h.l2) for skey, h in zip(zip(dkeys, ikeys), hiers)]
+    l2_res: dict = {}  # L2 key -> (hits, misses, d_l2, c_l2, LLC input)
+    for l2key, hit in _lru_groups(l2keys, lambda st: streams[st[0]][0] >> st[1]).items():
+        addr, attr, from_data = streams[l2key[0][0]]
+        n_hit = int(hit.sum())
+        if hit.size:
+            miss = ~hit
+            l2_res[l2key] = (
+                n_hit,
+                hit.size - n_hit,
+                np.bincount(attr[hit & from_data], minlength=nm),
+                np.bincount(attr[hit & ~from_data], minlength=nm),
+                (addr[miss], attr[miss], from_data[miss]),
             )
-            n_hit = int(hit2.sum())
-            if hit2.size:
-                miss2 = ~hit2
-                l2res = (
-                    n_hit,
-                    hit2.size - n_hit,
-                    np.bincount(s.l2_attr[hit2 & s.l2_from_data], minlength=nm),
-                    np.bincount(s.l2_attr[hit2 & ~s.l2_from_data], minlength=nm),
-                    (s.l2_addr[miss2], s.l2_attr[miss2], s.l2_from_data[miss2]),
-                )
-            else:
-                l2res = (0, 0, None, None, (s.l2_addr, s.l2_attr, s.l2_from_data))
-            l2_memo[l2key] = l2res
-        n_hit2, n_miss2, d_l2, c_l2, llc_in = l2res
-        l2.hits += n_hit2
-        l2.misses += n_miss2
+        else:
+            l2_res[l2key] = (0, 0, None, None, (addr, attr, from_data))
+
+    # --- LLC: each L2's misses
+    lkeys = [_level_key(l2key, h.llc) for l2key, h in zip(l2keys, hiers)]
+    llc_res: dict = {}  # LLC key -> (hits, misses, d_llc, c_llc, d_mem, c_mem)
+    for lkey, hit in _lru_groups(lkeys, lambda st: l2_res[st[0]][4][0] >> st[1]).items():
+        _, attr, from_data = l2_res[lkey[0][0]][4]
+        n_hit = int(hit.sum())
+        if hit.size:
+            llc_res[lkey] = (
+                n_hit,
+                hit.size - n_hit,
+                np.bincount(attr[hit & from_data], minlength=nm),
+                np.bincount(attr[hit & ~from_data], minlength=nm),
+                np.bincount(attr[~hit & from_data], minlength=nm),
+                np.bincount(attr[~hit & ~from_data], minlength=nm),
+            )
+        else:
+            llc_res[lkey] = (0, 0, None, None, None, None)
+
+    for s, h, l2key, lkey in zip(states, hiers, l2keys, lkeys):
+        n_hit2, n_miss2, d_l2, c_l2, _ = l2_res[l2key]
+        h.l2.hits += n_hit2
+        h.l2.misses += n_miss2
         if d_l2 is not None:
             s.d_l2 = d_l2
             s.c_l2 = c_l2
-        s.llc_addr, s.llc_attr, s.llc_from_data = llc_in
-
-        lkey = (l2key, llc._line_shift, llc._set_mask, llc.config.associativity)
-        lres = llc_memo.get(lkey)
-        if lres is None:
-            hit3 = lru_filter(
-                s.llc_addr >> llc._line_shift, llc._set_mask, llc.config.associativity
-            )
-            n_hit = int(hit3.sum())
-            if hit3.size:
-                lres = (
-                    n_hit,
-                    hit3.size - n_hit,
-                    np.bincount(s.llc_attr[hit3 & s.llc_from_data], minlength=nm),
-                    np.bincount(s.llc_attr[hit3 & ~s.llc_from_data], minlength=nm),
-                    np.bincount(s.llc_attr[~hit3 & s.llc_from_data], minlength=nm),
-                    np.bincount(s.llc_attr[~hit3 & ~s.llc_from_data], minlength=nm),
-                )
-            else:
-                lres = (0, 0, None, None, None, None)
-            llc_memo[lkey] = lres
-        n_hit3, n_miss3, d_llc, c_llc, d_mem, c_mem = lres
-        llc.hits += n_hit3
-        llc.misses += n_miss3
+        n_hit3, n_miss3, d_llc, c_llc, d_mem, c_mem = llc_res[lkey]
+        h.llc.hits += n_hit3
+        h.llc.misses += n_miss3
         if d_llc is not None:
             s.d_llc = d_llc
             s.c_llc = c_llc

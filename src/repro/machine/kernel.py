@@ -19,16 +19,20 @@ admit exact reformulations that vectorize:
   is ``C[q] - V[q] - 1`` where ``C[q] = #{p < q : V[p] <= V[q]}``,
   because every ``p <= V[q]`` trivially satisfies ``V[p] < p <= V[q]``.
   ``C`` is a left-rank count, computed by :func:`left_rank` with a
-  vectorized mergesort — :func:`lru_hits`.
+  vectorized mergesort — :func:`lru_hits`.  The count does not depend
+  on the associativity (LRU stack inclusion: Mattson et al., IBM
+  Systems Journal 1970), so one count per access answers every
+  associativity with one comparison each.
 
 * **Common streams avoid the general kernel entirely.**  Most sampled
   address streams never evict: when every set's distinct-line count is
   at most the associativity, an access hits iff it is not the first
-  touch of its line, which one ``np.unique`` answers — :func:`lru_filter`.
-  Sets are independent, so conflict sets that do evict are carved out
-  and replayed exactly on their own — through :func:`lru_hits` when the
-  residue is large, so conflict-heavy streams (omnetpp's pointer webs,
-  xalancbmk's DOM walks) stay vectorized end to end.
+  touch of its line, which one tag sort answers — :func:`lru_filter`,
+  for several associativities of one stream at once.  Sets are
+  independent, so conflict sets that do evict are carved out and
+  replayed exactly on their own — through the stack-distance counts
+  when the residue is large, so conflict-heavy streams (omnetpp's
+  pointer webs, xalancbmk's DOM walks) stay vectorized end to end.
 
 These are the primitives of the machine model's one replay,
 :func:`~repro.machine.cost.replay_columns`.  Every function here is
@@ -38,6 +42,8 @@ bit-exact against a scalar dict/bytearray walk;
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +59,16 @@ __all__ = [
 # than by searchsorted-based merging.
 _BROADCAST_MAX_BLOCK = 32
 
-# Below this stream length the plain dict walk in ``_lru_scalar`` beats
-# any vector setup cost.
-_FILTER_SCALAR_MAX = 1024
+# Below this stream (or carve) length the plain dict walk in
+# ``_lru_scalar`` beats the vector setup cost.  On the 591 filter calls
+# under 1,024 events of an 8-config sweep of the seed-0 captures, the
+# median of 7 runs was 0.149 s with the walk below 1,024 events, 0.067 s
+# below 256, 0.038 s below 64 or 32, and 0.049 s with no walk at all.
+_FILTER_SCALAR_MAX = 64
+
+# The reuse-window count of a first touch: above every associativity,
+# so a first touch misses under each.
+_FIRST_TOUCH = np.iinfo(np.int64).max
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -190,7 +203,7 @@ def _table_scratch(rows: int, k: int) -> np.ndarray:
     return _table_scratch_buf[:need].reshape(rows, k)
 
 
-def _window_distinct_hits(
+def _window_distinct_counts(
     ks: np.ndarray,
     kt: np.ndarray,
     by_tag: np.ndarray,
@@ -199,27 +212,32 @@ def _window_distinct_hits(
     queries: np.ndarray,
     assoc: int,
 ) -> "np.ndarray | None":
-    """Hit flags by counting distinct lines in reuse windows directly.
+    """Distinct lines in each query's reuse window, counted directly.
 
-    An access at kept position ``q`` hits iff fewer than ``assoc``
-    distinct lines appeared in the window ``(V[q], q)``.  The stream is
-    set-major, so the window stays inside one set's segment and every
-    set can number its lines locally; each position then becomes a
-    one-bit row of a bitset, and a dyadic range-OR table answers every
-    window with two gathers — popcount of the OR is the distinct count.
-    Linear in stream length x alphabet words, independent of how many
-    accesses need answering; returns ``None`` when per-set alphabets
-    are too wide or the rank path is estimated cheaper.
+    An access at kept position ``q`` hits iff fewer than the
+    associativity distinct lines appeared in the window ``(V[q], q)``.
+    The stream is set-major, so the window stays inside one set's
+    segment and every set can number its lines locally; each position
+    then becomes a one-bit row of a bitset, and a dyadic range-OR table
+    answers every window with two gathers — popcount of the OR is the
+    distinct count.  Linear in stream length x alphabet words,
+    independent of how many accesses need answering; returns ``None``
+    when per-set alphabets are too wide or the rank path is estimated
+    cheaper.
+
+    ``assoc`` is the smallest associativity the caller will compare
+    with.  A window shorter than it is not counted: its length stands
+    in for the count, which every associativity from ``assoc`` up
+    compares the same way.
     """
     k = kt.size
     # A window of w positions holds at most w distinct lines, so any
     # reuse window shorter than the associativity hits unconditionally
     # — on associative levels that is usually almost every query.
     wq = queries - V[queries] - 1
-    hits = np.ones(queries.size, dtype=bool)
     hard = np.flatnonzero(wq >= assoc)
     if not hard.size:
-        return hits
+        return wq
     hq = queries[hard]
     hV = V[hq]
     ws = wq[hard]
@@ -237,8 +255,8 @@ def _window_distinct_hits(
         idx = np.repeat(hV + 1, ws) + ramp
         firsts = (V[idx] <= np.repeat(hV, ws)).astype(np.int32)
         distinct = np.add.reduceat(firsts, starts)
-        hits[hard] = distinct < assoc
-        return hits
+        wq[hard] = distinct
+        return wq
     if hard.size * k <= _DIRECT_MAX_OPS:
         # A handful of long-window queries (pointer chasers through a
         # big dTLB): answer each with one masked comparison over the
@@ -255,8 +273,8 @@ def _window_distinct_hits(
             V32[None, :] <= hV[:, None].astype(np.int32)
         )
         distinct = inwin.sum(axis=1, dtype=np.int64) - hV - 1
-        hits[hard] = distinct < assoc
-        return hits
+        wq[hard] = distinct
+        return wq
     if not hasattr(np, "bitwise_count"):  # numpy < 2.0
         return None
     head = np.empty(k, dtype=bool)
@@ -329,21 +347,26 @@ def _window_distinct_hits(
                 tabs[ell, k - half :] = prev[k - half :]
             flat = tabs.reshape(-1)
             distinct += np.bitwise_count(flat[lo] | flat[hi]).astype(np.int64)
-    hits[hard] = distinct < assoc
-    return hits
+    wq[hard] = distinct
+    return wq
 
 
-def _lru_hits_core(
+def _reuse_distinct(
     sets: np.ndarray,
     lines: np.ndarray,
     assoc: int,
     tag_order: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Exact LRU hit flags over explicit (set, line) id streams.
+    """Reuse-window distinct-line counts over explicit (set, line) streams.
 
     ``sets``/``lines`` are parallel int64 arrays in access order (equal
-    line id implies equal set id); ``assoc`` is the associativity.
-    Starts from an empty cache.
+    line id implies equal set id).  Returns, per access, the number of
+    distinct lines its set touched since the previous access to its
+    line, or ``_FIRST_TOUCH`` for a first touch.  Starting from an
+    empty cache, an access then hits an LRU level of ``a`` ways iff its
+    count is below ``a`` — for every ``a`` from ``assoc`` up: counts
+    below ``assoc`` may stand as window lengths
+    (:func:`_window_distinct_counts`).
 
     ``tag_order``, when given, is a permutation of stream positions
     grouping equal line ids contiguously, stable within each group —
@@ -352,7 +375,7 @@ def _lru_hits_core(
     """
     n = lines.size
     if n == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=np.int64)
     order = _stable_order(sets)
     st = lines[order]
     # An access repeating the immediately-previous line of its set is a
@@ -388,31 +411,31 @@ def _lru_hits_core(
     # Only accesses with a previous occurrence can hit; first touches
     # are misses outright and need no rank query.
     queries = np.flatnonzero(V >= 0)
-    kept_hits = np.zeros(k, dtype=bool)
+    kept_d = np.full(k, _FIRST_TOUCH, dtype=np.int64)
     if queries.size:
-        hits_q = _window_distinct_hits(
+        d = _window_distinct_counts(
             sets[order][keep], kt, by_tag, same_tag, V, queries, assoc
         )
-        if hits_q is None:
+        if d is None:
             # Distinct lines touched since the previous access to this
             # line: every first touch before q counts (its synthetic
             # predecessor sorts below any real position), plus the
-            # non-first accesses whose predecessor came before V[q].
-            # Predecessor positions are unique per access, so the rank
-            # restricted to query positions is a left_rank over the
-            # subsequence V[queries] — usually far smaller than the
-            # stream when the carve-out is dominated by cold misses.
+            # non-first accesses whose predecessor came before V[q],
+            # minus the line itself.  Predecessor positions are unique
+            # per access, so the rank restricted to query positions is
+            # a left_rank over the subsequence V[queries] — usually far
+            # smaller than the stream when the carve-out is dominated by
+            # cold misses.
             firsts_before = np.cumsum(V < 0)
-            d = firsts_before[queries] + left_rank(V[queries]) - V[queries]
-            hits_q = d <= assoc
-        kept_hits[queries] = hits_q
+            d = firsts_before[queries] + left_rank(V[queries]) - V[queries] - 1
+        kept_d[queries] = d
 
-    sorted_hits = np.empty(n, dtype=bool)
-    sorted_hits[rerun] = True
-    sorted_hits[keep] = kept_hits
-    hits = np.empty(n, dtype=bool)
-    hits[order] = sorted_hits
-    return hits
+    # a rerun's window is empty
+    sorted_d = np.zeros(n, dtype=np.int64)
+    sorted_d[keep] = kept_d
+    out = np.empty(n, dtype=np.int64)
+    out[order] = sorted_d
+    return out
 
 
 def lru_hits(tags: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
@@ -425,7 +448,7 @@ def lru_hits(tags: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
     starting from an empty cache.
     """
     t = np.asarray(tags, dtype=np.int64)
-    return _lru_hits_core(t & set_mask, t, assoc)
+    return _reuse_distinct(t & set_mask, t, assoc) < assoc
 
 
 def _lru_scalar(tags: list, set_mask: int, assoc: int) -> np.ndarray:
@@ -455,25 +478,36 @@ def _lru_scalar(tags: list, set_mask: int, assoc: int) -> np.ndarray:
     return hits
 
 
-def lru_filter(tags: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
-    """Exact LRU hit flags for one level, exploiting stream structure.
+def lru_filter(
+    tags: np.ndarray, set_mask: int, assocs: "Sequence[int]"
+) -> list[np.ndarray]:
+    """Exact LRU hit flags for one level's stream under each associativity.
+
+    Returns one boolean array per entry of ``assocs``, in order, True
+    where the access hits a level of that many ways (a fully
+    associative one when ``set_mask`` is 0).  One pass answers them
+    all: the tag sort, the first touches and the per-set distinct-line
+    counts are shared, and so are the reuse-window counts of the
+    stack-distance kernel, against which each associativity is one
+    comparison.
 
     Sampled address streams are usually eviction-free: when a set's
     distinct-line count never exceeds the associativity, nothing is
     ever evicted from it, so an access to that set hits iff it is not
-    the first touch of its line — answered by one ``np.unique``.  Sets
-    behave independently under LRU, so the (typically few) conflict
-    sets whose distinct count does exceed the associativity are carved
-    out as a subsequence and replayed exactly by the reference dict
-    walk, then scattered back.  Results are bit-identical to
-    :func:`lru_hits` and to :mod:`repro.machine.cache`.
+    the first touch of its line.  Sets behave independently under LRU,
+    so the (typically few) conflict sets whose distinct count exceeds
+    the smallest associativity are carved out as a subsequence and
+    replayed exactly on their own, then scattered back.  A carved set
+    that is clean under a larger associativity needs no special case:
+    each of its reuse windows holds fewer distinct lines than it has.
+    Results are bit-identical to :func:`lru_hits` and to the reference
+    dict walk.
     """
     t = np.asarray(tags, dtype=np.int64)
     n = t.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     if n < _FILTER_SCALAR_MAX:
-        return _lru_scalar(t.tolist(), set_mask, assoc)
+        walk = t.tolist()
+        return [_lru_scalar(walk, set_mask, a) for a in assocs]
     # uniques and their first-occurrence indices (np.unique would use
     # the slow stable sort when asked for indices)
     order = _stable_order(t)
@@ -482,54 +516,45 @@ def lru_filter(tags: np.ndarray, set_mask: int, assoc: int) -> np.ndarray:
     head[0] = True
     head[1:] = st[1:] != st[:-1]
     uniq = st[head]
-    first = order[head]
-    if set_mask == 0:
-        # fully associative: one set, all-or-nothing
-        if uniq.size <= assoc:
-            hits = np.ones(n, dtype=bool)
-            hits[first] = False
-            return hits
-        # The whole stream evicts (e.g. a pointer chaser touching more
-        # pages than the dTLB holds): the stack-distance kernel is exact
-        # and keeps the stream vectorized; only short streams still pay
-        # off in the dict walk.
-        return _lru_hits_core(
-            np.zeros(n, dtype=np.int64), t, assoc, tag_order=order
-        )
-    counts = np.bincount(uniq & set_mask, minlength=set_mask + 1)
-    bad = counts > assoc
+    reuse = np.ones(n, dtype=bool)
+    reuse[order[head]] = False
+    a_min = min(assocs)
+    bad = np.bincount(uniq & set_mask, minlength=set_mask + 1) > a_min
     if not bad.any():
-        hits = np.ones(n, dtype=bool)
-        hits[first] = False
-        return hits
-    cm = bad[t & set_mask]
+        return [reuse.copy() for _ in assocs]
+    sets = t & set_mask
+    cm = bad[sets]
     conflict = np.flatnonzero(cm)
     if conflict.size * 10 >= n * 9:
         # Nearly every event sits in a conflicting set (DOM walks,
-        # pointer webs): carving buys nothing, so hand the whole stream
+        # pointer webs, a pointer chaser touching more pages than the
+        # dTLB holds): carving buys nothing, so hand the whole stream
         # to the kernel, reusing the tag sort.  Clean sets stay exact
         # there — they just skip the first-touch shortcut.
-        return _lru_hits_core(t & set_mask, t, assoc, tag_order=order)
-    hits = np.ones(n, dtype=bool)
-    hits[first[~bad[uniq & set_mask]]] = False
+        d = _reuse_distinct(sets, t, a_min, tag_order=order)
+        return [d < a for a in assocs]
     # Conflict sets are independent of the clean sets, so their carved
-    # subsequence replays exactly on its own.  Large residues (streams
-    # where most sets conflict) go through the vectorized stack-distance
-    # kernel instead of the scalar dict walk — bit-identical, and the
-    # difference between a x1.8 and a x4 replay on conflict-heavy
-    # benchmarks.
+    # subsequence replays exactly on its own.  Large residues go
+    # through the vectorized stack-distance kernel instead of the
+    # scalar dict walk — bit-identical, and the difference between a
+    # x1.8 and a x4 replay on conflict-heavy benchmarks.
     tc = t[conflict]
-    if conflict.size >= _FILTER_SCALAR_MAX:
+    if conflict.size < _FILTER_SCALAR_MAX:
+        walk = tc.tolist()
+        carves = [_lru_scalar(walk, set_mask, a) for a in assocs]
+    else:
         # Restrict the full tag sort to carve members and renumber to
-        # carve coordinates; the core then skips its own tag sort.
+        # carve coordinates; the kernel then skips its own tag sort.
         rank_tc = np.cumsum(cm) - 1
         tc_order = rank_tc[order[cm[order]]]
-        hits[conflict] = _lru_hits_core(
-            tc & set_mask, tc, assoc, tag_order=tc_order
-        )
-    else:
-        hits[conflict] = _lru_scalar(tc.tolist(), set_mask, assoc)
-    return hits
+        d = _reuse_distinct(sets[conflict], tc, a_min, tag_order=tc_order)
+        carves = [d < a for a in assocs]
+    out = []
+    for carve in carves:
+        hits = reuse.copy()
+        hits[conflict] = carve
+        out.append(hits)
+    return out
 
 
 def _build_counter_luts() -> tuple[np.ndarray, np.ndarray]:

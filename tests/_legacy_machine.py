@@ -410,14 +410,24 @@ def legacy_evaluate(probe, config: MachineConfig | None = None) -> MachineReport
     """The pre-columnar scalar replay loop, verbatim.
 
     Accepts either a :class:`LegacyProbe` or the current columnar probe
-    (both expose iterable ``events`` yielding 4-tuples).
+    (both expose iterable ``events`` yielding 4-tuples).  The hierarchy
+    takes its level sizes and dTLB reach from ``config.geometry``; the
+    stepping code is unchanged, and the default geometry is the
+    hierarchy it always built.
     """
     cfg = config or MachineConfig()
     if cfg.predictor == "gshare":
         predictor = _LegacyGshare(cfg.predictor_table_bits, cfg.predictor_history_bits)
     else:
         predictor = _LegacyBimodal(cfg.predictor_table_bits)
-    hierarchy = CacheHierarchy()
+    geo = cfg.geometry
+    hierarchy = CacheHierarchy(
+        l1d=CacheConfig(geo.l1d_kib * 1024, geo.line_bytes, geo.l1d_assoc, name="L1D"),
+        l1i=CacheConfig(geo.l1i_kib * 1024, geo.line_bytes, geo.l1i_assoc, name="L1I"),
+        l2=CacheConfig(geo.l2_kib * 1024, geo.line_bytes, geo.l2_assoc, name="L2"),
+        llc=CacheConfig(geo.llc_kib * 1024, geo.line_bytes, geo.llc_assoc, name="LLC"),
+        dtlb_entries=geo.dtlb_entries,
+    )
 
     methods = probe.methods()
     replays: dict[int, _Replay] = {mc.index: _Replay() for mc in methods}

@@ -342,6 +342,37 @@ class TestCommands:
         assert captured.out == ""
         assert not list(store.rglob("*" + ResultCache.suffix))  # no profile was stored
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"predictor_table_bits": 14.0}, "predictor_table_bits"),
+            ({"predictor_history_bits": 4.0}, "predictor_history_bits"),
+            ({"width": True}, "width"),
+            ({"geometry": {"dtlb_entries": 2.5}}, "dtlb_entries"),
+            ({"geometry": {"l1d_kib": True}}, "l1d_kib"),
+            ({"geometry": []}, "geometry"),
+            ({"geometry": None}, "geometry"),
+        ],
+        ids=[
+            "float-table-bits", "float-history-bits", "bool-width",
+            "fractional-tlb", "bool-l1d", "list-geometry", "null-geometry",
+        ],
+    )
+    def test_sweep_grid_with_a_non_integer_count_exits_2(
+        self, tmp_path, capsys, config, field
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"configs": [{"name": "a", **config}]}))
+        store = tmp_path / "store"
+        argv = ["sweep", "505.mcf_r", "--grid", str(path), "--cache-dir", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"sweep: {path}: bad grid (")
+        assert field in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not store.exists()  # nothing executed, nothing stored
+
     def test_table2_is_one_run_in_the_ledger(self, tmp_path, capsys, monkeypatch):
         from repro.analysis.sensitivity import sensitivity_report
         from repro.analysis.tables import render_table2

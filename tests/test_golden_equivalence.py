@@ -6,7 +6,9 @@ new pipeline must produce *exactly* the report the frozen pre-rewrite
 implementation (``tests/_legacy_machine.py``) produces — same sampled
 stream, same predictions, same hit/miss sequences, same floating-point
 accumulation order.  Checked at the default event cap and at a forced
-small cap (which exercises decimation and the scalar dispatch paths).
+small cap (which exercises decimation and the scalar dispatch paths),
+and for the default sweep grid's non-default cache and TLB geometries,
+which the reference builds its hierarchy from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ try:
 except ImportError:  # running with tests/ itself on sys.path
     import _legacy_machine as legacy
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
-from repro.machine.cost import CostModel, MachineConfig
+from repro.core.sweep import default_sweep_grid
+from repro.machine.cost import CostModel, MachineConfig, replay_columns
 from repro.machine.telemetry import Probe
 
 CACHE_FIELDS = (
@@ -101,3 +104,34 @@ def test_small_cap_bit_identical(benchmark_id):
 def test_bimodal_bit_identical(benchmark_id):
     got, want = run_pair(benchmark_id, 1024, "bimodal")
     assert_reports_identical(got, want, f"{benchmark_id}/bimodal/cap=1024")
+
+
+#: The default sweep grid's sizings of the L1D, the dTLB and the LLC.
+GRID_GEOMETRIES = ("small-l1", "small-tlb", "small-llc")
+
+
+@pytest.mark.parametrize("cap", [262144, 1024])
+@pytest.mark.parametrize(
+    "benchmark_id", ["505.mcf_r", "519.lbm_r", "557.xz_r", "520.omnetpp_r"]
+)
+def test_sweep_geometries_bit_identical(benchmark_id, cap):
+    """Non-default geometries, replayed in one batch with the default
+    config (the L1D and dTLB sizings share its passes), against the
+    frozen reference built from the same geometry.  The refrate
+    workload, because the test inputs are too small for most of these
+    sizings to change a count."""
+    workloads = alberta_workloads(benchmark_id)
+    workload = next(w for w in workloads if w.name.endswith(".refrate"))
+    benchmark = get_benchmark(benchmark_id)
+    probe = Probe(event_cap=cap)
+    benchmark.run(workload, probe)
+    legacy_probe = legacy.LegacyProbe(event_cap=cap)
+    benchmark.run(workload, legacy_probe)
+    grid = default_sweep_grid()
+    configs = [MachineConfig()] + [grid[name] for name in GRID_GEOMETRIES]
+    reports = replay_columns(
+        configs, probe.methods(), probe.events.columns(), probe.sampling_stride
+    )
+    for name, config, got in zip(("default",) + GRID_GEOMETRIES, configs, reports):
+        want = legacy.legacy_evaluate(legacy_probe, config)
+        assert_reports_identical(got, want, f"{benchmark_id}/{name}/cap={cap}")

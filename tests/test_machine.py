@@ -24,13 +24,15 @@ from repro.machine.telemetry import Probe
 def level_hits(cache: Cache, addrs) -> list[bool]:
     """Per-access hits of one cache level, as the replay decides them."""
     tags = np.asarray(addrs, dtype=np.int64) >> cache._line_shift
-    return lru_filter(tags, cache._set_mask, cache.config.associativity).tolist()
+    (hits,) = lru_filter(tags, cache._set_mask, [cache.config.associativity])
+    return hits.tolist()
 
 
 def tlb_hits(tlb: Tlb, addrs) -> list[bool]:
     """Per-access hits of a fully associative TLB, as the replay decides them."""
     pages = np.asarray(addrs, dtype=np.int64) >> tlb._page_shift
-    return lru_filter(pages, 0, tlb.entries).tolist()
+    (hits,) = lru_filter(pages, 0, [tlb.entries])
+    return hits.tolist()
 
 
 class TestCacheConfig:

@@ -27,10 +27,12 @@ from repro.core.sweep import (
     default_sweep_grid,
 )
 from repro.core.trace import summarize_trace
+from repro.machine import cost
 from repro.machine.batch import replay_capture, replay_capture_batched
 from repro.machine.cache import CacheGeometry
 from repro.machine.capture import capture_execution
 from repro.machine.cost import MachineConfig
+from repro.machine.kernel import lru_filter
 
 TIER1_TRIO = ["505.mcf_r", "519.lbm_r", "557.xz_r"]
 
@@ -100,6 +102,15 @@ class TestMachineGrid:
             MachineGrid.from_dict({})
         with pytest.raises(ValueError, match="needs a 'name'"):
             MachineGrid.from_dict({"configs": [{"width": 4}]})
+
+    def test_counts_must_be_ints_but_float_fields_take_ints(self):
+        for bad in ({"width": 4.0}, {"geometry": {"llc_assoc": 16.0}}):
+            with pytest.raises(ValueError, match="must be an int"):
+                MachineGrid.from_dict({"configs": [{"name": "a", **bad}]})
+        grid = MachineGrid.from_dict(
+            {"configs": [{"name": "a", "mlp": 4, "l2_latency": 12, "clock_ghz": 3}]}
+        )
+        assert grid["a"] == MachineConfig(mlp=4.0, l2_latency=12.0, clock_ghz=3.0)
 
 
 class TestSweepRequest:
@@ -228,6 +239,39 @@ class TestBranchSideHistoryDepths:
                 want.report,
                 f"{cfg.predictor}/{cfg.predictor_table_bits}/{cfg.predictor_history_bits}",
             )
+
+
+class TestMemorySideAssociativities:
+    """One LRU pass per level stream serves every associativity and
+    dTLB reach of a batch."""
+
+    @pytest.mark.parametrize("bid", ["505.mcf_r", "520.omnetpp_r"])
+    def test_shared_level_streams_match_per_config_replay(self, bid, monkeypatch):
+        capture = capture_execution(get_benchmark(bid), _refrate(bid))
+        passes = []
+
+        def recorded(tags, set_mask, assocs):
+            passes.append((set_mask, sorted(assocs)))
+            return lru_filter(tags, set_mask, assocs)
+
+        monkeypatch.setattr(cost, "lru_filter", recorded)
+        geometries = (
+            # L1D: 2-16 ways at 64 sets; dTLB reach; L2: 4-16 ways at
+            # 512 sets; LLC: 8-32 ways at 8,192 sets; then wide lines
+            [CacheGeometry(l1d_kib=4 * ways, l1d_assoc=ways) for ways in (2, 4, 8, 16)]
+            + [CacheGeometry(dtlb_entries=n) for n in (16, 32, 64, 128)]
+            + [CacheGeometry(l2_kib=32 * ways, l2_assoc=ways) for ways in (4, 8, 16)]
+            + [CacheGeometry(llc_kib=512 * ways, llc_assoc=ways) for ways in (8, 16, 32)]
+            + [CacheGeometry(line_bytes=128)]
+        )
+        machines = [MachineConfig(geometry=g) for g in geometries]
+        batched = replay_capture_batched(capture, machines)
+        # one pass each for the dTLB's page stream and the L1D's line stream
+        assert (0, [16, 32, 64, 128]) in passes
+        assert (63, [2, 4, 8, 16]) in passes
+        for cfg, got in zip(machines, batched):
+            want = replay_capture(capture, machine=cfg)
+            assert_reports_identical(got.report, want.report, f"{bid}/{cfg.geometry}")
 
 
 class TestSweepResultOrdering:
