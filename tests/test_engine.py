@@ -10,6 +10,7 @@ registered benchmark (run with ``pytest -m slow``).
 import os
 import struct
 import zlib
+from dataclasses import asdict
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.core.engine import CharacterizationEngine, default_workers
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.run import Session
 from repro.core.metrics import CACHE_EVENTS_TOTAL, CACHE_IO_BYTES_TOTAL
+from repro.core.sweep import MachineGrid, SweepRequest
 from repro.machine.profiler import Profiler
 
 # Cheap benchmarks exercised by the fast (tier-1) tests.
@@ -96,6 +98,32 @@ class TestInlineWorkloads:
         n_workloads = sum(len(alberta_workloads(b)) for b in FAST_IDS)
         assert len(stores[1]) == 2 * n_workloads + len(FAST_IDS)
         assert stores[1] == stores[2]
+
+    def test_pooled_sweep_matches_an_inline_one_cold_and_warm(self, tmp_path):
+        """A sweep's rows, run summary and store are the same at 1 and 2
+        workers, on the cold pass that executes and on the warm one."""
+        grid = MachineGrid.from_presets("default", "atom-like")
+        runs = {}
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            passes = []
+            for _ in ("cold", "warm"):
+                with Session(workers=workers, cache=ArtifactStore(root)) as s:
+                    result = s.characterize_sweep(SweepRequest("505.mcf_r", grid))
+                assert result.ok
+                counts = asdict(s.summary)
+                del counts["duration_s"]
+                passes.append(([c.table2_row() for c in result.characterizations], counts))
+            files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            runs[workers] = passes, files
+        assert runs[2] == runs[1]
+        (cold, warm), files = runs[1]
+        n = len(alberta_workloads("505.mcf_r"))
+        assert (cold[1]["captures"], cold[1]["replays"], cold[1]["replays_batched"]) == (n, 2 * n, 2 * n)
+        assert (warm[1]["captures"], warm[1]["replay_hits"]) == (0, 2 * n)
+        assert warm[0] == cold[0]
+        # A profile entry and a capture per workload, one set entry.
+        assert len(files) == 2 * n + 1
 
 
 class TestResultCache:

@@ -11,7 +11,7 @@ the ``max_attempt`` field makes retry-recovery deterministic.
 import pytest
 
 from repro.core.artifacts import ArtifactStore
-from repro.core.cache import ResultCache, cache_key, capture_key
+from repro.core.cache import ResultCache, cache_key, capture_key, profile_to_dict
 from repro.core.engine import FAULT_INJECT_ENV
 from repro.core.errors import CellFailure
 from repro.core.metrics import CACHE_EVENTS_TOTAL
@@ -66,6 +66,43 @@ class TestInjectedException:
         result = Run(workers=1, backoff=0.0, strict=False).characterize(MCF)
         assert result.failed_cells == [(MCF, "mcf.train")]
         assert result.characterization.n_workloads == clean_mcf.n_workloads - 1
+
+
+class TestSweepFailureFanOut:
+    """A workload whose capture fails fails under every swept config."""
+
+    GRID = MachineGrid.from_presets("default", "atom-like")
+
+    @staticmethod
+    def _profiles(result, name):
+        return {p.workload: profile_to_dict(p) for p in result.profile_for(name).profiles}
+
+    @pytest.fixture(scope="class")
+    def clean_sweep(self):
+        with Session() as s:
+            return s.characterize_sweep(SweepRequest(MCF, self.GRID, keep_profiles=True))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_config_fails_and_the_capture_is_charged_once(
+        self, monkeypatch, tmp_path, clean_sweep, workers
+    ):
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"raise:{MCF}:mcf.train")
+        journal = tmp_path / "sweep.jsonl"
+        with Session(
+            workers=workers, cache=tmp_path / "store", retries=0, backoff=0.0,
+            strict=False, trace=journal,
+        ) as s:
+            result = s.characterize_sweep(SweepRequest(MCF, self.GRID, keep_profiles=True))
+        assert [(f.workload, f.outcome) for f in result.failures] == [("mcf.train", "failed")] * 2
+        assert all("injected fault" in f.error for f in result.failures)
+        train = [sp for sp in trace_spans(journal) if sp.workload == "mcf.train"]
+        assert [(sp.capture, sp.ok) for sp in train] == [("run", False), ("-", False)]
+        n = len(alberta_workloads(MCF))
+        assert (s.summary.captures, s.summary.failed) == (n, 2)
+        for name in self.GRID.names:
+            clean = self._profiles(clean_sweep, name)
+            del clean["mcf.train"]
+            assert self._profiles(result, name) == clean
 
 
 class TestRetry:
