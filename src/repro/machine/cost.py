@@ -53,7 +53,8 @@ replay (:mod:`repro.machine.batch`).  See DESIGN.md §9 and §13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -100,10 +101,13 @@ class MachineConfig:
     geometry: CacheGeometry = CacheGeometry()
 
     def __post_init__(self) -> None:
-        for name in ("width", "predictor_table_bits", "predictor_history_bits"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "int" and not (number and isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and not (number and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.clock_ghz <= 0:

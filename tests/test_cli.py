@@ -361,6 +361,24 @@ class TestCommands:
     def test_sweep_grid_with_a_non_integer_count_exits_2(
         self, tmp_path, capsys, config, field
     ):
+        self._bad_grid_exits_2(tmp_path, capsys, config, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"l2_latency": "12"}, "l2_latency"),
+            ({"mlp": True}, "mlp"),
+            ({"mem_latency": float("nan")}, "mem_latency"),
+            ({"clock_ghz": float("inf")}, "clock_ghz"),
+            ({"fetch_overlap": None}, "fetch_overlap"),
+        ],
+        ids=["string-latency", "bool-mlp", "nan-latency", "infinite-clock", "null-overlap"],
+    )
+    def test_sweep_grid_with_a_bad_float_field_exits_2(self, tmp_path, capsys, config, field):
+        self._bad_grid_exits_2(tmp_path, capsys, config, field)
+
+    @staticmethod
+    def _bad_grid_exits_2(tmp_path, capsys, config, field):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"configs": [{"name": "a", **config}]}))
         store = tmp_path / "store"

@@ -112,6 +112,15 @@ class TestMachineGrid:
         )
         assert grid["a"] == MachineConfig(mlp=4.0, l2_latency=12.0, clock_ghz=3.0)
 
+    def test_float_fields_must_be_finite_numbers(self):
+        for bad in (
+            {"l2_latency": "12"}, {"mlp": True}, {"mem_latency": float("nan")},
+            {"clock_ghz": float("-inf")}, {"wrongpath_uops": None},
+        ):
+            (field,) = bad
+            with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+                MachineGrid.from_dict({"configs": [{"name": "a", **bad}]})
+
 
 class TestSweepRequest:
     def test_validation(self):
