@@ -13,6 +13,8 @@ which the reference builds its hierarchy from.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 try:
@@ -21,6 +23,7 @@ except ImportError:  # running with tests/ itself on sys.path
     import _legacy_machine as legacy
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.sweep import default_sweep_grid
+from repro.machine.cache import CacheGeometry
 from repro.machine.cost import CostModel, MachineConfig, replay_columns
 from repro.machine.telemetry import Probe
 
@@ -106,18 +109,23 @@ def test_bimodal_bit_identical(benchmark_id):
     assert_reports_identical(got, want, f"{benchmark_id}/bimodal/cap=1024")
 
 
-#: The default sweep grid's sizings of the L1D, the dTLB and the LLC.
-GRID_GEOMETRIES = ("small-l1", "small-tlb", "small-llc")
-
-
-@pytest.mark.parametrize("cap", [262144, 1024])
-@pytest.mark.parametrize(
-    "benchmark_id", ["505.mcf_r", "519.lbm_r", "557.xz_r", "520.omnetpp_r"]
+#: The default sweep grid's sizings of the L1D, the dTLB and the LLC, and
+#: two smaller LLCs: the grid's own LLC sizings move no ``llc_misses`` on
+#: any seed-0 capture, so only these show an LLC sizing change a count.
+SWEEP_GEOMETRIES = tuple(
+    (name, default_sweep_grid()[name]) for name in ("small-l1", "small-tlb", "small-llc")
+) + (
+    ("llc-512k", MachineConfig(geometry=CacheGeometry(llc_kib=512))),
+    ("llc-256k-8way", MachineConfig(geometry=CacheGeometry(llc_kib=256, llc_assoc=8))),
 )
-def test_sweep_geometries_bit_identical(benchmark_id, cap):
-    """Non-default geometries, replayed in one batch with the default
-    config (the L1D and dTLB sizings share its passes), against the
-    frozen reference built from the same geometry.  The refrate
+GEOMETRY_BENCHMARKS = ("505.mcf_r", "519.lbm_r", "557.xz_r", "520.omnetpp_r")
+DEFAULT_CAP = 262144
+
+
+@functools.cache
+def sweep_geometry_reports(benchmark_id, cap):
+    """``(name, replayed, reference)`` for the default config, then each of
+    :data:`SWEEP_GEOMETRIES`, replayed in one batch with it.  The refrate
     workload, because the test inputs are too small for most of these
     sizings to change a count."""
     workloads = alberta_workloads(benchmark_id)
@@ -127,11 +135,36 @@ def test_sweep_geometries_bit_identical(benchmark_id, cap):
     benchmark.run(workload, probe)
     legacy_probe = legacy.LegacyProbe(event_cap=cap)
     benchmark.run(workload, legacy_probe)
-    grid = default_sweep_grid()
-    configs = [MachineConfig()] + [grid[name] for name in GRID_GEOMETRIES]
+    named = (("default", MachineConfig()),) + SWEEP_GEOMETRIES
     reports = replay_columns(
-        configs, probe.methods(), probe.events.columns(), probe.sampling_stride
+        [config for _, config in named], probe.methods(), probe.events.columns(),
+        probe.sampling_stride,
     )
-    for name, config, got in zip(("default",) + GRID_GEOMETRIES, configs, reports):
-        want = legacy.legacy_evaluate(legacy_probe, config)
+    return [
+        (name, got, legacy.legacy_evaluate(legacy_probe, config))
+        for (name, config), got in zip(named, reports)
+    ]
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 1024])
+@pytest.mark.parametrize("benchmark_id", GEOMETRY_BENCHMARKS)
+def test_sweep_geometries_bit_identical(benchmark_id, cap):
+    """Non-default geometries, replayed in one batch with the default
+    config (the L1D and dTLB sizings share its passes), against the
+    frozen reference built from the same geometry."""
+    for name, got, want in sweep_geometry_reports(benchmark_id, cap):
         assert_reports_identical(got, want, f"{benchmark_id}/{name}/cap={cap}")
+
+
+def test_an_llc_sizing_moves_llc_misses():
+    """The gate above sees an LLC sizing change a count: at the default
+    cap, 512 KiB moves omnetpp's ``llc_misses`` and 256 KiB 8-way xz's."""
+    moved = []
+    for benchmark_id in GEOMETRY_BENCHMARKS:
+        (_, default, _), *sized = sweep_geometry_reports(benchmark_id, DEFAULT_CAP)
+        moved += [
+            (benchmark_id, name)
+            for name, got, _ in sized
+            if "llc" in name and got.cache_stats.llc_misses != default.cache_stats.llc_misses
+        ]
+    assert moved
