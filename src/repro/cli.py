@@ -938,18 +938,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"removed {n} cached artifacts from {store.root}")
         else:
             profiles, captures = store.profiles, store.captures
-            modes = profiles.replay_modes()
             print(f"cache dir : {store.root}")
             print("stage: replay (machine-dependent profiles)")
             print(f"  entries : {len(profiles)}")
-            print(f"  profiles: {sum(modes.values())}")
+            print(f"  profiles: {profiles.count_profiles()}")
             print(f"  bytes   : {profiles.total_bytes()}")
             print(f"  corrupt : {profiles.quarantined_entries()} (quarantined *.corrupt)")
-            print(
-                f"  source  : {modes['batched']} batched, "
-                f"{modes['per-config']} per-config, "
-                f"{modes['unlabeled']} unlabeled replays"
-            )
             for heading, entries in (
                 ("stage: capture (machine-independent telemetry)", captures),
                 ("stage: set (Alberta set member names)", store.sets),

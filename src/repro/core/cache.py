@@ -96,10 +96,6 @@ CACHE_FORMAT = 1
 PROFILE_MAGIC = b"RPG1"
 _PROFILE_PREFIX = struct.Struct("<4sII")  # magic, body length, CRC-32 of the body
 
-#: The ``replay_mode`` a member may record: one-pass multi-config replay,
-#: single-config replay, or none (Table II cells).
-_REPLAY_MODES = ("batched", "per-config", None)
-
 #: The modules every capture runs through besides its benchmark's and its
 #: generator's own.  A benchmark or generator module may import only
 #: these, ``repro.core.registry`` and ``repro.core.errors`` from the
@@ -421,26 +417,22 @@ def profile_from_dict(data: Any) -> ExecutionProfile:
 class ProfileEntry:
     """The stored profiles of one capture, one member per machine config.
 
-    ``members`` maps each config's digest to its profile and the
-    ``replay_mode`` it was written with; :meth:`profile` and :meth:`add`
-    take the config itself (``None`` for the default).  Every member
-    replays the same capture, so all share its benchmark, workload and
-    ``verified``.
+    ``members`` maps each config's digest to its profile; :meth:`profile`
+    and :meth:`add` take the config itself (``None`` for the default).
+    Every member replays the same capture, so all share its benchmark,
+    workload and ``verified``.
     """
 
     def __init__(self) -> None:
-        self.members: dict[str, tuple[ExecutionProfile, str | None]] = {}
+        self.members: dict[str, ExecutionProfile] = {}
 
     def profile(self, machine: MachineConfig | None) -> ExecutionProfile | None:
         """The stored profile of ``machine``, or ``None``."""
-        member = self.members.get(_machine_digest(machine))
-        return None if member is None else member[0]
+        return self.members.get(_machine_digest(machine))
 
-    def add(
-        self, machine: MachineConfig | None, profile: ExecutionProfile, replay_mode: str | None
-    ) -> None:
+    def add(self, machine: MachineConfig | None, profile: ExecutionProfile) -> None:
         """Store (or replace) the member of ``machine``."""
-        self.members[_machine_digest(machine)] = (profile, replay_mode)
+        self.members[_machine_digest(machine)] = profile
 
 
 def encode_profiles(entry: ProfileEntry) -> bytes:
@@ -449,9 +441,9 @@ def encode_profiles(entry: ProfileEntry) -> bytes:
 
     The body holds ``format``, ``benchmark``, ``workload`` and
     ``verified`` once, and ``profiles``, which maps each member's config
-    digest to its ``report`` and ``replay_mode``.
+    digest to its ``report``.
     """
-    first, _ = next(iter(entry.members.values()))
+    first = next(iter(entry.members.values()))
     body = json.dumps(
         {
             "format": CACHE_FORMAT,
@@ -459,8 +451,8 @@ def encode_profiles(entry: ProfileEntry) -> bytes:
             "workload": first.workload,
             "verified": first.verified,
             "profiles": {
-                digest: {"report": _report_to_dict(profile.report), "replay_mode": mode}
-                for digest, (profile, mode) in entry.members.items()
+                digest: {"report": _report_to_dict(profile.report)}
+                for digest, profile in entry.members.items()
             },
         },
         separators=(",", ":"),
@@ -487,17 +479,13 @@ def decode_profiles(blob: bytes) -> ProfileEntry:
             raise CacheCorruption(f"profile entry: unsupported format {doc['format']!r}")
         entry = ProfileEntry()
         for digest, member in doc["profiles"].items():
-            mode = member["replay_mode"]
-            if mode not in _REPLAY_MODES:
-                raise CacheCorruption(f"profile entry: unknown replay_mode {mode!r}")
-            profile = ExecutionProfile(
+            entry.members[digest] = ExecutionProfile(
                 benchmark=doc["benchmark"],
                 workload=doc["workload"],
                 report=_report_from_dict(member["report"]),
                 output=None,
                 verified=doc["verified"],
             )
-            entry.members[digest] = (profile, mode)
     except CacheCorruption:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -684,17 +672,13 @@ class ResultCache(_EntryStore):
         """Store ``entry`` under ``key`` (atomic replace)."""
         self._write(key, encode_profiles(entry))
 
-    def replay_modes(self) -> dict[str, int]:
-        """Provenance counts over stored profiles: how many were written by
-        a ``"batched"`` multi-config replay, a ``"per-config"`` one, or
-        carry no label (``"unlabeled"``: Table II cells).  An entry that
-        does not decode is counted in none of them."""
-        counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
+    def count_profiles(self) -> int:
+        """How many profiles the stored entries hold; an entry that does
+        not decode holds none."""
+        n = 0
         for path in self._entries():
             try:
-                entry = decode_profiles(path.read_bytes())
+                n += len(decode_profiles(path.read_bytes()).members)
             except (OSError, CacheCorruption):
                 continue
-            for _, mode in entry.members.values():
-                counts[mode or "unlabeled"] += 1
-        return counts
+        return n

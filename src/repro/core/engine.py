@@ -14,11 +14,19 @@ deterministic.  The engine exploits both properties:
   ``generate → capture → replay → summarize`` pipeline.  The *capture*
   stage executes the benchmark and snapshots its telemetry
   (machine-independent; see :mod:`repro.machine.capture`); the
-  *replay* stage evaluates a capture under the cell's machine config.
-  The stages are separately cached in an
-  :class:`~repro.core.artifacts.ArtifactStore`, so a machine-config or
-  FDO-build sweep (:meth:`CharacterizationEngine.characterize_sweep_run`)
-  executes each benchmark once and replays the stored stream N times.
+  *replay* stage evaluates a capture under each of the cell's machine
+  configs.  The stages are separately cached in an
+  :class:`~repro.core.artifacts.ArtifactStore`.
+* **One pipeline** — :meth:`CharacterizationEngine.run_cells` is the
+  only place a cell is looked up, captured, replayed and stored.  A
+  Table II cell holds the engine's config, a sweep cell every config
+  of its grid and a capture-only cell none; the characterizations and
+  :meth:`~CharacterizationEngine.capture_run` only build cells and put
+  the outcomes in order.  So a machine-config sweep
+  (:meth:`CharacterizationEngine.characterize_sweep_run`) executes each
+  benchmark once and replays its capture N times, in one batched pass.
+  An executed cell replays where it ran; a stored capture is decoded
+  and replayed in the parent one at a time.
 * **Caching** — each cell is looked up in the profile store before
   being scheduled: one entry per capture (see
   :func:`repro.core.cache.cache_key`) holds the profile of every
@@ -55,7 +63,7 @@ generates nothing.  An executing cell carries its
 :class:`~repro.core.workload.Workload`: inline cells run on that object
 and pool workers receive it pickled (a whole Table II matrix of
 workloads pickles to 1.6 MB).  A cell bound for a store encodes its
-capture where it ran and ships home only the
+capture where it ran and ships home only its profiles and the
 :func:`~repro.core.artifacts.encode_capture` bytes, which the parent
 writes as they are — the parent neither regenerates workloads nor
 encodes captures.  Profiles returned from workers and from the cache
@@ -149,6 +157,11 @@ def _require_capability(benchmark_id: str, capability: str, *, stage: str) -> No
 class _Cell:
     """One (benchmark, workload) unit of the profiling matrix.
 
+    ``machines`` are the configs its capture is replayed on: a Table II
+    cell holds the engine's config, a sweep cell the grid's configs
+    (:meth:`CharacterizationEngine.run_cells` narrows them to those the
+    capture's profile entry lacks), and a capture-only cell none.
+
     ``workload`` is the parent's own workload object: inline execution
     runs on it and a pool worker receives it pickled.  Until the cell
     has to execute it may be the workload's :class:`AlbertaRef`
@@ -159,7 +172,7 @@ class _Cell:
 
     benchmark_id: str
     workload_name: str
-    machine: MachineConfig | None
+    machines: "tuple[MachineConfig | None, ...]"
     workload: Workload | AlbertaRef | None
 
 
@@ -167,11 +180,11 @@ class _Cell:
 class CellOutcome:
     """The terminal record of one cell's execution (or cache hit).
 
-    ``capture``/``replay`` record the stage-level story: which stage
-    actually ran (``"run"``), was served from a store (``"hit"``), or
-    never happened (``"-"``).  ``profile`` holds the finished
-    :class:`ExecutionProfile` — except for capture-stage-only outcomes
-    (:meth:`CharacterizationEngine.capture_run`), where it holds the
+    One outcome per (cell, machine config).  ``capture``/``replay``
+    record the stage-level story: which stage actually ran (``"run"``),
+    was served from a store (``"hit"``), or never happened (``"-"``).
+    ``profile`` holds the finished :class:`ExecutionProfile` — except
+    for capture-only cells, whose one outcome holds the
     :class:`~repro.machine.capture.TelemetryCapture` instead.
     """
 
@@ -300,24 +313,41 @@ def _replay_resources(
     return res
 
 
+def _replay(
+    capture: TelemetryCapture, machines: "tuple[MachineConfig | None, ...]", build: Any = None
+) -> list[ExecutionProfile]:
+    """Replay ``capture`` on every config of ``machines``, in order.
+
+    One config goes through :func:`replay_capture` (under ``build``'s
+    cost model when one is given), two or more through one
+    :func:`replay_capture_batched` pass; both are looked up at call
+    time, so perfbench/layers.py can time them by wrapping this
+    module's attributes.
+    """
+    if len(machines) > 1:
+        return replay_capture_batched(capture, list(machines))
+    (machine,) = machines
+    cost_model = build.cost_model(machine) if build is not None else None
+    return [replay_capture(capture, machine=machine, cost_model=cost_model)]
+
+
 def _run_cell(
-    cell: _Cell, attempt: int = 1, mode: str = "replay", encode: bool = False
-) -> tuple[ExecutionProfile | TelemetryCapture, bytes | None, dict[str, Any]]:
+    cell: _Cell, attempt: int = 1, encode: bool = False
+) -> tuple[list[ExecutionProfile] | TelemetryCapture, bytes | None, dict[str, Any]]:
     """Execute one matrix cell on ``cell.workload`` (in a worker or inline).
 
-    Always runs the capture stage; ``mode`` picks the first element of
-    the result:
-
-    * ``"replay"`` — replay here and return the profile; the capture's
-      columns never cross the process boundary (Table II cells);
-    * ``"capture"`` — skip replay and return the capture itself
-      (stage-level capture runs).
+    Captures, then replays the capture on every config of
+    ``cell.machines`` (:func:`_replay`): the first element of the
+    result is their profiles, in order, so the capture's columns never
+    cross the process boundary.  A capture-only cell (no machines)
+    returns the capture itself instead.  A replay that raises fails
+    the whole cell, like a capture that does.
 
     The second element is ``encode_capture(capture)`` when ``encode``
     is set (the engine has a store to write it to), else ``None``.
     Encoding here runs in parallel across pool workers; the parent
-    writes the bytes as they are and, for ``"replay"``, never holds
-    the columns.
+    writes the bytes as they are and never holds the columns of a
+    capture it replayed here.
 
     The third element is the cell's observability meta: ``"stages"`` is
     ``(name, start offset, duration, resources)`` entries for the
@@ -350,13 +380,13 @@ def _run_cell(
             capture = capture_execution(_worker_benchmark(cell.benchmark_id), cell.workload)
             t2 = time.perf_counter()
             stages.append(["capture", t1 - t0, t2 - t1, tracker.lap()])
-            if mode == "capture":
-                product = capture
-            else:
-                product = replay_capture(capture, machine=cell.machine)
+            if cell.machines:
+                product = _replay(capture, cell.machines)
                 t3 = time.perf_counter()
                 res = _replay_resources(tracker, reg, cell.benchmark_id)
                 stages.append(["replay", t2 - t0, t3 - t2, res])
+            else:
+                product = capture
         # Looked up through the module at call time: perfbench/layers.py
         # times encoding by wrapping this module attribute.
         blob = artifacts.encode_capture(capture) if encode else None
@@ -384,6 +414,43 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 # ----------------------------------------------------------- parent side
+
+
+def _fan_out(oc: CellOutcome, capture: str) -> list[CellOutcome]:
+    """One resolution of ``oc.cell`` as one outcome per config it replayed.
+
+    ``oc`` is what :meth:`CharacterizationEngine._execute` or
+    :meth:`~CharacterizationEngine._replay_here` settled, its profile
+    slot holding one profile per config (or a capture-only cell's
+    capture), and ``capture`` is how its capture was served (``"run"``
+    or ``"hit"``).  The capture's cost and the replay's resources are
+    charged to the first config, and each config gets an even share of
+    the replay's time; later configs read ``capture="hit"``.  A failed
+    execution fails every config, and later ones read ``capture="-"``;
+    a failed replay here fails every config, each after one attempt.
+    """
+    n = len(oc.cell.machines)
+    oc = replace(oc, capture=capture)
+    if not oc.ok:
+        if capture == "hit":
+            return [replace(oc, replay="run", batched=n > 1)] * n
+        return [oc] + [replace(oc, attempts=1, duration_s=0.0, capture="-")] * (n - 1)
+    if not n:
+        return [oc]
+    *before, (_, offset, duration, res) = oc.stages
+    share = duration / n
+    first = replace(
+        oc, profile=oc.profile[0], replay="run", batched=n > 1,
+        duration_s=oc.duration_s - (duration - share),
+        stages=(*before, ("replay", offset, share, res)),
+    )
+    return [first] + [
+        replace(
+            first, profile=profile, attempts=0, duration_s=share, capture="hit",
+            start_s=oc.start_s + offset, stages=(("replay", 0.0, share),),
+        )
+        for profile in oc.profile[1:]
+    ]
 
 
 class CharacterizationEngine:
@@ -441,12 +508,12 @@ class CharacterizationEngine:
         # Back-compat: the profile store under its historical name, the
         # exact object the caller handed in.
         self.cache = self.store.profiles if self.store is not None else None
-        #: Captures a store-less engine executed for the stage-level APIs
-        #: (capture_run, characterize_sweep_run), so a repeat never
-        #: re-executes a benchmark.  With a store attached the store is
-        #: the memo and this stays empty: a repeat costs one decode, and
-        #: no decoded capture outlives its consumer.  run_cells never
-        #: memoizes.
+        #: Captures a store-less engine executed for capture-only cells
+        #: (capture_run), so a repeat never re-executes a benchmark; every
+        #: cell reads it.  With a store attached the store is the memo and
+        #: this stays empty: a repeat costs one decode, and no decoded
+        #: capture outlives its cell.  A cell that replays where it runs
+        #: brings home no capture to memoize.
         self._capture_memo: dict[str, TelemetryCapture] = {}
         #: FDO build digests replayed through this engine (name → digest);
         #: the run ledger records them so a build sweep is diffable.
@@ -468,116 +535,145 @@ class CharacterizationEngine:
 
     # ------------------------------------------------------------ matrix
 
-    def run_cells(self, cells: list[_Cell]) -> list[CellOutcome]:
-        """Resolve every cell to a :class:`CellOutcome`, in ``cells`` order.
+    def run_cells(self, cells: list[_Cell]) -> list[list[CellOutcome]]:
+        """Resolve every cell, in ``cells`` order: the one pipeline.
 
-        The staged pipeline: a profile-cache miss next consults the
-        capture store — a stored telemetry stream is replayed in the
-        parent (``capture="hit"``, no benchmark execution) — and only
-        cells missing both artifacts execute the benchmark.  Executed
-        cells capture *and* replay where they run (one process
-        round-trip, replay stays parallel); with a store attached they
-        also encode the capture there and ship home only its bytes.
+        Returns one outcome per config of each cell, in its
+        ``machines`` order, or a capture-only cell's one outcome.  For
+        each cell:
+
+        1. Its capture's profile entry is read once, for all of its
+           configs; the cell keeps the configs the entry lacks.
+        2. If configs are still missing, or the cell is capture-only,
+           its capture is resolved.  A stored capture (without a
+           store, a memoized one) is decoded just before it is
+           replayed here (:meth:`_replay_here`) and then dropped.  The
+           cells whose capture misses execute as one batch
+           (:meth:`_execute`): each captures, replays every missing
+           config and encodes where it runs, so only profiles and
+           bytes come home.
+        3. What comes home is written to the store; without one, a
+           capture-only cell's capture is memoized.  Profiles never
+           enter the memo.
+        4. Each profile entry is written once, holding the members it
+           was read with and the new ones.  Cells that share an entry
+           share one :class:`ProfileEntry`, so a later write keeps an
+           earlier one's member.
 
         Never raises for per-cell failures — inspect ``outcome.ok``.
         Cache lookups and stores happen in the parent process only;
-        workers never touch the cache directory.  Each cell reads its
-        capture's profile entry once and writes it back with its own
-        profile added; cells that share an entry share one
-        :class:`ProfileEntry`, so a later write keeps an earlier one's
-        member.  Spans are emitted to the trace writer in matrix order
-        once all cells settle.
+        workers never touch the cache directory.  Spans are emitted
+        once all cells settle, config-major: the first config of every
+        cell in ``cells`` order, then the second, so a sweep journals
+        in the order its result is laid out.
         """
-        outcomes: list[CellOutcome | None] = [None] * len(cells)
+        cells = list(cells)
+        served: list[list[CellOutcome | None]] = []
         keys: list[str | None] = [None] * len(cells)
-        cap_keys: list[str | None] = [None] * len(cells)
         entries: dict[str, ProfileEntry] = {}
-        to_run: list[int] = []
-        replays: list[tuple[int, TelemetryCapture]] = []
-        cache_state = "off" if self.store is None else "miss"
-
         with self._counting_quarantines():
             for i, cell in enumerate(cells):
-                if self.store is not None:
-                    looked_up = self.trace.now()
-                    keys[i] = key = cache_key(cell.benchmark_id, cell.workload)
-                    found = self.cache.get(key, [cell.machine])
-                    cached = entries.setdefault(key, found or ProfileEntry()).profile(cell.machine)
+                row: list[CellOutcome | None] = [None] * max(1, len(cell.machines))
+                served.append(row)
+                if self.store is None or not cell.machines:
+                    continue
+                looked_up = self.trace.now()
+                keys[i] = key = cache_key(cell.benchmark_id, cell.workload)
+                found = self.cache.get(key, cell.machines)
+                entry = entries.setdefault(key, found or ProfileEntry())
+                for k, machine in enumerate(cell.machines):
+                    cached = entry.profile(machine)
                     if cached is not None:
-                        outcomes[i] = CellOutcome(
-                            cell, cached, "hit", 0, 0.0, "ok", replay="hit",
-                            start_s=looked_up,
+                        row[k] = CellOutcome(
+                            cell, cached, "hit", 0, 0.0, "ok", replay="hit", start_s=looked_up
                         )
-                        continue
-                    cap_keys[i] = capture_key(cell.benchmark_id, cell.workload)
+                missing = tuple(m for m, oc in zip(cell.machines, row) if oc is None)
+                if missing:
+                    cells[i] = replace(cell, machines=missing)
+
+        def settle(i: int, oc: CellOutcome, capture: str) -> None:
+            cell = cells[i]
+            state = "-" if not cell.machines else "off" if self.store is None else "miss"
+            outcomes = iter(_fan_out(replace(oc, cache=state), capture))
+            served[i] = [slot or next(outcomes) for slot in served[i]]
+            if keys[i] is not None and oc.ok:
+                self._put_profiles(keys[i], entries[keys[i]], zip(cell.machines, oc.profile))
+
+        cap_keys: dict[int, str] = {}
+        to_run: list[int] = []
+        for i in [i for i, row in enumerate(served) if None in row]:
+            cell = cells[i]
+            cap_keys[i] = capture_key(cell.benchmark_id, cell.workload)
+            if self.store is None:
+                capture = self._capture_memo.get(cap_keys[i])
+            else:
+                with self._counting_quarantines():
                     capture = self.store.captures.get(cap_keys[i])
-                    if capture is not None:
-                        replays.append((i, capture))
-                        continue
+            if capture is None:
                 to_run.append(i)
+            elif cell.machines:
+                settle(i, self._replay_here(cell, capture), "hit")
+            else:
+                settle(i, CellOutcome(cell, capture, "-", 0, 0.0, "ok"), "hit")
+            del capture
 
         if to_run:
             self._materialize(cells, to_run)
-            self._execute(cells, to_run, outcomes, cache_state, "replay")
+            ran: list[CellOutcome | None] = [None] * len(cells)
+            self._execute(cells, to_run, ran)
             for i in to_run:
-                oc = outcomes[i]
-                if oc is None:
-                    continue
-                if not oc.ok:
-                    outcomes[i] = replace(oc, capture="run")
-                    continue
-                profile, blob, meta = oc.profile
-                if meta.get("stacks"):
-                    merge_stacks(self.stack_counts, meta["stacks"])
-                outcomes[i] = replace(
-                    oc, profile=profile, capture="run", replay="run",
-                    stages=tuple(tuple(s) for s in meta["stages"]),
-                )
-                if keys[i] is not None:
-                    self.store.captures.put(cap_keys[i], blob)
-                    self._put_profiles(keys[i], entries[keys[i]], [(cells[i].machine, profile)])
+                oc, ran[i] = ran[i], None
+                if oc.ok:
+                    product, blob, meta = oc.profile
+                    if meta.get("stacks"):
+                        merge_stacks(self.stack_counts, meta["stacks"])
+                    if self.store is not None:
+                        self.store.captures.put(cap_keys[i], blob)
+                    elif not cells[i].machines:
+                        self._capture_memo[cap_keys[i]] = product
+                    oc = replace(oc, profile=product, stages=tuple(map(tuple, meta["stages"])))
+                settle(i, oc, "run")
 
-        for i, capture in replays:
-            cell = cells[i]
-            tracker = StageResourceTracker()
-            reg = metrics.MetricsRegistry()
-            started = time.perf_counter()
-            try:
-                with metrics.collector(reg):
-                    profile = replay_capture(capture, machine=cell.machine)
-            except Exception as exc:
-                outcomes[i] = CellOutcome(
-                    cell, None, cache_state, 1,
-                    time.perf_counter() - started, "failed",
-                    f"{type(exc).__name__}: {exc}",
-                    capture="hit", replay="run",
-                    start_s=self.trace.rel(started),
-                )
-                continue
-            duration = time.perf_counter() - started
-            res = _replay_resources(tracker, reg, cell.benchmark_id)
-            outcomes[i] = CellOutcome(
-                cell, profile, cache_state, 0, duration, "ok",
-                capture="hit", replay="run",
-                start_s=self.trace.rel(started),
-                stages=(("replay", 0.0, duration, res),),
+        width = max(map(len, served), default=0)
+        self._emit_spans([row[k] for k in range(width) for row in served if k < len(row)])
+        return served
+
+    def _replay_here(self, cell: _Cell, capture: TelemetryCapture, build: Any = None) -> CellOutcome:
+        """Replay ``capture`` on every config of ``cell.machines`` in this process.
+
+        The one parent-side replay (:func:`_replay`), for stored
+        captures and for :meth:`replay_run`.  A success holds one
+        profile per config and one ``replay`` stage with the replay's
+        resources; a failure holds the error, after one attempt.  The
+        cache state is left for the caller to set.
+        """
+        tracker = StageResourceTracker()
+        reg = metrics.MetricsRegistry()
+        started = time.perf_counter()
+        try:
+            with metrics.collector(reg):
+                profiles = _replay(capture, cell.machines, build)
+        except Exception as exc:
+            return CellOutcome(
+                cell, None, "-", 1, time.perf_counter() - started, "failed",
+                f"{type(exc).__name__}: {exc}", start_s=self.trace.rel(started),
             )
-            self._put_profiles(keys[i], entries[keys[i]], [(cell.machine, profile)])
-
-        done = [oc for oc in outcomes if oc is not None]
-        self._emit_spans(done)
-        return done
+        duration = time.perf_counter() - started
+        res = _replay_resources(tracker, reg, cell.benchmark_id)
+        return CellOutcome(
+            cell, profiles, "-", 0, duration, "ok", start_s=self.trace.rel(started),
+            stages=(("replay", 0.0, duration, res),),
+        )
 
     def _put_profiles(
         self,
         key: str,
         entry: ProfileEntry,
-        profiles: "list[tuple[MachineConfig | None, ExecutionProfile]]",
-        replay_mode: str | None = None,
+        profiles: "Iterable[tuple[MachineConfig | None, ExecutionProfile]]",
     ) -> None:
         """Add ``profiles`` to one capture's entry and write it once."""
         for machine, profile in profiles:
-            entry.add(machine, profile, replay_mode)
+            entry.add(machine, profile)
         self.cache.put(key, entry)
 
     def alberta_members(self, benchmark_id: str, base_seed: int) -> "list[Workload | AlbertaRef]":
@@ -723,33 +819,29 @@ class CharacterizationEngine:
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
-        cache_state: str,
-        mode: str,
     ) -> None:
         """Run the cache-missed cells, inline or pooled.
 
-        ``mode`` is forwarded to :func:`_run_cell`, which also encodes
-        each capture whenever this engine has a store to write it to;
-        successful outcomes carry its raw result triple in their
-        ``profile`` slot — callers unpack and re-tag with the stage
-        states they observed.  Every cell runs on its own workload
+        Each runs :func:`_run_cell`, which also encodes its capture
+        whenever this engine has a store to write it to; successful
+        outcomes carry its raw result triple in their ``profile`` slot
+        — callers unpack and re-tag with the cache and stage states
+        they observed.  Every cell runs on its own workload
         object, inline or pickled to a worker.  Benchmarks never mutate
         their payload, so the keys the caller computed from those
         objects before the run still match.
         """
         inline = self.timeout is None and (self.workers == 1 or len(pending) == 1)
         if inline:
-            self._execute_inline(cells, pending, outcomes, cache_state, mode)
+            self._execute_inline(cells, pending, outcomes)
         else:
-            self._execute_pool(cells, pending, outcomes, cache_state, mode)
+            self._execute_pool(cells, pending, outcomes)
 
     def _execute_inline(
         self,
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
-        cache_state: str,
-        mode: str,
     ) -> None:
         encode = self.store is not None
         for i in pending:
@@ -759,13 +851,13 @@ class CharacterizationEngine:
             while True:
                 attempts += 1
                 try:
-                    result = _run_cell(cell, attempts, mode, encode)
+                    result = _run_cell(cell, attempts, encode)
                 except Exception as exc:
                     if attempts <= self.retries:
                         self._backoff_sleep(attempts)
                         continue
                     outcomes[i] = CellOutcome(
-                        cell, None, cache_state, attempts,
+                        cell, None, "-", attempts,
                         time.perf_counter() - started, "failed",
                         f"{type(exc).__name__}: {exc}",
                         start_s=self.trace.rel(started),
@@ -774,7 +866,7 @@ class CharacterizationEngine:
                     # Inline cells recorded through this process's own
                     # collector stack already; no snapshot merge needed.
                     outcomes[i] = CellOutcome(
-                        cell, result, cache_state, attempts,
+                        cell, result, "-", attempts,
                         time.perf_counter() - started, "ok",
                         start_s=self.trace.rel(started),
                     )
@@ -785,8 +877,6 @@ class CharacterizationEngine:
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
-        cache_state: str,
-        mode: str,
     ) -> None:
         """Pool execution with per-cell timeout, retry, and pool recovery.
 
@@ -817,7 +907,7 @@ class CharacterizationEngine:
                 # process — merge the shipped snapshot here.
                 metrics.merge_snapshot(result[2]["metrics"])
             outcomes[i] = CellOutcome(
-                cells[i], result, cache_state, max(remaining[i], 1),
+                cells[i], result, "-", max(remaining[i], 1),
                 time.perf_counter() - first_seen[i], outcome, error,
                 start_s=self.trace.rel(first_seen[i]),
             )
@@ -839,7 +929,7 @@ class CharacterizationEngine:
             try:
                 for i in order:
                     remaining[i] += 1
-                    futures[i] = pool.submit(_run_cell, cells[i], remaining[i], mode, encode)
+                    futures[i] = pool.submit(_run_cell, cells[i], remaining[i], encode)
             except BrokenExecutor:  # pragma: no cover - instant bootstrap death
                 for i in order:
                     if i in remaining and i not in futures:
@@ -888,16 +978,14 @@ class CharacterizationEngine:
                 self._backoff_sleep(round_no)
 
         if remaining:
-            self._execute_isolated(cells, remaining, outcomes, cache_state, first_seen, mode)
+            self._execute_isolated(cells, remaining, outcomes, first_seen)
 
     def _execute_isolated(
         self,
         cells: list[_Cell],
         remaining: dict[int, int],
         outcomes: list[CellOutcome | None],
-        cache_state: str,
         first_seen: dict[int, float],
-        mode: str,
     ) -> None:
         """Run each surviving cell alone in a one-worker pool.
 
@@ -917,7 +1005,7 @@ class CharacterizationEngine:
                 outcome, error = "", ""
                 result: Any = None
                 try:
-                    fut = pool.submit(_run_cell, cell, attempt, mode, encode)
+                    fut = pool.submit(_run_cell, cell, attempt, encode)
                     result = fut.result(timeout=self.timeout)
                 except (FuturesTimeoutError, TimeoutError) as exc:
                     abandon = True
@@ -942,14 +1030,14 @@ class CharacterizationEngine:
                 if result is not None:
                     metrics.merge_snapshot(result[2]["metrics"])
                     outcomes[i] = CellOutcome(
-                        cell, result, cache_state, attempt,
+                        cell, result, "-", attempt,
                         time.perf_counter() - first_seen[i], "ok",
                         start_s=self.trace.rel(first_seen[i]),
                     )
                     del remaining[i]
                 elif attempt > self.retries:
                     outcomes[i] = CellOutcome(
-                        cell, None, cache_state, attempt,
+                        cell, None, "-", attempt,
                         time.perf_counter() - first_seen[i], outcome, error,
                         start_s=self.trace.rel(first_seen[i]),
                     )
@@ -1018,67 +1106,10 @@ class CharacterizationEngine:
 
     # --------------------------------------------------- stage-level APIs
 
-    def _captures(
-        self, cells: list[_Cell]
-    ) -> Iterator[tuple[int, TelemetryCapture | None, str, CellOutcome | None]]:
-        """Resolve the capture stage of ``cells``, one capture at a time.
-
-        Yields one ``(i, capture, state, run_outcome)`` tuple per cell
-        index ``i``: first every hit, each looked up just before it is
-        yielded, then the misses, executed as one batch (inline or
-        pooled) and yielded in ``cells`` order.  ``state`` is ``"hit"``
-        or ``"run"`` (the benchmark executed — successfully or not,
-        ``capture`` is ``None`` on failure); ``run_outcome`` carries
-        attempts/duration/error for ``"run"`` entries and is ``None``
-        for hits.  Emits no spans — callers decide how capture cost is
-        attributed (a sweep charges it to the first consuming cell).
-
-        With a store attached the store is the memo: a hit is decoded
-        from it, and an executed cell ships home its encoded bytes,
-        which are stored as they are.  So a consumer that drops each
-        capture before asking for the next holds one decoded capture at
-        a time.  Only a store-less engine keeps captures in
-        :attr:`_capture_memo`, because a repeat there would re-execute
-        the benchmark.
-        """
-        cap_keys = [capture_key(cell.benchmark_id, cell.workload) for cell in cells]
-        to_run: list[int] = []
-        for i, key in enumerate(cap_keys):
-            if self.store is None:
-                capture = self._capture_memo.get(key)
-            else:
-                # Closed before the yield, so the consumer's replay
-                # metrics stay out of the lookup's collector.
-                with self._counting_quarantines():
-                    capture = self.store.captures.get(key)
-            if capture is None:
-                to_run.append(i)
-            else:
-                yield i, capture, "hit", None
-        if not to_run:
-            return
-        self._materialize(cells, to_run)
-        scratch: list[CellOutcome | None] = [None] * len(cells)
-        self._execute(cells, to_run, scratch, "-", "capture")
-        for i in to_run:
-            oc, scratch[i] = scratch[i], None
-            if not oc.ok:
-                yield i, None, "run", oc
-                continue
-            capture, blob, meta = oc.profile
-            if meta.get("stacks"):
-                merge_stacks(self.stack_counts, meta["stacks"])
-            if self.store is None:
-                self._capture_memo[cap_keys[i]] = capture
-            else:
-                self.store.captures.put(cap_keys[i], blob)
-            stages = tuple(tuple(s) for s in meta["stages"])
-            yield i, capture, "run", replace(oc, profile=None, stages=stages)
-
     def capture_run(self, cells: list[_Cell]) -> list[CellOutcome]:
-        """Run only the capture stage; spans carry ``replay="-"``.
+        """Run only the capture stage of capture-only ``cells`` (no machines).
 
-        Successful outcomes hold the
+        Spans carry ``replay="-"``, and successful outcomes hold the
         :class:`~repro.machine.capture.TelemetryCapture` in their
         ``profile`` slot.  Captures are persisted to the capture store
         when one is attached and memoized in-process when none is, so
@@ -1086,13 +1117,7 @@ class CharacterizationEngine:
         a benchmark.  Under ``strict=True`` the first failed cell
         raises its :class:`CellFailure` after all spans are journaled.
         """
-        outcomes: list[Any] = [None] * len(cells)
-        for i, capture, _, run_oc in self._captures(cells):
-            if run_oc is None:
-                outcomes[i] = CellOutcome(cells[i], capture, "-", 0, 0.0, "ok", capture="hit")
-            else:
-                outcomes[i] = replace(run_oc, profile=capture, capture="run")
-        self._emit_spans(outcomes)
+        outcomes = [oc for (oc,) in self.run_cells(cells)]
         self._raise_first_failure(outcomes)
         return outcomes
 
@@ -1119,7 +1144,7 @@ class CharacterizationEngine:
         build_digest = build.digest() if build is not None else None
         if build_name is not None and build_digest is not None:
             self.builds_used[str(build_name)] = str(build_digest)
-        cell = _Cell(capture.benchmark, capture.workload, m, request.workload)
+        cell = _Cell(capture.benchmark, capture.workload, (m,), request.workload)
         key, entry = None, ProfileEntry()
         if self.store is not None and request.workload is not None:
             key = cache_key(capture.benchmark, request.workload, build=build_digest)
@@ -1134,36 +1159,13 @@ class CharacterizationEngine:
                 )
                 self._emit_spans([oc])
                 return oc
-        cache_state = "off" if self.store is None else ("miss" if key else "-")
-        tracker = StageResourceTracker()
-        reg = metrics.MetricsRegistry()
-        started = time.perf_counter()
-        try:
-            with metrics.collector(reg):
-                profile = replay_capture(
-                    capture,
-                    machine=m,
-                    cost_model=build.cost_model(m) if build is not None else None,
-                )
-        except Exception as exc:
-            oc = CellOutcome(
-                cell, None, cache_state, 1,
-                time.perf_counter() - started, "failed",
-                f"{type(exc).__name__}: {exc}",
-                replay="run", build=build_name,
-                start_s=self.trace.rel(started),
-            )
-        else:
-            duration = time.perf_counter() - started
-            res = _replay_resources(tracker, reg, capture.benchmark)
-            oc = CellOutcome(
-                cell, profile, cache_state, 1, duration, "ok",
-                replay="run", build=build_name,
-                start_s=self.trace.rel(started),
-                stages=(("replay", 0.0, duration, res),),
-            )
-            if key is not None:
-                self._put_profiles(key, entry, [(m, profile)], "per-config")
+        oc = self._replay_here(cell, capture, build)
+        oc = replace(
+            oc, profile=oc.profile[0] if oc.ok else None, attempts=1, replay="run",
+            cache="off" if self.store is None else ("miss" if key else "-"), build=build_name,
+        )
+        if oc.ok and key is not None:
+            self._put_profiles(key, entry, [(m, oc.profile)])
         self._emit_spans([oc])
         self._raise_first_failure([oc])
         return oc
@@ -1179,29 +1181,20 @@ class CharacterizationEngine:
     ) -> "tuple[list[BenchmarkCharacterization | None], list[CellOutcome]]":
         """Characterize one benchmark under N machine configs, capturing once.
 
-        The sweep-reuse guarantee: each workload's benchmark executes
-        at most once, however many machine configs are swept — every
-        config replays the same captured telemetry stream.  Capture
-        cost (attempts, duration) is charged to the first consuming
-        cell (``capture="run"``); later consumers report
-        ``capture="hit"``, so ``summary.captures`` equals the number
-        of real benchmark executions.  Stored captures are decoded and
-        replayed one workload at a time, before the misses execute as
-        one batch, so a warm sweep holds one decoded capture at a time.
-        With a store, the Alberta set's members come from the set store
-        (:meth:`alberta_members`), so a warm sweep generates nothing.
-
-        Replays additionally share *one pass* over the capture columns:
-        a workload with two or more pending configs replays them all
-        through :func:`~repro.machine.batch.replay_capture_batched`,
-        which is bit-identical to per-config replay; a workload with
-        one goes through :func:`~repro.machine.batch.replay_capture`.
-        Batched spans carry ``batched=True`` and cached profiles record
-        ``replay_mode="batched"`` provenance.
-
-        With a store, each workload's profile entry is read once for all
-        configs; the configs it lacks are replayed and the entry is
-        written once, holding its old members and the new ones.
+        One cell per workload carries every config (:meth:`run_cells`),
+        so the sweep-reuse guarantee holds by construction: each
+        workload's benchmark executes at most once, however many
+        configs are swept, and every config replays the same capture —
+        two or more in one :func:`~repro.machine.batch.
+        replay_capture_batched` pass, bit-identical to per-config
+        replay (spans carry ``batched=True``).  The capture's cost is
+        charged to the first config that replays it (``capture="run"``)
+        and later ones report ``capture="hit"``, so ``summary.captures``
+        equals the number of real benchmark executions.  With a store,
+        each workload's profile entry is read once for all configs and
+        written once, and the Alberta set's members come from the set
+        store (:meth:`alberta_members`), so a warm sweep generates
+        nothing.
 
         Returns one characterization per machine config, in ``machines``
         order (``None`` where no cell survived), plus the flat outcome
@@ -1209,7 +1202,7 @@ class CharacterizationEngine:
         failed cell raises its :class:`CellFailure` after spans are
         journaled.
         """
-        machines = list(machines)
+        machines = tuple(machines)
         if not machines:
             raise WorkloadError("characterize_sweep: need at least one machine config")
         _require_capability(benchmark_id, CAP_SWEEPABLE, stage="characterize_sweep")
@@ -1220,149 +1213,10 @@ class CharacterizationEngine:
         )
         if not wl:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
-        cache_state = "off" if self.store is None else "miss"
-
-        grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
-        keys: list[str | None] = [None] * len(wl)
-        entries = [ProfileEntry() for _ in wl]
-        # Pending cells grouped by workload: within one workload every
-        # config replays the same capture, so they share a single
-        # batched pass.  Members are in machine order, so the first
-        # member of each group is the cell the capture cost is charged to.
-        by_w: dict[int, list[tuple[int, _Cell]]] = {}
-        with self._counting_quarantines():
-            for wi, w in enumerate(wl):
-                if self.store is not None:
-                    looked_up = self.trace.now()
-                    keys[wi] = cache_key(benchmark_id, w)
-                    entries[wi] = self.cache.get(keys[wi], machines) or entries[wi]
-                for mi, m in enumerate(machines):
-                    cell = _Cell(benchmark_id, w.name, m, w)
-                    cached = entries[wi].profile(m)
-                    if cached is not None:
-                        grid[mi][wi] = CellOutcome(
-                            cell, cached, "hit", 0, 0.0, "ok", replay="hit",
-                            start_s=looked_up,
-                        )
-                        continue
-                    by_w.setdefault(wi, []).append((mi, cell))
-        need_w = sorted(by_w)
-
-        for k, capture, state, run_oc in self._captures(
-            [_Cell(benchmark_id, wl[wi].name, None, wl[wi]) for wi in need_w]
-        ):
-            wi = need_w[k]
-            members = by_w[wi]
-
-            def _charge(j: int) -> tuple[bool, int, float, tuple]:
-                fresh = state == "run" and j == 0
-                if fresh and run_oc is not None:
-                    return fresh, run_oc.attempts, run_oc.duration_s, run_oc.stages
-                return fresh, 0, 0.0, ()
-
-            if capture is None:
-                # Capture failed: every consumer of this workload fails
-                # with the capture's error; only the first is charged.
-                for j, (mi, cell) in enumerate(members):
-                    fresh, cap_attempts, cap_duration, _ = _charge(j)
-                    grid[mi][wi] = CellOutcome(
-                        cell, None, cache_state,
-                        max(1, cap_attempts), cap_duration,
-                        run_oc.outcome if run_oc is not None else "failed",
-                        run_oc.error if run_oc is not None else "capture failed",
-                        capture="run" if fresh else "-",
-                        start_s=run_oc.start_s if run_oc is not None else -1.0,
-                    )
-                continue
-
-            if len(members) > 1:
-                started = time.perf_counter()
-                try:
-                    profiles = replay_capture_batched(
-                        capture, [cell.machine for _, cell in members]
-                    )
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    batch_dur = time.perf_counter() - started
-                    for j, (mi, cell) in enumerate(members):
-                        fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                        cell_start = (
-                            run_oc.start_s
-                            if fresh and run_oc is not None and run_oc.start_s >= 0
-                            else self.trace.rel(started)
-                        )
-                        grid[mi][wi] = CellOutcome(
-                            cell, None, cache_state, max(1, cap_attempts),
-                            cap_duration + batch_dur, "failed", error,
-                            capture="run" if fresh else "hit", replay="run",
-                            start_s=cell_start, stages=cap_stages,
-                            batched=True,
-                        )
-                    continue
-                batch_dur = time.perf_counter() - started
-                per_dur = batch_dur / len(members)
-                for j, (mi, cell) in enumerate(members):
-                    fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                    cell_start = (
-                        run_oc.start_s
-                        if fresh and run_oc is not None and run_oc.start_s >= 0
-                        else self.trace.rel(started)
-                    )
-                    grid[mi][wi] = CellOutcome(
-                        cell, profiles[j], cache_state, cap_attempts,
-                        cap_duration + per_dur, "ok",
-                        capture="run" if fresh else "hit", replay="run",
-                        start_s=cell_start,
-                        stages=cap_stages
-                        + (("replay", self.trace.rel(started) - cell_start, per_dur),),
-                        batched=True,
-                    )
-                if keys[wi] is not None:
-                    self._put_profiles(
-                        keys[wi], entries[wi],
-                        [(cell.machine, p) for (_, cell), p in zip(members, profiles)],
-                        "batched",
-                    )
-                continue
-
-            ((mi, cell),) = members
-            fresh, cap_attempts, cap_duration, cap_stages = _charge(0)
-            tracker = StageResourceTracker()
-            reg = metrics.MetricsRegistry()
-            started = time.perf_counter()
-            if fresh and run_oc is not None and run_oc.start_s >= 0:
-                cell_start = run_oc.start_s
-            else:
-                cell_start = self.trace.rel(started)
-            try:
-                with metrics.collector(reg):
-                    profile = replay_capture(capture, machine=cell.machine)
-            except Exception as exc:
-                grid[mi][wi] = CellOutcome(
-                    cell, None, cache_state, max(1, cap_attempts),
-                    cap_duration + (time.perf_counter() - started), "failed",
-                    f"{type(exc).__name__}: {exc}",
-                    capture="run" if fresh else "hit", replay="run",
-                    start_s=cell_start, stages=cap_stages,
-                )
-                continue
-            replay_dur = time.perf_counter() - started
-            res = _replay_resources(tracker, reg, benchmark_id)
-            grid[mi][wi] = CellOutcome(
-                cell, profile, cache_state, cap_attempts,
-                cap_duration + replay_dur, "ok",
-                capture="run" if fresh else "hit", replay="run",
-                start_s=cell_start,
-                stages=cap_stages
-                + (("replay", self.trace.rel(started) - cell_start, replay_dur, res),),
-            )
-            if keys[wi] is not None:
-                self._put_profiles(keys[wi], entries[wi], [(cell.machine, profile)], "per-config")
-
-        flat = [oc for row in grid for oc in row]
-        self._emit_spans(flat)
+        by_workload = self.run_cells([_Cell(benchmark_id, w.name, machines, w) for w in wl])
+        grid = [list(row) for row in zip(*by_workload)]
         (chars,) = self._assemble([(benchmark_id, wl, grid)], keep_profiles=keep_profiles)
-        return chars, flat
+        return chars, [oc for row in grid for oc in row]
 
     # --------------------------------------------------- characterization
 
@@ -1403,8 +1257,8 @@ class CharacterizationEngine:
         for bid in ids:
             if not sets[bid]:
                 raise WorkloadError(f"characterize: empty workload set for {bid}")
-            cells += [_Cell(bid, w.name, self.machine, w) for w in sets[bid]]
-        outcomes = self.run_cells(cells)
+            cells += [_Cell(bid, w.name, (self.machine,), w) for w in sets[bid]]
+        outcomes = [oc for (oc,) in self.run_cells(cells)]
         per_bench = []
         cursor = 0
         for bid in ids:

@@ -342,7 +342,7 @@ class Session:
         """
         if workloads is None:
             workloads = self.engine.alberta_members(benchmark_id, base_seed)
-        cells = [_Cell(benchmark_id, w.name, None, w) for w in workloads]
+        cells = [_Cell(benchmark_id, w.name, (), w) for w in workloads]
         with self._collect():
             outcomes = self.engine.capture_run(cells)
         return [oc.profile if oc.ok else None for oc in outcomes]

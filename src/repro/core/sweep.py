@@ -10,8 +10,13 @@ config *names* travel with the configs:
   this JSON).
 * :class:`SweepRequest` — the whole sweep as one validated value:
   benchmark, grid, seed, and whether to keep per-workload profiles.
-  Its replays share one pass per workload
-  (:func:`~repro.machine.batch.replay_capture_batched`).
+  The engine runs it as one cell per workload holding every config of
+  the grid, through the same cell pipeline as Table II
+  (:meth:`~repro.core.engine.CharacterizationEngine.run_cells`), so
+  each workload executes at most once and the configs its profile
+  entry lacks share one replay pass
+  (:func:`~repro.machine.batch.replay_capture_batched`), in the worker
+  that captured it or, for a stored capture, in the parent.
 * :class:`ReplayRequest` — the single-replay counterpart for
   ``Session.replay`` (machine/build/workload).  Not serializable:
   ``build`` and ``workload`` are live objects.
@@ -157,9 +162,9 @@ class MachineGrid:
 class SweepRequest:
     """One machine-config sweep as a validated value.
 
-    Workloads with two or more pending replays take the one-pass
-    batched replay; a workload with one replays alone.  Results are
-    bit-identical either way.
+    A workload whose profile entry lacks two or more of the grid's
+    configs replays them in one batched pass; a workload that lacks
+    one replays it alone.  Results are bit-identical either way.
     """
 
     benchmark: str

@@ -228,7 +228,6 @@ class TestCommands:
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "  entries : 1\n  profiles: 0\n" in out
-        assert "  source  : 0 batched, 0 per-config, 0 unlabeled replays\n" in out
 
     def test_cache_info_counts_one_entry_per_capture(self, tmp_path, capsys):
         argv = ["sweep", "505.mcf_r", "--machines", "default,atom-like"]
@@ -236,7 +235,6 @@ class TestCommands:
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "  entries : 7\n  profiles: 14\n" in out
-        assert "  source  : 14 batched, 0 per-config, 0 unlabeled replays\n" in out
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     @pytest.mark.parametrize(

@@ -120,7 +120,7 @@ class TestInlineWorkloads:
         (cold, warm), files = runs[1]
         n = len(alberta_workloads("505.mcf_r"))
         assert (cold[1]["captures"], cold[1]["replays"], cold[1]["replays_batched"]) == (n, 2 * n, 2 * n)
-        assert (warm[1]["captures"], warm[1]["replay_hits"]) == (0, 2 * n)
+        assert (warm[1]["captures"], warm[1]["replays"], warm[1]["replay_hits"]) == (0, 0, 2 * n)
         assert warm[0] == cold[0]
         # A profile entry and a capture per workload, one set entry.
         assert len(files) == 2 * n + 1
@@ -203,7 +203,7 @@ class TestResultCache:
         assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w1)
         assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w0, build="b")
         entry = ProfileEntry()
-        entry.add(MachineConfig(width=2), "wide", None)
+        entry.add(MachineConfig(width=2), "wide")
         assert entry.profile(MachineConfig(width=2)) == "wide"
         assert entry.profile(None) is None and entry.profile(MachineConfig()) is None
 

@@ -286,6 +286,25 @@ class TestSweepReuse:
         assert len(store.captures) == 0
 
 
+class _Lifetimes:
+    """Wraps a factory; counts what it made and the most alive at once."""
+
+    def __init__(self, make):
+        self.make = make
+        self.made = self.alive = self.peak = 0
+
+    def __call__(self, *args, **kwargs):
+        obj = self.make(*args, **kwargs)
+        weakref.finalize(obj, self._release)
+        self.made += 1
+        self.alive += 1
+        self.peak = max(self.peak, self.alive)
+        return obj
+
+    def _release(self) -> None:
+        self.alive -= 1
+
+
 class TestCaptureLifetime:
     """With a store attached the store is the capture memo.
 
@@ -312,29 +331,24 @@ class TestCaptureLifetime:
         return shutil.copytree(captures_only, tmp_path / "store")
 
     def test_sweep_holds_at_most_two_decoded_captures(self, store, monkeypatch):
-        decode = artifacts.decode_capture
-        alive = peak = decoded = 0
-
-        def release() -> None:
-            nonlocal alive
-            alive -= 1
-
-        def counting_decode(blob):
-            nonlocal alive, peak, decoded
-            capture = decode(blob)
-            weakref.finalize(capture, release)
-            alive += 1
-            decoded += 1
-            peak = max(peak, alive)
-            return capture
-
-        monkeypatch.setattr(artifacts, "decode_capture", counting_decode)
+        decoded = _Lifetimes(artifacts.decode_capture)
+        monkeypatch.setattr(artifacts, "decode_capture", decoded)
         with Session(cache=store) as s:
             assert s.characterize_sweep(SweepRequest("505.mcf_r", self.GRID)).ok
             memoized = len(s.engine._capture_memo)
-        assert decoded == len(alberta_workloads("505.mcf_r"))
-        assert peak <= 2
+        assert decoded.made == len(alberta_workloads("505.mcf_r"))
+        assert decoded.peak <= 2
         assert memoized == 0
+
+    def test_cold_sweep_holds_at_most_one_executed_capture(self, tmp_path, monkeypatch):
+        """Each executed capture is replayed and encoded where it ran, and
+        dropped with its cell before the next cell executes."""
+        executed = _Lifetimes(TelemetryCapture.__dict__["from_probe"].__func__)
+        monkeypatch.setattr(TelemetryCapture, "from_probe", classmethod(executed))
+        with Session(workers=1, cache=ArtifactStore(tmp_path / "store")) as s:
+            assert s.characterize_sweep(SweepRequest("505.mcf_r", self.GRID)).ok
+        assert executed.made == len(alberta_workloads("505.mcf_r"))
+        assert executed.peak == 1
 
     def test_mixed_sweep_matches_a_store_less_one(self, store, tmp_path):
         for path in sorted((store / "capture").glob("*/*.bin"))[:2]:

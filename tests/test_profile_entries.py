@@ -80,18 +80,16 @@ def _blobs(root: Path) -> list[bytes]:
 # ------------------------------------------------------------ envelope
 
 
-def test_an_entry_round_trips_every_member_and_its_mode():
+def test_an_entry_round_trips_every_member():
     entry = decode_profiles(_refrate_entry())
-    ((profile, mode),) = entry.members.values()
-    assert mode is None  # a Table II cell
+    (profile,) = entry.members.values()
     assert entry.profile(None) is profile
     assert entry.profile(machine_preset("atom-like")) is None
-    entry.add(machine_preset("atom-like"), profile, "batched")
+    entry.add(machine_preset("atom-like"), profile)
     again = decode_profiles(encode_profiles(entry))
     assert list(again.members) == list(entry.members)
-    for digest, (p, m) in entry.members.items():
-        q, n = again.members[digest]
-        assert (profile_to_dict(q), n) == (profile_to_dict(p), m)
+    for digest, p in entry.members.items():
+        assert profile_to_dict(again.members[digest]) == profile_to_dict(p)
     assert encode_profiles(again) == encode_profiles(entry)
 
 
@@ -145,11 +143,10 @@ def test_no_single_digit_substitution_or_bit_flip_decodes():
     [
         lambda doc: doc.update(profiles={}),
         lambda doc: doc.update(format=2),
-        lambda doc: next(iter(doc["profiles"].values())).update(replay_mode="sampled"),
         lambda doc: next(iter(doc["profiles"].values())).pop("report"),
         lambda doc: doc.pop("verified"),
     ],
-    ids=["no-profiles", "format", "replay-mode", "no-report", "no-verified"],
+    ids=["no-profiles", "format", "no-report", "no-verified"],
 )
 def test_a_checked_body_that_is_not_an_entry_does_not_decode(change):
     doc = json.loads(_refrate_entry()[PREFIX:])
@@ -188,7 +185,7 @@ def test_table2_then_a_sweep_hits_one_member_and_writes_each_entry_once(
     assert reg.value(CACHE_EVENTS_TOTAL, store="profile", event="miss") == 7 * n
     assert sorted(writes) == sorted((cache_key(MCF, w), 8) for w in alberta_workloads(MCF))
     assert len(store.profiles) == n
-    assert sum(store.profiles.replay_modes().values()) == 8 * n
+    assert store.profiles.count_profiles() == 8 * n
 
 
 def test_a_quarantined_entry_replays_every_member_it_held(tmp_path):

@@ -17,7 +17,6 @@ try:
     from tests.test_golden_equivalence import assert_reports_identical
 except ImportError:  # running with tests/ itself on sys.path
     from test_golden_equivalence import assert_reports_identical
-from repro.core.cache import ResultCache
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.run import Session
 from repro.core.sweep import (
@@ -299,37 +298,3 @@ class TestSweepResultOrdering:
         assert result.profile_for("default") is result.characterizations[1]
         with pytest.raises(KeyError, match="no config named 'nope'"):
             result.profile_for("nope")
-
-
-class TestReplayModeProvenance:
-    def test_cache_envelopes_record_replay_mode(self, tmp_path):
-        n_workloads = len(alberta_workloads("519.lbm_r"))
-        batched, _, _ = _batched_sweep("519.lbm_r", tmp_path, TEST_GRID)
-        assert batched.ok
-        batched_modes = ResultCache(tmp_path / "519.lbm_r").replay_modes()
-        assert batched_modes["batched"] == len(TEST_GRID) * n_workloads
-        assert batched_modes["per-config"] == 0
-        # a workload with one pending config replays on its own
-        with Session(cache=tmp_path / "single") as s:
-            single = s.characterize_sweep(
-                SweepRequest(benchmark="519.lbm_r", grid=MachineGrid.from_presets("default"))
-            )
-        assert single.ok
-        single_modes = ResultCache(tmp_path / "single").replay_modes()
-        assert single_modes["batched"] == 0
-        assert single_modes["per-config"] == n_workloads
-
-    def test_profiles_round_trip_from_labeled_envelopes(self, tmp_path):
-        """A replay_mode-labeled cache entry must still deserialize."""
-        wl = _refrate("519.lbm_r")
-        with Session(cache=tmp_path / "store", trace=tmp_path / "cold.jsonl") as s:
-            cold = s.characterize_sweep(
-                SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
-            )
-        with Session(cache=tmp_path / "store", trace=tmp_path / "warm.jsonl") as s:
-            warm = s.characterize_sweep(
-                SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
-            )
-        assert summarize_trace(tmp_path / "warm.jsonl").replays == 0
-        for a, b in zip(cold.characterizations, warm.characterizations):
-            assert a.table2_row() == b.table2_row()
