@@ -7,8 +7,8 @@ implementation (``tests/_legacy_machine.py``) produces — same sampled
 stream, same predictions, same hit/miss sequences, same floating-point
 accumulation order.  Checked at the default event cap and at a forced
 small cap (which exercises decimation and the scalar dispatch paths),
-and for the default sweep grid's non-default cache and TLB geometries,
-which the reference builds its hierarchy from.
+and for the default sweep grid's non-default cache and TLB geometries
+and two smaller LLCs, which the reference builds its hierarchy from.
 """
 
 from __future__ import annotations

@@ -309,7 +309,8 @@ class TestCaptureLifetime:
     """With a store attached the store is the capture memo.
 
     A sweep over stored captures decodes and replays them one workload
-    at a time and keeps none of them; only a store-less engine memoizes
+    at a time and keeps none of them, and a cold sweep replays each
+    executed capture where it ran; only a store-less engine memoizes
     captures, because a repeat there would re-execute the benchmark.
     The stores here hold captures only, as the sweep benchmark's
     fixture does: with profiles stored, every cell would be a profile
