@@ -7,8 +7,9 @@ implementation (``tests/_legacy_machine.py``) produces — same sampled
 stream, same predictions, same hit/miss sequences, same floating-point
 accumulation order.  Checked at the default event cap and at a forced
 small cap (which exercises decimation and the scalar dispatch paths),
-and for the default sweep grid's non-default cache and TLB geometries
-and two smaller LLCs, which the reference builds its hierarchy from.
+for predictors wider than 16 table bits, and for the default sweep
+grid's non-default cache and TLB geometries and two smaller LLCs, which
+the reference builds its hierarchy from.
 """
 
 from __future__ import annotations
@@ -107,6 +108,42 @@ def test_small_cap_bit_identical(benchmark_id):
 def test_bimodal_bit_identical(benchmark_id):
     got, want = run_pair(benchmark_id, 1024, "bimodal")
     assert_reports_identical(got, want, f"{benchmark_id}/bimodal/cap=1024")
+
+
+#: Predictors wider than 16 table bits, where a table slot no longer
+#: fits 16 bits; 24 is the widest table ``MachineConfig`` allows.
+WIDE_PREDICTORS = (
+    MachineConfig(predictor_table_bits=20, predictor_history_bits=18),
+    MachineConfig(predictor_table_bits=24, predictor_history_bits=24),
+    MachineConfig(predictor="bimodal", predictor_table_bits=17),
+)
+
+
+@pytest.mark.parametrize("cap", [262144, 1024])
+@pytest.mark.parametrize(
+    "benchmark_id", ["502.gcc_r", "531.deepsjeng_r", "541.leela_r", "557.xz_r"]
+)
+def test_wide_predictors_bit_identical(benchmark_id, cap):
+    """Each wide predictor replayed alone, and all of them in one batch
+    with the default config, against the frozen reference."""
+    workload = fixed_workload(benchmark_id)
+    benchmark = get_benchmark(benchmark_id)
+    probe = Probe(event_cap=cap)
+    benchmark.run(workload, probe)
+    legacy_probe = legacy.LegacyProbe(event_cap=cap)
+    benchmark.run(workload, legacy_probe)
+    configs = [MachineConfig(), *WIDE_PREDICTORS]
+    batched = replay_columns(
+        configs, probe.methods(), probe.events.columns(), probe.sampling_stride
+    )
+    for config, got in zip(configs, batched):
+        want = legacy.legacy_evaluate(legacy_probe, config)
+        tag = (
+            f"{benchmark_id}/{config.predictor}-{config.predictor_table_bits}"
+            f"-{config.predictor_history_bits}/cap={cap}"
+        )
+        assert_reports_identical(got, want, f"{tag}/batched")
+        assert_reports_identical(CostModel(config).evaluate(probe), want, tag)
 
 
 #: The default sweep grid's sizings of the L1D, the dTLB and the LLC, and

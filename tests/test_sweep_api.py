@@ -238,8 +238,13 @@ class TestBranchSideHistoryDepths:
         capture = capture_execution(get_benchmark("505.mcf_r"), _refrate("505.mcf_r"))
         machines = [
             MachineConfig(predictor_table_bits=t, predictor_history_bits=h)
-            for t, h in ((12, 0), (12, 4), (12, 8), (14, 12), (16, 14), (16, 16))
-        ] + [MachineConfig(predictor="bimodal", predictor_table_bits=10)]
+            for t, h in (
+                (12, 0), (12, 4), (12, 8), (14, 12), (16, 14), (16, 16), (20, 18), (24, 24)
+            )
+        ] + [
+            MachineConfig(predictor="bimodal", predictor_table_bits=bits)
+            for bits in (10, 17)
+        ]
         for cfg, got in zip(machines, replay_capture_batched(capture, machines)):
             want = replay_capture(capture, machine=cfg)
             assert_reports_identical(
