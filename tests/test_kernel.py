@@ -271,6 +271,11 @@ class TestCounterScan:
 RUN_LENGTHS = (1, 2, 3, 4, 7)
 
 
+#: Slot column dtypes the replay passes (uint16 up to 16 table bits,
+#: uint32 above) and the int64 of any other caller.
+SLOT_DTYPES = (np.uint16, np.uint32, np.int64)
+
+
 @st.composite
 def counter_streams(draw):
     """``(idx, taken, table, groups, n_groups)`` for one table replay.
@@ -280,7 +285,9 @@ def counter_streams(draw):
     each slot's own order.  Shapes: runs of every length in
     :data:`RUN_LENGTHS`, strict alternation (all runs of 1), a single
     slot, and all-distinct slots (one event each).  Slots sit spread
-    over a table whose counters start anywhere in 0-3.
+    over a table whose counters start anywhere in 0-3.  The slot column
+    is drawn in each of :data:`SLOT_DTYPES`; the wider ones may spread
+    slots over more than 16 bits, and outcomes are bool or int64 0/1.
     """
     shape = draw(st.sampled_from(("runs", "alternating", "one slot", "distinct")))
     if shape == "distinct":
@@ -298,10 +305,14 @@ def counter_streams(draw):
             outcome ^= 1
         per_slot.append(seq)
     order = draw(st.permutations([s for s, seq in enumerate(per_slot) for _ in seq]))
-    stride = draw(st.integers(1, 3))
-    size = len(per_slot) * stride
-    table = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    cursor = [0] * len(per_slot)
+    slot_dtype = draw(st.sampled_from(SLOT_DTYPES))
+    strides = (1, 2, 3) if slot_dtype is np.uint16 else (1, 2, 3, 40_000)
+    stride = draw(st.sampled_from(strides))
+    n = len(per_slot)
+    # counters the stream never reaches must come back unchanged too
+    table = np.full(n * stride, draw(st.integers(0, 3)), dtype=np.uint8)
+    table[::stride] = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cursor = [0] * n
     idx, taken = [], []
     for s in order:
         idx.append(s * stride)
@@ -312,9 +323,9 @@ def counter_streams(draw):
         st.lists(st.integers(0, n_groups - 1), min_size=len(idx), max_size=len(idx))
     )
     return (
-        np.array(idx, dtype=np.int64),
-        np.array(taken, dtype=np.int64),
-        np.array(table, dtype=np.uint8),
+        np.array(idx, dtype=slot_dtype),
+        np.array(taken, dtype=draw(st.sampled_from((bool, np.int64)))),
+        table,
         np.array(groups, dtype=np.int64),
         n_groups,
     )
@@ -348,17 +359,21 @@ class TestCounterMissCounts:
 
 class TestGshareHistory:
     def test_matches_scalar_shift_register(self):
+        # every depth a MachineConfig allows, over streams shorter than,
+        # as long as and longer than the history, bool and int64
         rng = np.random.default_rng(7)
-        for _ in range(40):
-            n = int(rng.integers(1, 200))
-            bits = int(rng.integers(0, 13))
-            taken = rng.integers(0, 2, n).astype(np.int64)
-            got = gshare_history(taken, bits)
+        for bits in range(25):
             mask = (1 << bits) - 1
-            h = 0  # a fresh predictor's history
-            for i in range(n):
-                assert got[i] == h, f"event {i}"
-                h = ((h << 1) | int(taken[i])) & mask
+            for n in sorted({0, 1, 2, max(bits - 1, 0), bits, bits + 1, 3 * bits + 5, 200}):
+                for dtype in (bool, np.int64):
+                    taken = rng.integers(0, 2, n).astype(dtype)
+                    got = gshare_history(taken, bits)
+                    assert got.dtype == (np.uint16 if bits <= 16 else np.uint32)
+                    assert got.size == n
+                    h = 0  # a fresh predictor's history
+                    for i in range(n):
+                        assert got[i] == h, f"{bits} bits, n={n}, event {i}"
+                        h = ((h << 1) | int(taken[i])) & mask
 
     def test_deeper_column_masked_is_the_shallower_column(self):
         # From history 0, a shallower predictor's history is the low
@@ -366,7 +381,7 @@ class TestGshareHistory:
         rng = np.random.default_rng(9)
         for _ in range(60):
             n = int(rng.integers(0, 200))
-            deep = int(rng.integers(0, 17))
+            deep = int(rng.integers(0, 25))
             shallow = int(rng.integers(0, deep + 1))
             taken = rng.integers(0, 2, n).astype(np.int64)
             masked = gshare_history(taken, deep) & ((1 << shallow) - 1)
