@@ -321,19 +321,25 @@ def _branch_miss_rows(
 ) -> list[np.ndarray]:
     """Per-signature, per-method mispredict counts of fresh predictors.
 
-    Fresh predictors start from history 0, so the low ``h`` bits of the
-    deepest gshare history column in the grid are exactly the
-    ``h``-bit column: one column serves every signature.
+    Slots are built on the narrowest column that holds them: ``pc`` is
+    masked to the widest table once, uint16 up to 16 table bits and
+    uint32 above, and each signature XORs in its history and masks to
+    its own table in that dtype.  Fresh predictors start from history
+    0, so the low ``h`` bits of the deepest gshare history column in
+    the grid are exactly the ``h``-bit column: one column serves every
+    signature.  ``tak`` is the bool outcome column.
     """
+    widest = max(tbits for _kind, tbits, _h in sigs)
+    pc = (pc & ((1 << widest) - 1)).astype(np.uint16 if widest <= 16 else np.uint32)
     deepest = max((h for kind, _t, h in sigs if kind == "gshare"), default=0)
     hist = gshare_history(tak, deepest) if deepest else None
     rows: list[np.ndarray] = []
     for kind, tbits, hbits in sigs:
-        mask = (1 << tbits) - 1
+        idx = pc
         if kind == "gshare" and hbits:
-            idx = (pc ^ (hist & ((1 << hbits) - 1))) & mask
-        else:
-            idx = pc & mask
+            idx = pc ^ (hist if hbits == deepest else hist & ((1 << hbits) - 1))
+        if tbits < widest:
+            idx = idx & ((1 << tbits) - 1)
         # fresh predictors: every counter starts weakly not-taken (1)
         table = np.full(1 << tbits, 1, dtype=np.uint8)
         rows.append(counter_miss_counts(idx, tak, table, b_midx, nm))
@@ -744,7 +750,7 @@ def replay_columns(
     if branch_sel.any():
         b_midx = midx[branch_sel]
         pc = a_col[branch_sel]
-        tak = (b_col[branch_sel] != 0).astype(np.int64)
+        tak = b_col[branch_sel] != 0
         branches = np.bincount(b_midx, minlength=nm)
         mis_rows = _branch_miss_rows(sigs, pc, tak, b_midx, nm)
 

@@ -557,15 +557,27 @@ def lru_filter(
     return out
 
 
-def _build_counter_luts() -> tuple[np.ndarray, np.ndarray]:
-    """Composition / evaluation tables for canonical 2-bit clip codes.
+def _build_counter_luts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of the counter scan, over canonical 2-bit clip codes.
 
     On the domain {0..3} every update function is ``x -> min(hi,
     max(lo, x + d))`` with ``lo, hi`` in [0, 3] and ``d`` in [-3, 3]
     (a shift beyond the window acts saturated), so each function packs
-    into a 7-bit code ``(d + 3) * 16 + lo * 4 + hi``.  The family is
-    closed under composition; tabulating it turns the whole segmented
-    prefix scan into one uint8 gather per round.
+    into a 7-bit code ``(d + 3) * 16 + lo * 4 + hi``; the constant
+    function ``v`` packs into ``21 * v``.  Returns three uint8 tables:
+
+    * ``compose[f, g]`` — the code of ``g`` applied after ``f``.  The
+      family is closed under composition, so one round of the prefix
+      scan is one gather.
+    * ``run_code[t << 2 | k]`` — a run of ``k`` outcomes ``t``, ``k``
+      at most 3: ``k`` takens are ``min(3, s + k)``, ``k`` not-takens
+      ``max(0, s - k)``, and a run of three or more saturates, so it
+      is the constant ``3 * t``.
+    * ``run_misses[t << 2 | k, c]`` — how many of that run's first
+      events mispredict when it is entered in the state of constant
+      code ``c``: a taken run entered at ``x`` mispredicts its first
+      ``max(0, 2 - x)`` events, a not-taken run its first
+      ``max(0, x - 1)``, so at most two.
     """
     codes = np.arange(112, dtype=np.int64)
     d = codes // 16 - 3
@@ -587,10 +599,19 @@ def _build_counter_luts() -> tuple[np.ndarray, np.ndarray]:
         np.take_along_axis(h, ramp[:, :, None], axis=2)[:, :, 0] - ramp,
     )
     compose = ((d_c + 3) * 16 + h0 * 4 + h3).astype(np.uint8)
-    return compose.ravel(), val.astype(np.uint8).ravel()
+
+    run_code = np.zeros(8, dtype=np.uint8)
+    run_misses = np.zeros((8, 112), dtype=np.uint8)
+    entered = val[:, 0]  # the state of a constant code
+    for k in (1, 2, 3):
+        run_code[4 | k] = 63 if k == 3 else (k + 3) * 16 + k * 4 + 3
+        run_code[k] = (3 - k) * 17
+        run_misses[4 | k] = np.clip(2 - entered, 0, k)
+        run_misses[k] = np.clip(entered - 1, 0, k)
+    return compose, run_code, run_misses
 
 
-_COMPOSE_LUT, _EVAL_LUT = _build_counter_luts()
+_COMPOSE_LUT, _RUN_CODE, _RUN_MISSES = _build_counter_luts()
 
 
 def counter_miss_counts(
@@ -602,81 +623,89 @@ def counter_miss_counts(
 ) -> np.ndarray:
     """Replay 2-bit saturating counters; returns mispredicts per group.
 
-    ``idx`` is the table slot per event, ``taken`` the outcome (0/1),
-    ``table`` the uint8 counter table updated in place, and ``groups``
-    each event's group (the replay passes the method index); returns
-    ``n_groups`` int64 counts.  A taken update is
-    ``s -> min(3, s + 1)``, not-taken is ``s -> max(0, s - 1)``; both
-    are clip functions, and that family is closed under composition, so
-    each slot's event run reduces by a segmented parallel-prefix scan.
+    ``idx`` is the table slot per event (uint16, or any wider integer
+    type), ``taken`` the outcome (bool or 0/1), ``table`` the uint8
+    counter table updated in place, and ``groups`` each event's group
+    (the replay passes the method index); returns ``n_groups`` int64
+    counts.  A taken update is ``s -> min(3, s + 1)``, not-taken is
+    ``s -> max(0, s - 1)``; both are clip functions, and that family is
+    closed under composition, so each slot's event run reduces by a
+    segmented parallel-prefix scan.
 
-    Three structural facts make the scan cheap.  A run of ``k``
-    same-direction outcomes is itself one clip function (``k`` takens
-    are ``min(3, s + min(k, 3))``), so the scan runs over outcome
-    *runs*, not events, and every clip function canonicalizes to a
-    7-bit code (:func:`_build_counter_luts`), so one composition is one
-    table gather.  A run of 3 or more is a constant function (it
-    saturates from any state), so it absorbs everything before it and
-    the scan restarts there.  And a taken-run entered at state ``x``
-    mispredicts exactly its first ``max(0, 2 - x)`` events, a
-    not-taken-run its first ``max(0, x - 1)``: at most its first two,
-    so the mispredicted events are gathered from run starts, and only
-    they are counted: no per-event flag array is built.
+    Events are grouped by slot in a stable order: a uint16 slot column
+    goes straight to NumPy's stable argsort, which is a radix sort, and
+    wider ones through :func:`_stable_order`.  Three structural facts
+    then make the scan cheap.  A run of ``k`` same-direction outcomes
+    is itself one clip function, so the scan runs over outcome *runs*,
+    not events, and every clip function is a 7-bit code
+    (:func:`_build_counter_luts`), so a run's code is one lookup by
+    (outcome, ``min(k, 3)``) and one composition is one table gather.
+    A run of 3 or more saturates, so it is a constant function that
+    absorbs everything before it and the scan restarts there; each
+    slot's first run is composed after the constant of its table
+    counter, so every scanned prefix is a constant, the state after
+    its run.  And a run mispredicts at most its first two events, a
+    count that one table gives from the run's lookup index and the
+    state it is entered in, so the mispredicted events are gathered
+    from run starts and no per-event flag array is built.
     """
     n = idx.size
     if n == 0:
         return np.zeros(n_groups, dtype=np.int64)
-    order = _stable_order(idx)
+    if idx.dtype == np.uint16:
+        order = np.argsort(idx, kind="stable")
+    else:
+        order = _stable_order(np.asarray(idx, dtype=np.int64))
     sidx = idx[order]
-    tk = taken[order] != 0
+    tk = np.asarray(taken, dtype=bool)[order]
 
     head = np.empty(n, dtype=bool)
     head[0] = True
-    head[1:] = sidx[1:] != sidx[:-1]
+    np.not_equal(sidx[1:], sidx[:-1], out=head[1:])
 
     # Run-length compress: consecutive same-outcome events in one slot.
     rb = head.copy()
     rb[1:] |= tk[1:] != tk[:-1]
     run_start = np.flatnonzero(rb)
     r = run_start.size
-    run_len = np.empty(r, dtype=np.int64)
-    run_len[:-1] = np.diff(run_start)
-    run_len[-1] = n - run_start[-1]
-    run_tak = tk[run_start]
+    # (outcome, min(length, 3)) per run, the index of the run tables
+    kt = np.minimum(np.diff(run_start, append=n), 3).astype(np.uint8)
+    kt |= tk[run_start].view(np.uint8) << 2
+    code = _RUN_CODE[kt]
     run_head = head[run_start]  # first run of its slot segment
 
-    # Canonical codes per run (see _build_counter_luts for the packing).
-    k3 = np.minimum(run_len, 3)
-    code = np.where(run_tak, (k3 + 3) * 16 + k3 * 4 + 3, (3 - k3) * 17)
+    # A slot's counter enters its first run as the constant 21 * state.
+    heads = np.flatnonzero(run_head)
+    slots = sidx[run_start[heads]]
+    entry = table[slots] * np.uint8(21)
+    code[heads] = _COMPOSE_LUT[entry, code[heads]]
 
     # Segmented Hillis-Steele over runs, restarting at every slot head
     # and every saturating run; active sets are nested, so each pass
     # filters the shrinking index list instead of rescanning.
     rpos = np.arange(r, dtype=np.int64)
-    restart = run_head | (k3 == 3)
+    restart = run_head | ((kt & 3) == 3)
     rrun = rpos - np.maximum.accumulate(np.where(restart, rpos, 0))
-    active = np.flatnonzero(rrun >= 1)
+    active = np.flatnonzero(rrun)
     shift = 1
     while active.size:
-        code[active] = _COMPOSE_LUT[code[active - shift] * 112 + code[active]]
+        code[active] = _COMPOSE_LUT[code[active - shift], code[active]]
         shift <<= 1
         active = active[rrun[active] >= shift]
 
-    # Entry state of each run: the segment's initial counter pushed
-    # through the previous runs' composed function.
-    c0 = table[sidx[run_start]].astype(np.int64)  # constant per segment
-    x_before = c0.copy()
-    inner = ~run_head
-    x_before[inner] = _EVAL_LUT[code[np.flatnonzero(inner) - 1] * 4 + c0[inner]]
+    # Each code is now the constant state after its run, which is the
+    # state the slot's next run is entered in.
+    before = np.empty(r, dtype=np.uint8)
+    before[1:] = code[:-1]
+    before[heads] = entry
+    misses = _RUN_MISSES[kt, before]
+    first = run_start[misses > 0]
+    second = run_start[misses > 1] + 1
 
-    thresh = np.where(run_tak, 2 - x_before, x_before - 1)
-    first = run_start[thresh >= 1]
-    second = run_start[(thresh >= 2) & (run_len >= 2)] + 1
-
-    last = np.empty(r, dtype=bool)
-    last[:-1] = run_head[1:]
-    last[-1] = True
-    table[sidx[run_start[last]]] = _EVAL_LUT[code[last] * 4 + c0[last]]
+    last = np.empty_like(heads)
+    last[:-1] = heads[1:] - 1
+    last[-1] = r - 1
+    table[slots] = code[last] // 21
     missed = order[np.concatenate([first, second])]
     return np.bincount(groups[missed], minlength=n_groups)
 
@@ -686,10 +715,22 @@ def gshare_history(taken: np.ndarray, history_bits: int) -> np.ndarray:
 
     ``history`` before event ``i`` packs outcomes ``i-1, i-2, ...`` into
     the low bits, starting from the empty history a fresh predictor
-    has; each bit position is one shifted slice of the outcome column.
+    has; ``taken`` is bool or 0/1.  Built by doubling: the one-bit
+    column is the outcome column shifted one event, and a ``w``-bit
+    column ORed with itself ``w`` events earlier, shifted up ``w``
+    bits, is the ``2w``-bit column (the last round adds only the bits
+    still missing), so ``h`` bits take ``ceil(log2 h)`` passes.  The
+    column is uint16 up to 16 bits and uint32 above (``MachineConfig``
+    allows 24).
     """
     n = taken.size
-    h = np.zeros(n, dtype=np.int64)
-    for bit in range(min(history_bits, n - 1) if n > 1 else 0):
-        h[bit + 1 :] |= taken[: n - 1 - bit] << bit
+    h = np.zeros(n, dtype=np.uint16 if history_bits <= 16 else np.uint32)
+    if history_bits and n > 1:
+        h[1:] = taken[:-1]
+        width = 1
+        while width < min(history_bits, n - 1):
+            grow = min(width, history_bits - width)
+            older = h[:-width] if grow == width else h[:-width] & ((1 << grow) - 1)
+            h[width:] |= older << width
+            width += grow
     return h
