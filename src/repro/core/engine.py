@@ -89,7 +89,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..machine.batch import replay_capture, replay_capture_batched
 from ..machine.capture import TelemetryCapture, capture_execution
@@ -552,9 +552,10 @@ class CharacterizationEngine:
            (:meth:`_execute`): each captures, replays every missing
            config and encodes where it runs, so only profiles and
            bytes come home.
-        3. What comes home is written to the store; without one, a
-           capture-only cell's capture is memoized.  Profiles never
-           enter the memo.
+        3. What comes home is written to the store as each executed
+           cell settles, so an interrupted pass keeps every cell that
+           settled before it; without a store, a capture-only cell's
+           capture is memoized.  Profiles never enter the memo.
         4. Each profile entry is written once, holding the members it
            was read with and the new ones.  Cells that share an entry
            share one :class:`ProfileEntry`, so a later write keeps an
@@ -596,8 +597,20 @@ class CharacterizationEngine:
             state = "-" if not cell.machines else "off" if self.store is None else "miss"
             outcomes = iter(_fan_out(replace(oc, cache=state), capture))
             served[i] = [slot or next(outcomes) for slot in served[i]]
-            if keys[i] is not None and oc.ok:
-                self._put_profiles(keys[i], entries[keys[i]], zip(cell.machines, oc.profile))
+
+        def put_profiles(i: int, profiles: "list[ExecutionProfile]") -> None:
+            if keys[i] is not None:
+                self._put_profiles(keys[i], entries[keys[i]], zip(cells[i].machines, profiles))
+
+        def store_executed(i: int, oc: CellOutcome) -> None:
+            if not oc.ok:
+                return
+            product, blob, _meta = oc.profile
+            if self.store is not None:
+                self.store.captures.put(cap_keys[i], blob)
+            elif not cells[i].machines:
+                self._capture_memo[cap_keys[i]] = product
+            put_profiles(i, product)
 
         cap_keys: dict[int, str] = {}
         to_run: list[int] = []
@@ -612,7 +625,10 @@ class CharacterizationEngine:
             if capture is None:
                 to_run.append(i)
             elif cell.machines:
-                settle(i, self._replay_here(cell, capture), "hit")
+                oc = self._replay_here(cell, capture)
+                if oc.ok:
+                    put_profiles(i, oc.profile)
+                settle(i, oc, "hit")
             else:
                 settle(i, CellOutcome(cell, capture, "-", 0, 0.0, "ok"), "hit")
             del capture
@@ -620,17 +636,13 @@ class CharacterizationEngine:
         if to_run:
             self._materialize(cells, to_run)
             ran: list[CellOutcome | None] = [None] * len(cells)
-            self._execute(cells, to_run, ran)
+            self._execute(cells, to_run, ran, store_executed)
             for i in to_run:
                 oc, ran[i] = ran[i], None
                 if oc.ok:
-                    product, blob, meta = oc.profile
+                    product, _blob, meta = oc.profile
                     if meta.get("stacks"):
                         merge_stacks(self.stack_counts, meta["stacks"])
-                    if self.store is not None:
-                        self.store.captures.put(cap_keys[i], blob)
-                    elif not cells[i].machines:
-                        self._capture_memo[cap_keys[i]] = product
                     oc = replace(oc, profile=product, stages=tuple(map(tuple, meta["stages"])))
                 settle(i, oc, "run")
 
@@ -819,6 +831,7 @@ class CharacterizationEngine:
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
+        settled: "Callable[[int, CellOutcome], None]",
     ) -> None:
         """Run the cache-missed cells, inline or pooled.
 
@@ -826,22 +839,27 @@ class CharacterizationEngine:
         whenever this engine has a store to write it to; successful
         outcomes carry its raw result triple in their ``profile`` slot
         — callers unpack and re-tag with the cache and stage states
-        they observed.  Every cell runs on its own workload
-        object, inline or pickled to a worker.  Benchmarks never mutate
-        their payload, so the keys the caller computed from those
-        objects before the run still match.
+        they observed.  ``settled(i, outcome)`` is called as soon as
+        cell ``i``'s outcome is final (after each inline cell, and at
+        harvest in the pool and in isolation), so the caller can store
+        it before the next cell settles; ``outcomes`` keeps it as is.
+        Every cell runs on its own workload object, inline or pickled
+        to a worker.  Benchmarks never mutate their payload, so the
+        keys the caller computed from those objects before the run
+        still match.
         """
         inline = self.timeout is None and (self.workers == 1 or len(pending) == 1)
         if inline:
-            self._execute_inline(cells, pending, outcomes)
+            self._execute_inline(cells, pending, outcomes, settled)
         else:
-            self._execute_pool(cells, pending, outcomes)
+            self._execute_pool(cells, pending, outcomes, settled)
 
     def _execute_inline(
         self,
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
+        settled: "Callable[[int, CellOutcome], None]",
     ) -> None:
         encode = self.store is not None
         for i in pending:
@@ -870,6 +888,7 @@ class CharacterizationEngine:
                         time.perf_counter() - started, "ok",
                         start_s=self.trace.rel(started),
                     )
+                settled(i, outcomes[i])
                 break
 
     def _execute_pool(
@@ -877,6 +896,7 @@ class CharacterizationEngine:
         cells: list[_Cell],
         pending: list[int],
         outcomes: list[CellOutcome | None],
+        settled: "Callable[[int, CellOutcome], None]",
     ) -> None:
         """Pool execution with per-cell timeout, retry, and pool recovery.
 
@@ -912,6 +932,7 @@ class CharacterizationEngine:
                 start_s=self.trace.rel(first_seen[i]),
             )
             del remaining[i]
+            settled(i, outcomes[i])
 
         def fail_or_requeue(i: int, outcome: str, error: str) -> None:
             if remaining[i] > self.retries:
@@ -978,7 +999,7 @@ class CharacterizationEngine:
                 self._backoff_sleep(round_no)
 
         if remaining:
-            self._execute_isolated(cells, remaining, outcomes, first_seen)
+            self._execute_isolated(cells, remaining, outcomes, first_seen, settled)
 
     def _execute_isolated(
         self,
@@ -986,6 +1007,7 @@ class CharacterizationEngine:
         remaining: dict[int, int],
         outcomes: list[CellOutcome | None],
         first_seen: dict[int, float],
+        settled: "Callable[[int, CellOutcome], None]",
     ) -> None:
         """Run each surviving cell alone in a one-worker pool.
 
@@ -1035,6 +1057,7 @@ class CharacterizationEngine:
                         start_s=self.trace.rel(first_seen[i]),
                     )
                     del remaining[i]
+                    settled(i, outcomes[i])
                 elif attempt > self.retries:
                     outcomes[i] = CellOutcome(
                         cell, None, "-", attempt,
@@ -1042,6 +1065,7 @@ class CharacterizationEngine:
                         start_s=self.trace.rel(first_seen[i]),
                     )
                     del remaining[i]
+                    settled(i, outcomes[i])
                 else:
                     self._backoff_sleep(attempt)
 

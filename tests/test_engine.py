@@ -21,12 +21,13 @@ from repro.core.cache import (
     ProfileEntry,
     ResultCache,
     cache_key,
+    capture_key,
     payload_digest,
     profile_from_dict,
     profile_to_dict,
 )
 from repro.core.characterize import characterize, characterize_suite
-from repro.core.engine import CharacterizationEngine, default_workers
+from repro.core.engine import CharacterizationEngine, _run_cell, default_workers
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.run import Session
 from repro.core.metrics import CACHE_EVENTS_TOTAL, CACHE_IO_BYTES_TOTAL
@@ -35,6 +36,19 @@ from repro.machine.profiler import Profiler
 
 # Cheap benchmarks exercised by the fast (tier-1) tests.
 FAST_IDS = ("505.mcf_r", "557.xz_r")
+
+#: Workload names whose cells :func:`_interrupting_run_cell` interrupts;
+#: forked pool workers inherit it.
+INTERRUPT_AT: set = set()
+
+
+def _interrupting_run_cell(cell, attempt=1, encode=False):
+    """The engine's cell entry point, raising ``KeyboardInterrupt`` for
+    the cells named in :data:`INTERRUPT_AT` (module level, so a pool can
+    pickle it)."""
+    if cell.workload_name in INTERRUPT_AT:
+        raise KeyboardInterrupt
+    return _run_cell(cell, attempt, encode)
 
 
 class TestParallelEquivalence:
@@ -124,6 +138,42 @@ class TestInlineWorkloads:
         assert warm[0] == cold[0]
         # A profile entry and a capture per workload, one set entry.
         assert len(files) == 2 * n + 1
+
+
+class TestInterruptedPass:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_settled_before_an_interrupt_stay_stored(
+        self, workers, tmp_path, monkeypatch
+    ):
+        """A cold pass stores each executed cell's capture and profile
+        entry as the cell settles, so when the third cell is interrupted
+        the first two are kept, inline or pooled (the pool harvests in
+        cell order), and a rerun executes only the rest."""
+        from repro.core import engine
+
+        bid = "505.mcf_r"
+        members = alberta_workloads(bid)
+        root = tmp_path / "store"
+        monkeypatch.setattr(engine, "_run_cell", _interrupting_run_cell)
+        INTERRUPT_AT.add(members[2].name)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                with Session(workers=workers, cache=ArtifactStore(root)) as s:
+                    s.characterize_suite(ids=[bid])
+        finally:
+            INTERRUPT_AT.clear()
+        monkeypatch.undo()
+
+        store = ArtifactStore(root)
+        kept = [
+            store.captures.get(capture_key(bid, w)) is not None
+            and store.profiles.get(cache_key(bid, w)) is not None
+            for w in members
+        ]
+        assert kept == [True, True] + [False] * (len(members) - 2)
+        with Session(workers=workers, cache=ArtifactStore(root)) as s:
+            s.characterize_suite(ids=[bid])
+        assert (s.summary.captures, s.summary.cache_hits) == (len(members) - 2, 2)
 
 
 class TestResultCache:
