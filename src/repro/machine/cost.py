@@ -32,7 +32,9 @@ one:
   :func:`~repro.machine.kernel.counter_miss_counts` scan, which returns
   per-method mispredict counts.  One gshare history column, at the
   deepest history in the grid, serves every signature, masked to its
-  depth.
+  depth.  Slots are uint16 up to 16 table bits (uint32 above) and
+  outcomes bool, so the scan runs on the narrowest columns that hold
+  them.
 * **memory side** — data accesses go through the closed-form LRU
   filters (:func:`~repro.machine.kernel.lru_filter`) level by level;
   instruction-fetch bursts are deduplicated to unique

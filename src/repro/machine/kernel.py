@@ -10,7 +10,11 @@ admit exact reformulations that vectorize:
   family is closed under composition, so a whole outcome stream per
   table slot collapses to one composed function via an associative
   (segmented, Hillis-Steele) parallel-prefix scan —
-  :func:`counter_miss_counts` returns per-group mispredict counts.
+  :func:`counter_miss_counts` returns per-group mispredict counts.  It
+  runs on narrow columns (uint16 slots group by a radix sort, bool
+  outcomes, uint8 function codes), and every step past the grouping is
+  a lookup in a small table.  :func:`gshare_history` builds the history
+  column by doubling.
 
 * **LRU hit/miss** is a stack-distance test: an access hits iff fewer
   than ``associativity`` distinct lines touched its set since the
