@@ -610,16 +610,23 @@ def _mem_replay_batched(
     return states
 
 
+#: The exact per-method counters the accounting reads, in its order.
+_EXACT_FIELDS = ("int_ops", "fp_ops", "fpdiv_ops", "branches", "loads", "stores", "calls")
+
+
 def _account(
     cfg: MachineConfig,
     methods: Sequence[MethodCounters],
+    exact: "tuple[np.ndarray, ...]",
     rep: "dict[str, np.ndarray]",
 ) -> tuple[dict[str, MethodCost], TopDownVector, CoverageProfile, float, float, float]:
     """Turn per-method replay tallies into the cycle accounting.
 
-    ``rep`` maps each replay tally (``branches``, ``mispredicts``,
-    ``data``, ``d_l2``, ``d_llc``, ``d_mem``, ``d_tlb``, ``calls``,
-    ``c_l2``, ``c_llc``, ``c_mem``) to a per-method array.  Vectorized over methods; every elementwise expression
+    ``exact`` holds the methods' :data:`_EXACT_FIELDS` counters as int64
+    arrays, built once per replay for every config.  ``rep`` maps each
+    replay tally (``branches``, ``mispredicts``, ``data``, ``d_l2``,
+    ``d_llc``, ``d_mem``, ``d_tlb``, ``calls``, ``c_l2``, ``c_llc``,
+    ``c_mem``) to a per-method array.  Vectorized over methods; every elementwise expression
     mirrors the historical scalar accounting operation-for-operation so
     exact-replay results stay bit-identical (int64 inputs convert to
     float64 at the same points the historical path converted them, and
@@ -629,13 +636,7 @@ def _account(
     branch_misprediction_rate)``.
     """
     nm = len(methods)
-    mc_int = np.array([mc.int_ops for mc in methods], dtype=np.int64)
-    mc_fp = np.array([mc.fp_ops for mc in methods], dtype=np.int64)
-    mc_fpdiv = np.array([mc.fpdiv_ops for mc in methods], dtype=np.int64)
-    mc_br = np.array([mc.branches for mc in methods], dtype=np.int64)
-    mc_ld = np.array([mc.loads for mc in methods], dtype=np.int64)
-    mc_st = np.array([mc.stores for mc in methods], dtype=np.int64)
-    mc_calls = np.array([mc.calls for mc in methods], dtype=np.int64)
+    mc_int, mc_fp, mc_fpdiv, mc_br, mc_ld, mc_st, mc_calls = exact
 
     rep_br = rep["branches"]
     rep_mis = rep["mispredicts"]
@@ -683,18 +684,12 @@ def _account(
         / cfg.mlp
     )
 
-    per_method: dict[str, MethodCost] = {}
-    for i, mc in enumerate(methods):
-        per_method[mc.name] = MethodCost(
-            name=mc.name,
-            uops=float(uops[i]),
-            retiring_cycles=float(retiring[i]),
-            bad_spec_cycles=float(bad_spec[i]),
-            frontend_cycles=float(frontend[i]),
-            backend_cycles=float(backend[i]),
-            est_mispredicts=float(est_mispredicts[i]),
-            est_data_misses=float(est_data_misses[i]),
-        )
+    # one float list per field, in MethodCost's field order
+    rows = zip(*(
+        np.asarray(col, dtype=np.float64).tolist()
+        for col in (uops, retiring, bad_spec, frontend, backend, est_mispredicts, est_data_misses)
+    ))
+    per_method = {mc.name: MethodCost(mc.name, *row) for mc, row in zip(methods, rows)}
 
     total_ret = sum(c.retiring_cycles for c in per_method.values())
     total_bad = sum(c.bad_spec_cycles for c in per_method.values())
@@ -780,6 +775,10 @@ def replay_columns(
         geo_states = [_GeoReplay(g, nm) for g in geos]
 
     # --- per-config accounting over the shared tallies
+    exact = tuple(
+        np.array([getattr(mc, name) for mc in methods], dtype=np.int64)
+        for name in _EXACT_FIELDS
+    )
     total_branches = float(sum(mc.branches for mc in methods))
     total_data = float(sum(mc.data_accesses for mc in methods))
     reports: list[MachineReport] = []
@@ -789,7 +788,7 @@ def replay_columns(
         rep["branches"] = branches
         rep["mispredicts"] = mis_rows[sig_index[_predictor_sig(cfg)]]
         per_method, topdown, coverage, total, seconds, mispred_rate = _account(
-            cfg, methods, rep
+            cfg, methods, exact, rep
         )
         reports.append(
             MachineReport(

@@ -11,10 +11,10 @@ admit exact reformulations that vectorize:
   table slot collapses to one composed function via an associative
   (segmented, Hillis-Steele) parallel-prefix scan —
   :func:`counter_miss_counts` returns per-group mispredict counts.  It
-  runs on narrow columns (uint16 slots group by a radix sort, bool
-  outcomes, uint8 function codes), and every step past the grouping is
-  a lookup in a small table.  :func:`gshare_history` builds the history
-  column by doubling.
+  runs on narrow columns (uint16 slots group by a radix sort, and
+  outcomes are bool), and every step past the grouping is a lookup in
+  a small table.  :func:`gshare_history` builds the history column by
+  doubling.
 
 * **LRU hit/miss** is a stack-distance test: an access hits iff fewer
   than ``associativity`` distinct lines touched its set since the
@@ -561,27 +561,29 @@ def lru_filter(
     return out
 
 
-def _build_counter_luts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_counter_luts() -> tuple[np.ndarray, ...]:
     """Lookup tables of the counter scan, over canonical 2-bit clip codes.
 
     On the domain {0..3} every update function is ``x -> min(hi,
     max(lo, x + d))`` with ``lo, hi`` in [0, 3] and ``d`` in [-3, 3]
     (a shift beyond the window acts saturated), so each function packs
     into a 7-bit code ``(d + 3) * 16 + lo * 4 + hi``; the constant
-    function ``v`` packs into ``21 * v``.  Returns three uint8 tables:
+    function ``v`` packs into ``21 * v``.  Returns four tables, flat
+    where they have two indices:
 
-    * ``compose[f, g]`` — the code of ``g`` applied after ``f``.  The
-      family is closed under composition, so one round of the prefix
-      scan is one gather.
+    * ``compose[f * 112 + g]`` — the code of ``g`` applied after ``f``.
+      The family is closed under composition, so one round of the
+      prefix scan is one gather.
     * ``run_code[t << 2 | k]`` — a run of ``k`` outcomes ``t``, ``k``
       at most 3: ``k`` takens are ``min(3, s + k)``, ``k`` not-takens
       ``max(0, s - k)``, and a run of three or more saturates, so it
       is the constant ``3 * t``.
-    * ``run_misses[t << 2 | k, c]`` — how many of that run's first
-      events mispredict when it is entered in the state of constant
-      code ``c``: a taken run entered at ``x`` mispredicts its first
-      ``max(0, 2 - x)`` events, a not-taken run its first
+    * ``run_misses[(t << 2 | k) * 112 + c]`` — how many of that run's
+      first events mispredict when it is entered in the state of
+      constant code ``c``: a taken run entered at ``x`` mispredicts its
+      first ``max(0, 2 - x)`` events, a not-taken run its first
       ``max(0, x - 1)``, so at most two.
+    * ``variable[c]`` — whether code ``c`` is not a constant.
     """
     codes = np.arange(112, dtype=np.int64)
     d = codes // 16 - 3
@@ -604,7 +606,7 @@ def _build_counter_luts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     compose = ((d_c + 3) * 16 + h0 * 4 + h3).astype(np.uint8)
 
-    run_code = np.zeros(8, dtype=np.uint8)
+    run_code = np.zeros(8, dtype=np.int64)
     run_misses = np.zeros((8, 112), dtype=np.uint8)
     entered = val[:, 0]  # the state of a constant code
     for k in (1, 2, 3):
@@ -612,10 +614,10 @@ def _build_counter_luts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         run_code[k] = (3 - k) * 17
         run_misses[4 | k] = np.clip(2 - entered, 0, k)
         run_misses[k] = np.clip(entered - 1, 0, k)
-    return compose, run_code, run_misses
+    return compose.ravel(), run_code, run_misses.ravel(), val[:, 0] != val[:, 3]
 
 
-_COMPOSE_LUT, _RUN_CODE, _RUN_MISSES = _build_counter_luts()
+_COMPOSE_LUT, _RUN_CODE, _RUN_MISSES, _VARIABLE = _build_counter_luts()
 
 
 def counter_miss_counts(
@@ -645,13 +647,13 @@ def counter_miss_counts(
     (:func:`_build_counter_luts`), so a run's code is one lookup by
     (outcome, ``min(k, 3)``) and one composition is one table gather.
     A run of 3 or more saturates, so it is a constant function that
-    absorbs everything before it and the scan restarts there; each
-    slot's first run is composed after the constant of its table
-    counter, so every scanned prefix is a constant, the state after
-    its run.  And a run mispredicts at most its first two events, a
-    count that one table gives from the run's lookup index and the
-    state it is entered in, so the mispredicted events are gathered
-    from run starts and no per-event flag array is built.
+    absorbs everything before it; each slot's first run is composed
+    after the constant of its table counter, so every slot's stream
+    starts at a constant, and each scanned prefix ends as a constant,
+    the state after its run.  And a run mispredicts at most its first
+    two events, a count that one table gives from the run's lookup
+    index and the state it is entered in, so the mispredicted events
+    are gathered from run starts and no per-event flag array is built.
     """
     n = idx.size
     if n == 0:
@@ -672,39 +674,39 @@ def counter_miss_counts(
     rb[1:] |= tk[1:] != tk[:-1]
     run_start = np.flatnonzero(rb)
     r = run_start.size
-    # (outcome, min(length, 3)) per run, the index of the run tables
-    kt = np.minimum(np.diff(run_start, append=n), 3).astype(np.uint8)
-    kt |= tk[run_start].view(np.uint8) << 2
+    # (outcome, min(length, 3)) per run: the row of the run tables
+    kt = np.minimum(np.diff(run_start, append=n), 3)
+    kt += 4 * tk[run_start]
     code = _RUN_CODE[kt]
-    run_head = head[run_start]  # first run of its slot segment
 
     # A slot's counter enters its first run as the constant 21 * state.
-    heads = np.flatnonzero(run_head)
+    heads = np.flatnonzero(head[run_start])
     slots = sidx[run_start[heads]]
-    entry = table[slots] * np.uint8(21)
-    code[heads] = _COMPOSE_LUT[entry, code[heads]]
+    entry = table[slots].astype(np.int64) * 21
+    code[heads] = _COMPOSE_LUT[entry * 112 + code[heads]]
 
-    # Segmented Hillis-Steele over runs, restarting at every slot head
-    # and every saturating run; active sets are nested, so each pass
-    # filters the shrinking index list instead of rescanning.
-    rpos = np.arange(r, dtype=np.int64)
-    restart = run_head | ((kt & 3) == 3)
-    rrun = rpos - np.maximum.accumulate(np.where(restart, rpos, 0))
-    active = np.flatnonzero(rrun)
+    # Hillis-Steele over runs.  A constant absorbs everything composed
+    # before it, so a run leaves the scan once its prefix is constant,
+    # and one that is still variable has not reached its slot's first
+    # run or a saturating run: its partner is in its own segment, and
+    # no segment bounds are needed.
+    active = np.flatnonzero(_VARIABLE[code])
     shift = 1
     while active.size:
-        code[active] = _COMPOSE_LUT[code[active - shift], code[active]]
+        composed = _COMPOSE_LUT[code[active - shift] * 112 + code[active]]
+        code[active] = composed
+        active = active[_VARIABLE[composed]]
         shift <<= 1
-        active = active[rrun[active] >= shift]
 
     # Each code is now the constant state after its run, which is the
     # state the slot's next run is entered in.
-    before = np.empty(r, dtype=np.uint8)
+    before = np.empty(r, dtype=np.int64)
     before[1:] = code[:-1]
     before[heads] = entry
-    misses = _RUN_MISSES[kt, before]
-    first = run_start[misses > 0]
-    second = run_start[misses > 1] + 1
+    misses = _RUN_MISSES[kt * 112 + before]
+    missing = np.flatnonzero(misses)
+    first = run_start[missing]
+    second = first[misses[missing] == 2] + 1
 
     last = np.empty_like(heads)
     last[:-1] = heads[1:] - 1
