@@ -626,11 +626,12 @@ def _account(
     arrays, built once per replay for every config.  ``rep`` maps each
     replay tally (``branches``, ``mispredicts``, ``data``, ``d_l2``,
     ``d_llc``, ``d_mem``, ``d_tlb``, ``calls``, ``c_l2``, ``c_llc``,
-    ``c_mem``) to a per-method array.  Vectorized over methods; every elementwise expression
-    mirrors the historical scalar accounting operation-for-operation so
-    exact-replay results stay bit-identical (int64 inputs convert to
-    float64 at the same points the historical path converted them, and
-    float64 arrays holding exact integers take the same values).
+    ``c_mem``) to a per-method array.  Vectorized over methods; every
+    elementwise expression mirrors the historical scalar accounting
+    operation-for-operation so exact-replay results stay bit-identical
+    (int64 inputs convert to float64 at the same points the historical
+    path converted them, and float64 arrays holding exact integers take
+    the same values).
 
     Returns ``(per_method, topdown, coverage, total_cycles, seconds,
     branch_misprediction_rate)``.
