@@ -286,8 +286,9 @@ def counter_streams(draw):
     :data:`RUN_LENGTHS`, strict alternation (all runs of 1), a single
     slot, and all-distinct slots (one event each).  Slots sit spread
     over a table whose counters start anywhere in 0-3.  The slot column
-    is drawn in each of :data:`SLOT_DTYPES`; the wider ones may spread
-    slots over more than 16 bits, and outcomes are bool or int64 0/1.
+    is drawn in each of :data:`SLOT_DTYPES`; the wider ones may sit
+    ``1 << 16`` apart, so a 16-bit truncation would merge them, and
+    outcomes are bool or int64 0/1.
     """
     shape = draw(st.sampled_from(("runs", "alternating", "one slot", "distinct")))
     if shape == "distinct":
@@ -306,7 +307,8 @@ def counter_streams(draw):
         per_slot.append(seq)
     order = draw(st.permutations([s for s, seq in enumerate(per_slot) for _ in seq]))
     slot_dtype = draw(st.sampled_from(SLOT_DTYPES))
-    strides = (1, 2, 3) if slot_dtype is np.uint16 else (1, 2, 3, 40_000)
+    # 1 << 16 apart, the wider slots agree in all of their low 16 bits
+    strides = (1, 2, 3) if slot_dtype is np.uint16 else (1, 2, 3, 1 << 16)
     stride = draw(st.sampled_from(strides))
     n = len(per_slot)
     # counters the stream never reaches must come back unchanged too
