@@ -14,8 +14,8 @@ Demonstrates the full plugin contract of
   ``MachineGrid.from_presets`` / ``repro sweep --machines``;
 * a plugin FDO build (``demo-boost``) resolvable by name in
   ``repro.fdo.evaluation.evaluate_pair(..., build="demo-boost")`` —
-  its content digest joins replay cache keys and the run ledger's
-  ``builds`` map.
+  its content digest and this module's source join replay cache keys,
+  and the digest the run ledger's ``builds`` map.
 
 Loaded either via the ``repro.plugins`` entry point declared in this
 package's ``pyproject.toml`` (importing this module runs the
@@ -36,7 +36,6 @@ from typing import Any
 
 from repro.core.cache import payload_digest
 from repro.core.registry import (
-    REGISTRY,
     register_benchmark,
     register_fdo_build,
     register_generator,
@@ -179,21 +178,16 @@ class CollatzFdoBuild:
     a content ``digest()``, and a ``cost_model(machine)`` factory plugs
     into the replay stage — ``evaluate_pair(..., build="demo-boost")``
     resolves it by name exactly like the built-in ``"fdo"`` build.  The
-    digest joins the replay cache key and the run ledger's ``builds``
-    map, so profiles replayed under this build never collide with
-    baseline or stock-FDO entries.
+    digest and this module's source join the replay cache key, and the
+    digest the run ledger's ``builds`` map, so profiles replayed under
+    this build never collide with baseline or stock-FDO entries.
     """
 
     profile: FdoProfile
     name: str = "demo-boost"
 
     def digest(self) -> str:
-        ident: dict[str, Any] = {"build": self.name, "profile": self.profile}
-        descriptor = REGISTRY.find("fdo_build", self.name)
-        token = descriptor.cache_token() if descriptor is not None else None
-        if token is not None:
-            ident["descriptor"] = token
-        return payload_digest(ident)
+        return payload_digest({"build": self.name, "profile": self.profile})
 
     def cost_model(self, machine: MachineConfig | None = None) -> FdoCostModel:
         return FdoCostModel(self.profile, machine)

@@ -1,8 +1,9 @@
 """Typed per-stage artifact stores for the staged pipeline.
 
-:mod:`repro.core.cache` stores the *end product* of a cell — a
-serialized :class:`~repro.machine.profiler.ExecutionProfile`, keyed by
-(benchmark, workload, machine, version).  The staged pipeline also
+:mod:`repro.core.cache` stores the *end product* of a cell: one
+:class:`~repro.core.cache.ProfileEntry` per capture (and build), keyed
+by :func:`~repro.core.cache.cache_key`, holding the profile of every
+machine config that capture was replayed on.  The staged pipeline also
 needs to persist the *intermediate* artifact between capture and
 replay: the machine-independent :class:`~repro.machine.capture.
 TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
@@ -25,10 +26,11 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
   before parsing like RTC2), so a pass whose cells all hit never
   generates the set;
 * :class:`ArtifactStore` — the per-stage stores the engine holds:
-  ``profiles`` (the replay-stage artifact, one entry per
-  machine/build), ``captures`` (the capture-stage artifact, one entry
-  per workload, shared by every machine/build that replays it) and
-  ``sets`` (one entry per benchmark and base seed).
+  ``profiles`` (the replay-stage artifact, one entry per capture and
+  build, one member per machine config), ``captures`` (the
+  capture-stage artifact, one entry per workload, shared by every
+  machine and build that replays it) and ``sets`` (one entry per
+  benchmark and base seed).
 
 Capture and set traffic is recorded in the metrics registry under
 ``store="capture"`` and ``store="set"``, apart from the profile
@@ -277,15 +279,16 @@ class ArtifactStore:
     """The engine's per-stage stores under one cache root.
 
     ``profiles`` is the replay-stage store — one
-    :class:`~repro.machine.profiler.ExecutionProfile` per (workload,
-    machine, build) — and is the *same* :class:`ResultCache` object the
-    caller handed the engine, so their ``cache.stats`` keep working.
+    :class:`~repro.core.cache.ProfileEntry` per (workload, build),
+    holding a member per machine config — and is the *same*
+    :class:`ResultCache` object the caller handed the engine.
     ``captures`` lives under ``<root>/capture/`` — one
     :class:`~repro.machine.capture.TelemetryCapture` per workload,
-    shared across every machine/build — and ``sets`` under
-    ``<root>/set/``.  The subdirectories are invisible to the profile
-    store's ``*/*.json`` globs, so profile entry counts and
-    :meth:`ResultCache.wipe` semantics are unchanged.
+    shared across every machine and build — and ``sets`` under
+    ``<root>/set/``.  The profile store's ``*/*.prof`` globs do not
+    reach the capture and set entries a level further down, so those
+    never count as profile entries and :meth:`ResultCache.wipe` never
+    removes them.
     """
 
     def __init__(

@@ -16,10 +16,11 @@ function of its inputs and of the code that made it.  Keys name both:
   payload itself);
 * :func:`capture_key` adds the capture codec to the identity;
 * :func:`cache_key` names one capture's profile entry: it adds the
-  entry layout, the build digest and the replay code fingerprint
-  (:func:`replay_fingerprint`, over :data:`REPLAY_MODULES`).  The
-  machine config is not in it: every config the capture was replayed
-  on is a member of that one entry, named by the config's digest;
+  entry layout, the replay code fingerprint (:func:`replay_fingerprint`,
+  over :data:`REPLAY_MODULES`) and, for a build, its digest and the
+  source of its module.  The machine config is not in it: every config
+  the capture was replayed on is a member of that one entry, named by
+  the config's digest;
 * :func:`set_key` names one Alberta set's member list by the capture
   code fingerprint, the benchmark and the base seed.
 
@@ -257,21 +258,12 @@ def _machine_digest(machine: MachineConfig | None) -> str:
 
 
 def _code_identity(benchmark_id: str) -> dict[str, Any]:
-    """What every key of one benchmark's artifacts starts from.
-
-    Registry descriptor versions above 1 still join it as tokens.
-    """
-    from .registry import REGISTRY
-
-    ident: dict[str, Any] = {
+    """What every key of one benchmark's artifacts starts from."""
+    return {
         "format": CACHE_FORMAT,
         "code": capture_fingerprint(benchmark_id),
         "benchmark": benchmark_id,
     }
-    tokens = REGISTRY.cache_tokens(benchmark_id)
-    if tokens:
-        ident["descriptors"] = tokens
-    return ident
 
 
 def _capture_identity(benchmark_id: str, workload: Workload | AlbertaRef) -> dict[str, Any]:
@@ -294,23 +286,26 @@ def cache_key(
     benchmark_id: str,
     workload: Workload | AlbertaRef,
     *,
-    build: str | None = None,
+    build: Any = None,
 ) -> str:
     """Stable key for one capture's profile entry (:class:`ProfileEntry`).
 
     The capture's identity plus a stage marker, the entry layout's
-    magic, the replay code fingerprint and ``build`` (an optional
-    digest of a build transformation such as an FDO profile — see
-    :meth:`repro.fdo.optimizer.FdoBuild.digest` — that changes the
-    replay but not the capture).  The machine config is not part of
-    it: the entry holds every config the capture was replayed on.
+    magic and the replay code fingerprint.  ``build`` is an optional
+    build transformation that changes the replay but not the capture
+    (see :class:`repro.fdo.optimizer.FdoBuild`): its ``digest()`` and
+    the source of the module that defines its class join the key, so a
+    plugin's build code is covered like its benchmark's.  The machine
+    config is not part of it: the entry holds every config the capture
+    was replayed on.
     """
     ident = _capture_identity(benchmark_id, workload)
     ident["stage"] = "profile"
     ident["entry"] = PROFILE_MAGIC.decode()
     ident["replay"] = replay_fingerprint()
     if build is not None:
-        ident["build"] = build
+        ident["build"] = build.digest()
+        ident["build_code"] = _module_digest(type(build).__module__)
     return payload_digest(ident)
 
 

@@ -404,7 +404,9 @@ def _run_cell(
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Best-effort terminate a pool's worker processes (hung/broken)."""
+    """Shut a pool down without waiting, cancel its queued cells and
+    terminate its workers (hung, broken, or interrupted)."""
+    pool.shutdown(wait=False, cancel_futures=True)
     procs = getattr(pool, "_processes", None) or {}
     for proc in list(procs.values()):
         try:
@@ -945,50 +947,55 @@ class CharacterizationEngine:
             for i in order:
                 first_seen.setdefault(i, now)
             pool = ProcessPoolExecutor(max_workers=min(self.workers, len(order)))
-            futures: dict[int, Future] = {}
-            abandon = False
             try:
-                for i in order:
-                    remaining[i] += 1
-                    futures[i] = pool.submit(_run_cell, cells[i], remaining[i], encode)
-            except BrokenExecutor:  # pragma: no cover - instant bootstrap death
-                for i in order:
-                    if i in remaining and i not in futures:
-                        remaining[i] -= 1
-                abandon = True
-
-            for i in order:
-                if i not in remaining or i not in futures:
-                    continue
-                fut = futures[i]
-                if abandon and not fut.done():
-                    remaining[i] -= 1  # refund: goes back on the queue
-                    continue
+                futures: dict[int, Future] = {}
+                abandon = False
                 try:
-                    result = fut.result(timeout=None if abandon else self.timeout)
-                except (FuturesTimeoutError, TimeoutError) as exc:
-                    if fut.done():  # the *worker* raised TimeoutError
-                        fail_or_requeue(i, "failed", f"TimeoutError: {exc}")
+                    for i in order:
+                        remaining[i] += 1
+                        futures[i] = pool.submit(_run_cell, cells[i], remaining[i], encode)
+                except BrokenExecutor:  # pragma: no cover - instant bootstrap death
+                    for i in order:
+                        if i in remaining and i not in futures:
+                            remaining[i] -= 1
+                    abandon = True
+
+                for i in order:
+                    if i not in remaining or i not in futures:
                         continue
-                    abandon = True
-                    fail_or_requeue(
-                        i, "timeout",
-                        f"cell exceeded per-cell timeout of {self.timeout}s",
-                    )
-                except BrokenExecutor:
-                    # Unattributable: the dead worker poisons every
-                    # pending future.  Refund and let the next round —
-                    # or isolation, once the restart budget runs out —
-                    # sort the culprit from the innocents.
-                    abandon = True
-                    remaining[i] -= 1
-                except Exception as exc:
-                    fail_or_requeue(i, "failed", f"{type(exc).__name__}: {exc}")
-                else:
-                    finalize(i, result, "ok", None)
+                    fut = futures[i]
+                    if abandon and not fut.done():
+                        remaining[i] -= 1  # refund: goes back on the queue
+                        continue
+                    try:
+                        result = fut.result(timeout=None if abandon else self.timeout)
+                    except (FuturesTimeoutError, TimeoutError) as exc:
+                        if fut.done():  # the *worker* raised TimeoutError
+                            fail_or_requeue(i, "failed", f"TimeoutError: {exc}")
+                            continue
+                        abandon = True
+                        fail_or_requeue(
+                            i, "timeout",
+                            f"cell exceeded per-cell timeout of {self.timeout}s",
+                        )
+                    except BrokenExecutor:
+                        # Unattributable: the dead worker poisons every
+                        # pending future.  Refund and let the next round —
+                        # or isolation, once the restart budget runs out —
+                        # sort the culprit from the innocents.
+                        abandon = True
+                        remaining[i] -= 1
+                    except Exception as exc:
+                        fail_or_requeue(i, "failed", f"{type(exc).__name__}: {exc}")
+                    else:
+                        finalize(i, result, "ok", None)
+            except BaseException:
+                # An interrupt (or any error) escaping the harvest must
+                # not leave this round's workers running.
+                _kill_pool(pool)
+                raise
 
             if abandon:
-                pool.shutdown(wait=False, cancel_futures=True)
                 _kill_pool(pool)
                 restarts += 1
             else:
@@ -1044,8 +1051,10 @@ class CharacterizationEngine:
                     error = f"worker process died: {exc}" if str(exc) else "worker process died"
                 except Exception as exc:
                     outcome, error = "failed", f"{type(exc).__name__}: {exc}"
+                except BaseException:
+                    _kill_pool(pool)
+                    raise
                 if abandon:
-                    pool.shutdown(wait=False, cancel_futures=True)
                     _kill_pool(pool)
                 else:
                     pool.shutdown(wait=True)
@@ -1165,13 +1174,12 @@ class CharacterizationEngine:
         m = self.machine if request.machine is ENGINE_MACHINE else request.machine
         build = request.build
         build_name = getattr(build, "name", None)
-        build_digest = build.digest() if build is not None else None
-        if build_name is not None and build_digest is not None:
-            self.builds_used[str(build_name)] = str(build_digest)
+        if build is not None and build_name is not None:
+            self.builds_used[str(build_name)] = str(build.digest())
         cell = _Cell(capture.benchmark, capture.workload, (m,), request.workload)
         key, entry = None, ProfileEntry()
         if self.store is not None and request.workload is not None:
-            key = cache_key(capture.benchmark, request.workload, build=build_digest)
+            key = cache_key(capture.benchmark, request.workload, build=build)
             with self._counting_quarantines():
                 entry = self.cache.get(key, [m]) or entry
             cached = entry.profile(m)

@@ -128,9 +128,9 @@ class VerificationError(ReproError):
     """A benchmark ran but its output failed verification.
 
     Mirrors SPEC's output-validation step: a miscompare means the run
-    is invalid, whatever the counters say.  Raised by the capture stage
-    (:func:`~repro.machine.capture.capture_execution`) and by
-    :meth:`~repro.machine.profiler.Profiler.run`.
+    is invalid, whatever the counters say.  Raised by
+    :func:`~repro.machine.capture.run_probed`, the one execution body
+    behind the capture stage and :meth:`~repro.machine.profiler.Profiler.run`.
     """
 
 
@@ -204,7 +204,7 @@ class RegistrationError(ReproError):
     """A scenario descriptor is invalid at registration time.
 
     Raised by :mod:`repro.core.registry` for malformed descriptors
-    (bad kind, empty id, non-positive version), id collisions between
+    (bad kind, empty id, blank capability), id collisions between
     two different descriptors, and plugin entry points that fail to
     load — always *before* any characterization runs.
     """

@@ -3,7 +3,7 @@
 The paper's subject is a benchmark × workload × configuration space;
 this module is the single place where that space is *declared*.  Every
 scenario component registers a :class:`Descriptor` — a stable id, a
-kind, capability flags, and a versioned content fingerprint — and every
+kind, capability flags, and a content fingerprint — and every
 consumer (engine, Session, CLI, manifest, analysis) enumerates the
 space through registry queries instead of hand-maintained lists.
 
@@ -22,16 +22,12 @@ Three registration paths feed the same :class:`Registry`:
 * **in-process** — :func:`load_plugin` / :meth:`Registry.register` for
   tests and embedding applications.
 
-Cache identity: each descriptor carries a ``version`` and a content
-:meth:`Descriptor.fingerprint`.  At ``version=1`` (every built-in
-today) :meth:`Descriptor.cache_token` is ``None`` and the descriptor
-contributes *nothing* to cache keys.  Bumping a descriptor's version
-makes its token non-``None``, which :func:`repro.core.cache.cache_key`
-folds into the key — invalidating exactly that scenario's cached
-artifacts while every untouched descriptor keeps hitting.  Keys also
-hash the source of each benchmark's and generator's factory module
-(:func:`repro.core.cache.capture_fingerprint`), so an edit misses its
-artifacts without a bump.
+Cache identity: no descriptor field joins a cache key.  Keys hash the
+source of each benchmark's and generator's factory module
+(:func:`repro.core.cache.capture_fingerprint`) and of each FDO build's
+module (:func:`repro.core.cache.cache_key`), so an edit misses exactly
+the artifacts that code made.  :meth:`Descriptor.fingerprint` digests
+the declared identity for the run ledger.
 
 Validation is eager: malformed descriptors and id collisions raise
 :class:`~repro.core.errors.RegistrationError` at registration (plugin
@@ -47,7 +43,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import ModuleType
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from .errors import RegistrationError, UnknownScenarioError
 
@@ -109,13 +105,11 @@ class Descriptor:
     ``factory`` is the only live object (the benchmark / generator
     class, or a closure returning a
     :class:`~repro.machine.cost.MachineConfig`); it is excluded from
-    equality and serialization, so a descriptor round-trips through
-    :meth:`to_dict` / :meth:`from_dict` minus the factory.
+    equality and from :meth:`fingerprint`.
     """
 
     kind: str
     id: str
-    version: int = 1
     suite: str | None = None
     capabilities: frozenset[str] = frozenset()
     origin: str = "builtin"
@@ -129,15 +123,6 @@ class Descriptor:
         if not isinstance(self.id, str) or not self.id:
             raise RegistrationError(
                 f"{self.kind} descriptor id must be a non-empty string, got {self.id!r}"
-            )
-        if (
-            not isinstance(self.version, int)
-            or isinstance(self.version, bool)
-            or self.version < 1
-        ):
-            raise RegistrationError(
-                f"{self.kind} {self.id!r}: version must be an int >= 1, "
-                f"got {self.version!r}"
             )
         if self.suite is not None and (
             not isinstance(self.suite, str) or not self.suite
@@ -167,8 +152,8 @@ class Descriptor:
     def fingerprint(self) -> str:
         """Stable content digest of the descriptor's declared identity.
 
-        Covers kind, id, version, suite, and capabilities — everything
-        except provenance (``origin``) and the live ``factory``.  The
+        Covers kind, id, suite, and capabilities — everything except
+        provenance (``origin``) and the live ``factory``.  The
         encoding is :func:`repro.core.cache.payload_digest`, so the
         value is identical across processes and platforms.
         """
@@ -178,58 +163,16 @@ class Descriptor:
             {
                 "kind": self.kind,
                 "id": self.id,
-                "version": self.version,
                 "suite": self.suite,
                 "capabilities": sorted(self.capabilities),
             }
         )
 
-    def cache_token(self) -> str | None:
-        """The descriptor's contribution to cache keys, or ``None``.
-
-        ``None`` at ``version=1`` — the baseline declaration hashes to
-        nothing.  Any version bump yields a token, which
-        :func:`repro.core.cache.cache_key` folds into the key: a clean
-        miss for exactly this descriptor's artifacts.
-        """
-        if self.version == 1:
-            return None
-        return f"{self.id}@v{self.version}:{self.fingerprint()[:12]}"
-
-    # ------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (sans factory)."""
-        return {
-            "kind": self.kind,
-            "id": self.id,
-            "version": self.version,
-            "suite": self.suite,
-            "capabilities": sorted(self.capabilities),
-            "origin": self.origin,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Descriptor":
-        """Inverse of :meth:`to_dict` (``factory`` comes back ``None``)."""
-        try:
-            return cls(
-                kind=data["kind"],
-                id=data["id"],
-                version=data.get("version", 1),
-                suite=data.get("suite"),
-                capabilities=frozenset(data.get("capabilities", ())),
-                origin=data.get("origin", "builtin"),
-            )
-        except (TypeError, KeyError) as exc:
-            raise RegistrationError(f"bad descriptor payload: {exc}") from exc
-
     def create(self) -> Any:
         """Instantiate the live object behind this descriptor."""
         if self.factory is None:
             raise RegistrationError(
-                f"{self.kind} {self.id!r} has no factory (descriptor was "
-                "deserialized or registered without one)"
+                f"{self.kind} {self.id!r} was registered without a factory"
             )
         return self.factory()
 
@@ -287,7 +230,7 @@ class Registry:
         if existing is not None and existing != descriptor:
             raise RegistrationError(
                 f"{descriptor.kind} id {descriptor.id!r} already registered "
-                f"(by {existing.origin}, v{existing.version}) — refusing the "
+                f"(by {existing.origin}) — refusing the "
                 f"conflicting descriptor from {descriptor.origin}"
             )
         self._entries[key] = descriptor
@@ -456,26 +399,12 @@ class Registry:
         self._bootstrap()
         return list(self._plugins)
 
-    def cache_tokens(self, benchmark_id: str) -> dict[str, str]:
-        """The non-``None`` descriptor tokens that key one benchmark's
-        cached artifacts — empty (the common case) while the benchmark
-        and its generator sit at ``version=1``."""
-        self._bootstrap()
-        tokens: dict[str, str] = {}
-        for kind in ("benchmark", "generator"):
-            d = self._entries.get((kind, benchmark_id))
-            if d is not None:
-                token = d.cache_token()
-                if token is not None:
-                    tokens[kind] = token
-        return tokens
-
     # ---------------------------------------------------------------- tests
 
     @contextmanager
     def override(self, descriptor: Descriptor) -> Iterator[Descriptor]:
-        """Temporarily (re)place one descriptor — the version-bump hook
-        tests use to prove cache separation without editing modules."""
+        """Temporarily (re)place one descriptor: tests use it to change a
+        registered benchmark's capabilities without editing modules."""
         self._bootstrap()
         key = (descriptor.kind, descriptor.id)
         previous = self._entries.get(key)
@@ -511,7 +440,6 @@ def register_benchmark(
     *,
     in_table2: bool = True,
     capabilities: Any = (),
-    version: int = 1,
     registry: Registry | None = None,
 ):
     """Class decorator: register a benchmark substrate.
@@ -539,7 +467,6 @@ def register_benchmark(
             Descriptor(
                 kind="benchmark",
                 id=benchmark_id if isinstance(benchmark_id, str) else repr(benchmark_id),
-                version=version,
                 suite=suite,
                 capabilities=frozenset(caps),
                 factory=klass,
@@ -554,7 +481,6 @@ def register_generator(
     cls: type | None = None,
     *,
     capabilities: Any = (CAP_REFRATE,),
-    version: int = 1,
     registry: Registry | None = None,
 ):
     """Class decorator: register a workload generator.
@@ -569,7 +495,6 @@ def register_generator(
             Descriptor(
                 kind="generator",
                 id=benchmark_id if isinstance(benchmark_id, str) else repr(benchmark_id),
-                version=version,
                 capabilities=frozenset(capabilities),
                 factory=klass,
             )
@@ -584,7 +509,6 @@ def register_machine_config(
     config: Any,
     *,
     capabilities: Any = (),
-    version: int = 1,
     registry: Registry | None = None,
 ) -> Descriptor:
     """Register a named machine preset (ids are case-folded)."""
@@ -592,7 +516,6 @@ def register_machine_config(
         Descriptor(
             kind="machine",
             id=name.lower() if isinstance(name, str) else repr(name),
-            version=version,
             capabilities=frozenset(capabilities),
             factory=lambda config=config: config,
         )
@@ -604,7 +527,6 @@ def register_fdo_build(
     factory: Callable[..., Any],
     *,
     capabilities: Any = (),
-    version: int = 1,
     registry: Registry | None = None,
 ) -> Descriptor:
     """Register a build-transformation kind (e.g. the FDO build)."""
@@ -612,7 +534,6 @@ def register_fdo_build(
         Descriptor(
             kind="fdo_build",
             id=name,
-            version=version,
             capabilities=frozenset(capabilities),
             factory=factory,
         )

@@ -104,8 +104,7 @@ def _resolve_build(build: "str | object", profile: FdoProfile) -> object:
     descriptor = REGISTRY.get("fdo_build", build)
     if descriptor.factory is None:
         raise RegistrationError(
-            f"fdo_build {build!r} has no factory (descriptor was "
-            "deserialized or registered without one)"
+            f"fdo_build {build!r} was registered without a factory"
         )
     return descriptor.factory(profile)
 
@@ -163,12 +162,12 @@ def evaluate_pair(
     default ``"fdo"`` resolves to
     :class:`~repro.fdo.optimizer.FdoBuild`; plugins register their own
     via :func:`~repro.core.registry.register_fdo_build`) or a live
-    build object.  The build's ``digest()`` joins the replay cache key
-    and the session ledger's ``builds`` map, so differently-built
-    profiles never collide.  A ``profile`` trained under a different
-    machine configuration than the evaluation raises
-    :class:`~repro.core.errors.MachineMismatch` (``None``-vs-default
-    configs are normalized, not rejected).
+    build object.  The build's ``digest()`` and its module's source join
+    the replay cache key, and the digest the session ledger's ``builds``
+    map, so differently-built profiles never collide.  A ``profile``
+    trained under a different machine configuration than the evaluation
+    raises :class:`~repro.core.errors.MachineMismatch`
+    (``None``-vs-default configs are normalized, not rejected).
     """
     own = session is None
     if own:

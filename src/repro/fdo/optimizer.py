@@ -182,22 +182,11 @@ class FdoBuild:
     name: str = "fdo"
 
     def digest(self) -> str:
-        """Content digest of the build inputs, for replay cache keys.
-
-        Folds in the registered ``fdo_build`` descriptor's cache token
-        when (and only when) that descriptor's version has been bumped —
-        ``None`` tokens hash to nothing, keeping baseline FDO keys
-        byte-identical to the pre-registry era.
-        """
+        """Content digest of the build inputs, for replay cache keys
+        (which add this module's source) and the run ledger."""
         from ..core.cache import payload_digest
-        from ..core.registry import REGISTRY
 
-        ident: dict = {"build": self.name, "profile": self.profile}
-        descriptor = REGISTRY.find("fdo_build", self.name)
-        token = descriptor.cache_token() if descriptor is not None else None
-        if token is not None:
-            ident["descriptor"] = token
-        return payload_digest(ident)
+        return payload_digest({"build": self.name, "profile": self.profile})
 
     def cost_model(self, machine: MachineConfig | None = None) -> FdoCostModel:
         """The cost model this build replays captures through."""

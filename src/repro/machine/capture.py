@@ -1,23 +1,25 @@
-"""The capture half of the staged characterization pipeline.
+"""Execution and the capture stage of the characterization pipeline.
 
-A characterize cell used to be one opaque operation: run the benchmark
-under a :class:`~repro.machine.telemetry.Probe` *and* replay the
-telemetry through the cost model, fused inside
-:meth:`~repro.machine.profiler.Profiler.run`.  The pipeline splits the
-two stages apart:
+:func:`run_probed` is the one place a benchmark executes: it runs the
+benchmark on a workload under a fresh
+:class:`~repro.machine.telemetry.Probe` and verifies the output.  Its
+two callers differ in what they keep:
 
-* **capture** (:func:`capture_execution`, here) — execute the benchmark
-  once and snapshot everything the cost model will ever read into a
+* :func:`capture_execution` (the pipeline's *capture* stage) snapshots
+  everything the cost model will ever read into a
   :class:`TelemetryCapture`.  The capture is *machine-independent*: it
   depends only on (benchmark, workload, capture code), never on a
   :class:`~repro.machine.cost.MachineConfig`.
-* **replay** (:func:`~repro.machine.batch.replay_capture` and
-  :func:`~repro.machine.batch.replay_capture_batched`) — run the cost
-  model's replay on the capture's columns under any machine config.
-  Replays of the same capture are bit-identical to evaluating the
-  original probe, because the capture copies the exact columns,
-  per-method counters, and decimation state the probe held at the end
-  of the run.
+* :meth:`~repro.machine.profiler.Profiler.run` evaluates the probe
+  under its own cost model and keeps the benchmark output, which a
+  capture drops.
+
+The *replay* stage (:func:`~repro.machine.batch.replay_capture` and
+:func:`~repro.machine.batch.replay_capture_batched`) runs the cost
+model on a capture's columns under any machine config.  Replays of the
+same capture are bit-identical to evaluating the original probe,
+because the capture copies the exact columns, per-method counters, and
+decimation state the probe held at the end of the run.
 
 A machine-config or FDO-build sweep therefore executes each benchmark
 once and replays the captured stream N times — the separation
@@ -46,7 +48,7 @@ from .telemetry import MethodCounters, Probe
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.workload import Workload
 
-__all__ = ["TelemetryCapture", "capture_execution"]
+__all__ = ["TelemetryCapture", "capture_execution", "run_probed"]
 
 
 def _copy_counters(mc: MethodCounters) -> MethodCounters:
@@ -125,19 +127,19 @@ class TelemetryCapture:
         return probe
 
 
-def capture_execution(
+def run_probed(
     benchmark: Any,
     workload: "Workload",
     *,
     verify: bool = True,
-) -> TelemetryCapture:
-    """Run one benchmark on one workload and capture its telemetry.
+) -> tuple[Probe, Any, bool]:
+    """Run one benchmark on one workload under a fresh probe.
 
-    The machine-independent half of what ``Profiler.run`` did: execute,
-    verify the output (a miscompare raises
+    Returns the probe, the benchmark's output and whether the output
+    was verified.  When ``verify`` is true a miscompare raises
     :class:`~repro.core.errors.VerificationError`, mirroring SPEC's
-    validation step), and snapshot the probe.  No cost model is
-    consulted — that is the replay stage's job.
+    validation step; a workload of another benchmark raises
+    :class:`~repro.core.errors.WorkloadError` before anything runs.
     """
     if workload.benchmark != benchmark.name:
         raise WorkloadError(
@@ -154,6 +156,22 @@ def capture_execution(
                 f"{benchmark.name}: output verification failed for "
                 f"workload {workload.name!r}"
             )
+    return probe, output, verified
+
+
+def capture_execution(
+    benchmark: Any,
+    workload: "Workload",
+    *,
+    verify: bool = True,
+) -> TelemetryCapture:
+    """Run one benchmark on one workload and capture its telemetry.
+
+    Executes and verifies through :func:`run_probed`, then snapshots
+    the probe.  No cost model is consulted — that is the replay stage's
+    job.
+    """
+    probe, _, verified = run_probed(benchmark, workload, verify=verify)
     capture = TelemetryCapture.from_probe(
         benchmark.name, workload.name, probe, verified=verified
     )
@@ -166,4 +184,3 @@ def capture_execution(
         benchmark=capture.benchmark,
     )
     return capture
-

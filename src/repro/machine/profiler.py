@@ -1,9 +1,10 @@
 """Execution profiler: runs a benchmark on a workload under the machine model.
 
 This is the harness's equivalent of running a SPEC binary under perf:
-it executes the mini-benchmark (real algorithmic work in Python),
-collects telemetry through a :class:`~repro.machine.telemetry.Probe`,
-evaluates the cost model, and verifies the benchmark's output.
+it executes and verifies the mini-benchmark (real algorithmic work in
+Python) through :func:`~repro.machine.capture.run_probed`, the same
+body the pipeline's capture stage runs, and evaluates the cost model
+on the probe's telemetry.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.coverage import CoverageProfile
-from ..core.errors import VerificationError, WorkloadError
 from ..core.topdown import TopDownVector
 from ..core.workload import Workload
+from .capture import run_probed
 from .cost import CostModel, MachineConfig, MachineReport
-from .telemetry import Probe
 
 __all__ = ["ExecutionProfile", "run_benchmark", "Profiler"]
 
@@ -65,26 +65,11 @@ class Profiler:
         mirroring SPEC's output validation step, which treats a
         miscompare as a failed run.
         """
-        if workload.benchmark != benchmark.name:
-            raise WorkloadError(
-                f"workload {workload.name!r} is for {workload.benchmark!r}, "
-                f"not {benchmark.name!r}"
-            )
-        probe = Probe()
-        output = benchmark.run(workload, probe)
-        verified = True
-        if verify:
-            verified = bool(benchmark.verify(workload, output))
-            if not verified:
-                raise VerificationError(
-                    f"{benchmark.name}: output verification failed for "
-                    f"workload {workload.name!r}"
-                )
-        report = self._cost_model.evaluate(probe)
+        probe, output, verified = run_probed(benchmark, workload, verify=verify)
         return ExecutionProfile(
             benchmark=benchmark.name,
             workload=workload.name,
-            report=report,
+            report=self._cost_model.evaluate(probe),
             output=output,
             verified=verified,
         )

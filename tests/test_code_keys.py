@@ -94,12 +94,15 @@ import json
 from repro.core.cache import cache_key, capture_key, set_key
 from repro.core.registry import benchmark_ids, load_plugin
 from repro.core.workload import AlbertaRef
+from repro.fdo.profile_data import FdoProfile
 load_plugin("repro_plugin_demo", name="demo")
+from repro_plugin_demo import CollatzFdoBuild
+build = CollatzFdoBuild(FdoProfile("901.collatz_x", {}))
 out = {}
 for bid in benchmark_ids():
     ref = AlbertaRef(bid, 0, "w")
     out[bid] = {"capture": capture_key(bid, ref), "profile": cache_key(bid, ref),
-                "set": set_key(bid, 0)}
+                "set": set_key(bid, 0), "build": cache_key(bid, ref, build=build)}
 print(json.dumps(out))
 """
 
@@ -147,6 +150,7 @@ def _changed(before: dict, after: dict, kind: str) -> set[str]:
 def test_editing_a_replay_module_misses_profiles_but_no_capture(source_copy, base_keys):
     keys = _keys(source_copy, "src/repro/machine/kernel.py")
     assert _changed(base_keys, keys, "profile") == set(base_keys)
+    assert _changed(base_keys, keys, "build") == set(base_keys)
     assert _changed(base_keys, keys, "capture") == set()
     assert _changed(base_keys, keys, "set") == set()
 
@@ -158,9 +162,13 @@ def test_editing_a_generator_misses_exactly_its_benchmark(source_copy, base_keys
 
 
 def test_editing_a_plugin_module_misses_its_benchmark(source_copy, base_keys):
+    """The demo plugin's module holds its benchmark, generator and FDO
+    build, so an edit misses the benchmark's captures and every profile
+    replayed under that build, and no other capture."""
     assert "901.collatz_x" in base_keys
     keys = _keys(source_copy, "plugin/repro_plugin_demo/__init__.py")
     assert _changed(base_keys, keys, "capture") == {"901.collatz_x"}
+    assert _changed(base_keys, keys, "build") == set(base_keys)
 
 
 def test_editing_a_shared_capture_module_misses_every_capture(source_copy, base_keys):

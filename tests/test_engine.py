@@ -175,6 +175,37 @@ class TestInterruptedPass:
             s.characterize_suite(ids=[bid])
         assert (s.summary.captures, s.summary.cache_hits) == (len(members) - 2, 2)
 
+    def test_an_interrupted_pool_leaves_no_worker_running(self, monkeypatch):
+        """A ``KeyboardInterrupt`` escaping a pooled pass shuts its pool
+        down and terminates the workers at once: no garbage collection
+        (disabled here) is needed to end them."""
+        import gc
+        import multiprocessing
+        import time
+
+        from repro.core import engine
+
+        refrate = next(w.name for w in alberta_workloads("505.mcf_r")
+                       if w.name.endswith(".refrate"))
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(engine, "_run_cell", _interrupting_run_cell)
+        INTERRUPT_AT.add(refrate)
+        gc.disable()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                with Session(workers=2) as s:
+                    s.characterize_suite(ids=["505.mcf_r"])
+            deadline = time.monotonic() + 10.0
+            while set(multiprocessing.active_children()) - before:
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            left = set(multiprocessing.active_children()) - before
+        finally:
+            gc.enable()
+            INTERRUPT_AT.clear()
+        assert left == set()
+
 
 class TestResultCache:
     @pytest.mark.parametrize("bid", FAST_IDS)
@@ -244,6 +275,8 @@ class TestResultCache:
     def test_key_sensitivity(self, tmp_path):
         """The key changes with workload content and build; machine
         configs are members of one entry."""
+        from repro.fdo.optimizer import FdoBuild
+        from repro.fdo.profile_data import FdoProfile
         from repro.machine.cost import MachineConfig
 
         w0 = alberta_workloads("505.mcf_r", 0)[0]
@@ -251,7 +284,12 @@ class TestResultCache:
         w1 = alberta_workloads("505.mcf_r", 1)[0]
         assert cache_key("505.mcf_r", w0) == cache_key("505.mcf_r", w0_again)
         assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w1)
-        assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w0, build="b")
+        build = FdoBuild(FdoProfile("505.mcf_r", {}))
+        assert cache_key("505.mcf_r", w0) != cache_key("505.mcf_r", w0, build=build)
+        other = FdoBuild(FdoProfile("505.mcf_r", {}, training_workloads=("mcf.train",)))
+        assert cache_key("505.mcf_r", w0, build=build) != cache_key(
+            "505.mcf_r", w0, build=other
+        )
         entry = ProfileEntry()
         entry.add(MachineConfig(width=2), "wide")
         assert entry.profile(MachineConfig(width=2)) == "wide"

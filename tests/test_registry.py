@@ -1,17 +1,19 @@
-"""Registry invariants: identity, enumeration, plugins, cache separation.
+"""Registry invariants: identity, enumeration, capabilities, plugins.
 
 Four layers of guarantees for :mod:`repro.core.registry`:
 
-* descriptors are value objects — serialization round-trips exactly
-  (hypothesis), fingerprints are cross-process stable, and malformed
-  or colliding registrations are rejected at load time;
+* descriptors are value objects — fingerprints are cross-process
+  stable, and malformed or colliding registrations are rejected at
+  load time;
 * every built-in benchmark / generator module actually registers
   (the lint test fails when a new module skips the decorator);
-* a descriptor version bump invalidates exactly its own cache
-  artifacts — bumped keys miss, untouched keys stay warm;
+* capability flags are enforced before anything runs;
 * plugins load through ``importlib.metadata`` entry points, can be
   disabled via the environment, and unknown scenario ids surface
   typed errors with near-miss suggestions (CLI exit code 2).
+
+No descriptor field keys a stored artifact: ``tests/test_code_keys.py``
+checks that keys follow the code instead.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.errors import RegistrationError, UnknownScenarioError, WorkloadError
@@ -34,7 +34,6 @@ from repro.core.registry import (
     CAP_IN_TABLE2,
     CAP_SWEEPABLE,
     DISABLE_PLUGINS_ENV,
-    KINDS,
     REGISTRY,
     Descriptor,
     alberta_workloads,
@@ -42,7 +41,6 @@ from repro.core.registry import (
 )
 from repro.core.run import Session
 from repro.core.sweep import MachineGrid, SweepRequest
-from repro.core.trace import summarize_trace
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -53,42 +51,8 @@ PLUGIN_SRC = REPO / "examples" / "repro-plugin-demo" / "src"
 # descriptor identity
 # --------------------------------------------------------------------------
 
-_ident = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126),
-    min_size=1,
-    max_size=24,
-)
-
-_descriptors = st.builds(
-    Descriptor,
-    kind=st.sampled_from(KINDS),
-    id=_ident,
-    version=st.integers(min_value=1, max_value=10_000),
-    suite=st.none() | st.sampled_from(["int", "fp"]) | _ident,
-    capabilities=st.frozensets(_ident, max_size=6),
-    origin=_ident,
-)
-
 
 class TestDescriptorIdentity:
-    @settings(max_examples=200, deadline=None)
-    @given(_descriptors)
-    def test_serialization_round_trips(self, d: Descriptor) -> None:
-        again = Descriptor.from_dict(d.to_dict())
-        assert again == d  # factory is excluded from equality by design
-        assert again.to_dict() == d.to_dict()
-        assert again.fingerprint() == d.fingerprint()
-        assert again.cache_token() == d.cache_token()
-
-    @settings(max_examples=100, deadline=None)
-    @given(_descriptors)
-    def test_cache_token_only_after_bump(self, d: Descriptor) -> None:
-        token = d.cache_token()
-        if d.version == 1:
-            assert token is None  # v1 keys match the pre-registry era
-        else:
-            assert token == f"{d.id}@v{d.version}:{d.fingerprint()[:12]}"
-
     def test_fingerprint_ignores_origin_and_factory(self) -> None:
         a = Descriptor(kind="benchmark", id="x", suite="int")
         b = dataclasses.replace(a, origin="plugin:demo", factory=object)
@@ -96,23 +60,24 @@ class TestDescriptorIdentity:
 
     def test_fingerprint_tracks_declared_identity(self) -> None:
         a = Descriptor(kind="benchmark", id="x", suite="int")
-        assert a.fingerprint() != dataclasses.replace(a, version=2).fingerprint()
-        assert (
-            a.fingerprint()
-            != dataclasses.replace(a, capabilities=frozenset({"z"})).fingerprint()
-        )
+        for changed in (
+            dataclasses.replace(a, kind="generator"),
+            dataclasses.replace(a, id="y"),
+            dataclasses.replace(a, suite="fp"),
+            dataclasses.replace(a, capabilities=frozenset({"z"})),
+        ):
+            assert changed.fingerprint() != a.fingerprint()
 
     def test_fingerprint_is_cross_process_stable(self) -> None:
         d = Descriptor(
             kind="generator",
             id="505.mcf_r",
-            version=3,
             suite="int",
             capabilities=frozenset({"refrate", "sweepable"}),
         )
         code = (
             "from repro.core.registry import Descriptor\n"
-            "d = Descriptor(kind='generator', id='505.mcf_r', version=3,"
+            "d = Descriptor(kind='generator', id='505.mcf_r',"
             " suite='int', capabilities=frozenset({'refrate', 'sweepable'}))\n"
             "print(d.fingerprint())"
         )
@@ -130,8 +95,8 @@ class TestDescriptorIdentity:
         [
             {"kind": "nonsense", "id": "x"},
             {"kind": "benchmark", "id": ""},
-            {"kind": "benchmark", "id": "x", "version": 0},
-            {"kind": "benchmark", "id": "x", "version": True},
+            {"kind": "benchmark", "id": 3},
+            {"kind": "benchmark", "id": "x", "factory": 3},
             {"kind": "benchmark", "id": "x", "suite": ""},
             {"kind": "benchmark", "id": "x", "capabilities": frozenset({""})},
             {"kind": "benchmark", "id": "x", "origin": ""},
@@ -141,15 +106,9 @@ class TestDescriptorIdentity:
         with pytest.raises(RegistrationError):
             Descriptor(**kwargs)
 
-    def test_from_dict_rejects_garbage(self) -> None:
-        with pytest.raises(RegistrationError):
-            Descriptor.from_dict({"id": "x"})  # no kind
-
     def test_deserialized_descriptor_has_no_factory(self) -> None:
-        d = Descriptor.from_dict(
-            Descriptor(kind="benchmark", id="x", suite="int").to_dict()
-        )
-        with pytest.raises(RegistrationError, match="no factory"):
+        d = Descriptor(kind="benchmark", id="x", suite="int")
+        with pytest.raises(RegistrationError, match="without a factory"):
             d.create()
 
 
@@ -168,7 +127,11 @@ class TestRegistrationRules:
     def test_conflicting_reregistration_collides(self) -> None:
         existing = REGISTRY.get("benchmark", "505.mcf_r")
         with pytest.raises(RegistrationError, match="already registered"):
-            REGISTRY.register(dataclasses.replace(existing, version=99))
+            REGISTRY.register(
+                dataclasses.replace(
+                    existing, capabilities=existing.capabilities | {"conflicting"}
+                )
+            )
         # the collision must not have clobbered the original
         assert REGISTRY.get("benchmark", "505.mcf_r") == existing
 
@@ -186,8 +149,9 @@ class TestRegistrationRules:
 
     def test_override_restores_previous_descriptor(self) -> None:
         before = REGISTRY.get("benchmark", "505.mcf_r")
-        with REGISTRY.override(dataclasses.replace(before, version=2)):
-            assert REGISTRY.get("benchmark", "505.mcf_r").version == 2
+        capture_only = frozenset({CAP_CAPTURE_ONLY})
+        with REGISTRY.override(dataclasses.replace(before, capabilities=capture_only)):
+            assert REGISTRY.get("benchmark", "505.mcf_r").capabilities == capture_only
         assert REGISTRY.get("benchmark", "505.mcf_r") == before
 
 
@@ -249,48 +213,6 @@ class TestBuiltinCoverage:
 
 
 # --------------------------------------------------------------------------
-# cache separation
-# --------------------------------------------------------------------------
-
-
-class TestCacheSeparation:
-    """A version bump misses exactly its own artifacts."""
-
-    def _sweep(self, tmp_path: Path, trace: str) -> object:
-        wl = next(
-            w for w in alberta_workloads("505.mcf_r") if w.name == "mcf.test"
-        )
-        request = SweepRequest(
-            benchmark="505.mcf_r", grid=MachineGrid.from_machines([None])
-        )
-        with Session(
-            cache=tmp_path / "store", trace=tmp_path / trace
-        ) as s:
-            s.characterize_sweep(request, workloads=[wl])
-        return summarize_trace(tmp_path / trace)
-
-    def test_version_bump_misses_then_warm_again(self, tmp_path: Path) -> None:
-        cold = self._sweep(tmp_path, "cold.jsonl")
-        assert cold.captures == 1 and cold.replays == 1
-
-        warm = self._sweep(tmp_path, "warm.jsonl")
-        assert warm.captures == 0 and warm.replays == 0
-
-        bumped = REGISTRY.get("benchmark", "505.mcf_r")
-        with REGISTRY.override(dataclasses.replace(bumped, version=2)):
-            missed = self._sweep(tmp_path, "bumped.jsonl")
-            # the bump changed the keys: a clean miss, full re-run
-            assert missed.captures == 1 and missed.replays == 1
-            # ... and the bumped keys are themselves cached now
-            rewarm = self._sweep(tmp_path, "bumped-warm.jsonl")
-            assert rewarm.captures == 0 and rewarm.replays == 0
-
-        # untouched (v1) artifacts survived the bump: instantly warm
-        after = self._sweep(tmp_path, "after.jsonl")
-        assert after.captures == 0 and after.replays == 0
-
-
-# --------------------------------------------------------------------------
 # capability enforcement
 # --------------------------------------------------------------------------
 
@@ -300,7 +222,6 @@ class TestCapabilityEnforcement:
         existing = REGISTRY.get("benchmark", "505.mcf_r")
         capture_only = dataclasses.replace(
             existing,
-            version=2,
             capabilities=frozenset({CAP_CAPTURE_ONLY}),
         )
         request = SweepRequest(
@@ -416,10 +337,10 @@ class TestPlugins:
         assert has_artifacts == "True"
 
     def test_plugin_fdo_build_end_to_end(self, tmp_path: Path) -> None:
-        # The ROADMAP follow-up from the plugin registry PR: a
-        # plugin-registered fdo_build resolves by name through
-        # evaluate_pair, its digest changes the replay cache key, and
-        # the digest lands in the run ledger's builds map.
+        # A plugin-registered fdo_build resolves by name through
+        # evaluate_pair, the build object keys the replay's profile
+        # entry (its digest and its module's source), and the digest
+        # lands in the run ledger's builds map.
         pythonpath = _fake_install(tmp_path)
         code = (
             "from pathlib import Path\n"
@@ -427,18 +348,21 @@ class TestPlugins:
             "from repro.core.ledger import RunLedger\n"
             "from repro.core.registry import REGISTRY, alberta_workloads\n"
             "from repro.core.run import Session\n"
-            "from repro.fdo.evaluation import evaluate_pair\n"
+            "from repro.fdo.evaluation import evaluate_pair, train_profile\n"
             "from repro_plugin_demo import CollatzFdoBuild\n"
             f"base = Path({str(tmp_path)!r})\n"
             "wl = {w.name: w for w in alberta_workloads('901.collatz_x')}\n"
             "with Session(cache=base / 'store', ledger=base / 'led') as s:\n"
+            "    profile = train_profile('901.collatz_x', wl['collatz.train'],\n"
+            "                            session=s)\n"
             "    r = evaluate_pair('901.collatz_x', wl['collatz.train'],\n"
-            "                      wl['collatz.test'], build='demo-boost',\n"
-            "                      session=s)\n"
+            "                      wl['collatz.test'], profile=profile,\n"
+            "                      build='demo-boost', session=s)\n"
             "    digest = s.engine.builds_used.get('demo-boost')\n"
             "print(r.speedup > 0)\n"
             "print(digest is not None and len(digest) > 0)\n"
-            "key = cache_key('901.collatz_x', wl['collatz.test'], build=digest)\n"
+            "key = cache_key('901.collatz_x', wl['collatz.test'],\n"
+            "                build=CollatzFdoBuild(profile))\n"
             "bare = cache_key('901.collatz_x', wl['collatz.test'])\n"
             "print(key != bare)\n"
             "print((base / 'store' / key[:2] / (key + '.prof')).exists())\n"
